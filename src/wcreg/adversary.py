@@ -29,15 +29,17 @@ lower bound on the worst-case error of a given reconstruction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import GridTooCoarseError, InfeasibleProblemError
-from .grid import (GridFunction, NoisyData, format_float, holder_norm,
-                   integrate, sup_norm)
+# holder_norm stays bound here because bench/selftest.py checks that the
+# tracer rebinds wcreg.adversary.holder_norm
+from .grid import GridFunction, NoisyData, format_float, holder_norm, sup_norm  # noqa: F401
+from .operators import CompactumSpec, ProblemSpec
 
 __all__ = [
     "FeasibleClass",
@@ -54,7 +56,9 @@ __all__ = [
     "read_pair_csv",
 ]
 
-CLASS_KINDS = ("holder", "sup-only")
+#: the compactum functional phi that bounds each class kind
+_KIND_PHI = {"holder": "holder-norm", "sup-only": "sup-norm"}
+CLASS_KINDS = tuple(_KIND_PHI)
 
 #: escalating multiplicative trims used when float rounding or off-node
 #: kinks push a construction an ulp past an exact constraint boundary
@@ -68,6 +72,8 @@ class FeasibleClass:
     `kind` is "holder" (norm = discrete Holder a-norm) or "sup-only"
     (norm = plain sup norm).  The forward map defaults to the trapezoid
     integral; pass `operator_matrix` to use an explicit matrix instead.
+    The class {norm <= bound} and the forward map are held as the
+    CompactumSpec `spec` and the ProblemSpec `prob`, which do the work.
     """
 
     kind: str
@@ -75,25 +81,33 @@ class FeasibleClass:
     data: NoisyData
     a: float | None = None
     operator_matrix: np.ndarray | None = None
+    spec: CompactumSpec = field(init=False, repr=False)
+    prob: ProblemSpec = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in CLASS_KINDS:
+        if self.kind not in _KIND_PHI:
             raise ValueError(f"class kind must be one of {CLASS_KINDS}, got {self.kind!r}")
-        if not self.bound > 0.0:
-            raise ValueError(f"class norm bound must be positive, got {self.bound}")
-        if self.kind == "holder" and (self.a is None or not (0.0 < self.a <= 2.0)):
-            raise ValueError("holder class needs an exponent a in (0, 2]")
-        if self.operator_matrix is not None:
-            mat = np.asarray(self.operator_matrix, dtype=float)
-            n = self.data.g_delta.n
-            if mat.shape != (n, n):
-                raise ValueError(f"operator matrix must be {n}x{n}, got {mat.shape}")
-            object.__setattr__(self, "operator_matrix", mat)
+        spec = CompactumSpec(_KIND_PHI[self.kind], self.bound, a=self.a)
+        prob = ProblemSpec() if self.operator_matrix is None else ProblemSpec(self.operator_matrix)
+        if prob.size() not in (None, self.n):
+            raise ValueError(f"operator matrix must be {self.n}x{self.n}, "
+                             f"got {prob.operator.shape}")
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "prob", prob)
+        object.__setattr__(self, "operator_matrix", None if prob.is_integration else prob.operator)
 
     @classmethod
     def for_zero_data(cls, kind: str, bound: float, delta: float, n: int,
                       a: float | None = None) -> "FeasibleClass":
         return cls(kind, bound, NoisyData(GridFunction.zeros(n), delta), a=a)
+
+    @classmethod
+    def from_specs(cls, spec: CompactumSpec, prob: ProblemSpec,
+                   data: NoisyData) -> "FeasibleClass":
+        """The class {phi <= c} of `spec` under the operator of `prob`."""
+        kind = next(k for k, phi in _KIND_PHI.items() if phi == spec.phi)
+        return cls(kind, spec.c, data, a=spec.a,
+                   operator_matrix=None if prob.is_integration else prob.operator)
 
     @property
     def delta(self) -> float:
@@ -104,14 +118,10 @@ class FeasibleClass:
         return self.data.g_delta.n
 
     def class_norm(self, v: GridFunction) -> float:
-        if self.kind == "sup-only":
-            return sup_norm(v)
-        return holder_norm(v, self.a)
+        return self.spec.phi_value(v)
 
     def image(self, v: GridFunction) -> np.ndarray:
-        if self.operator_matrix is not None:
-            return self.operator_matrix @ v.values
-        return integrate(v).values
+        return self.prob.apply(v).values
 
     def misfit(self, v: GridFunction) -> float:
         return float(np.max(np.abs(self.image(v) - self.data.g_delta.values)))
@@ -174,6 +184,20 @@ def _sine_profile(bound: float, k: int, n: int) -> GridFunction:
     return GridFunction(bound * np.sin(2.0 * math.pi * k * x))
 
 
+def _sine_frequencies(bound: float, delta: float, n: int | None) -> tuple[range, int]:
+    """Sine frequencies a sup-only class admits on the grid, and the grid size.
+
+    k = ceil(bound / (pi * delta)) is the lowest frequency whose integral
+    bound/(pi*k) stays within delta; the grid must resolve at least 20 nodes
+    per period, so the range is empty on a grid too coarse for k.  The
+    default grid n = 20k + 1 puts the sine extrema on nodes.
+    """
+    k = math.ceil(bound / (math.pi * delta))
+    if n is None:
+        n = 20 * k + 1
+    return range(k, (n - 1) // 20 + 1), n
+
+
 def sine_pair(bound: float, delta: float, n: int | None = None) -> AdversarialPair:
     """Flat-amplitude pair for the sup-only class: v1 = 0, v2 a sinusoid.
 
@@ -185,15 +209,13 @@ def sine_pair(bound: float, delta: float, n: int | None = None) -> AdversarialPa
     """
     if not bound > 0.0 or not delta > 0.0:
         raise ValueError("bound and delta must be positive")
-    k = math.ceil(bound / (math.pi * delta))
-    if n is None:
-        n = 20 * k + 1
-    if n - 1 < 20 * k:
+    ks, n = _sine_frequencies(bound, delta, n)
+    if not ks:
         raise GridTooCoarseError(
-            f"grid with {n} nodes cannot resolve frequency k={k}; "
-            f"need at least {20 * k + 1} nodes")
+            f"grid with {n} nodes cannot resolve frequency k={ks.start}; "
+            f"need at least {20 * ks.start + 1} nodes")
     cls = FeasibleClass.for_zero_data("sup-only", bound, delta, n)
-    v2 = _sine_profile(bound, k, n)
+    v2 = _sine_profile(bound, ks[0], n)
     try:
         return _assemble_pair(GridFunction.zeros(n), v2, cls)
     except InfeasibleProblemError as exc:
@@ -201,10 +223,33 @@ def sine_pair(bound: float, delta: float, n: int | None = None) -> AdversarialPa
             f"grid with {n} nodes leaves the sinusoid image above delta: {exc}") from exc
 
 
-def _snapped_bump(n: int, center: int, half_width_nodes: int, height: float) -> GridFunction:
-    offsets = np.abs(np.arange(n) - center)
-    vals = height * np.maximum(0.0, 1.0 - offsets / half_width_nodes)
-    return GridFunction(vals)
+def _bump_height(bound: float, delta: float) -> float:
+    """Ideal bump height: the integral of the bump with slopes +-bound/2
+    peaks at delta, and its Lipschitz norm height + bound/2 stays within bound."""
+    return min(math.sqrt(delta * bound / 2.0), bound / 2.0)
+
+
+def _bump_fit(bound: float, delta: float, n: int) -> tuple[int, int]:
+    """(room, p): the half-width free around the centre node (n-1)//2 and the
+    ideal half-width 2*height/bound snapped to whole nodes."""
+    room = (n - 1) // 2
+    if room < 1:
+        raise GridTooCoarseError(f"grid with {n} nodes leaves no room for a bump")
+    dx = 1.0 / (n - 1)
+    return room, int(round(2.0 * _bump_height(bound, delta) / bound / dx))
+
+
+def _snapped_bump(n: int, p: int, bound: float, delta: float, shave: float) -> GridFunction:
+    """Triangle bump on p nodes either side of the centre node, kinks on nodes.
+
+    At width w = p*dx the height min(bound*w/2, delta/w) keeps the slopes
+    within bound/2 and the exact trapezoid image within delta; `shave` trims it.
+    """
+    dx = 1.0 / (n - 1)
+    width = p * dx
+    height = min(0.5 * bound * width, delta / width) * (1.0 - shave)
+    offsets = np.abs(np.arange(n) - (n - 1) // 2)
+    return GridFunction(height * np.maximum(0.0, 1.0 - offsets / p))
 
 
 def bump_pair(bound: float, delta: float, n: int | None = None) -> AdversarialPair:
@@ -220,33 +265,24 @@ def bump_pair(bound: float, delta: float, n: int | None = None) -> AdversarialPa
     """
     if not bound > 0.0 or not delta > 0.0:
         raise ValueError("bound and delta must be positive")
-    height_ideal = min(math.sqrt(delta * bound / 2.0), bound / 2.0)
-    width_ideal = 2.0 * height_ideal / bound
+    height_ideal = _bump_height(bound, delta)
     if n is None:
+        width_ideal = 2.0 * height_ideal / bound
         n = int(max(1001, min(2_000_001, 8 * math.ceil(1.0 / width_ideal) + 1)))
-        if n % 2 == 0:
-            n += 1
-    dx = 1.0 / (n - 1)
-    center = (n - 1) // 2
-    room = min(center, n - 1 - center)
-    if room < 1:
-        raise GridTooCoarseError(f"grid with {n} nodes leaves no room for a bump")
-    p_want = int(round(width_ideal / dx))
+    room, p_want = _bump_fit(bound, delta, n)
     cls = FeasibleClass.for_zero_data("holder", bound, delta, n, a=1.0)
     zero = GridFunction.zeros(n)
 
     if p_want <= room:
-        p = max(1, p_want)
-        width = p * dx
-        height = min(0.5 * bound * width, delta / width)
         for shave in _SHAVE_LADDER:
-            v2 = _snapped_bump(n, center, p, height * (1.0 - shave))
+            v2 = _snapped_bump(n, max(1, p_want), bound, delta, shave)
             if is_feasible(v2, cls).feasible:
                 return _assemble_pair(zero, v2, cls)
     else:
         # support wider than the interval: sample the clipped profile
         x = np.linspace(0.0, 1.0, n)
-        profile = np.maximum(0.0, height_ideal - 0.5 * bound * np.abs(x - center * dx))
+        dx = 1.0 / (n - 1)
+        profile = np.maximum(0.0, height_ideal - 0.5 * bound * np.abs(x - (n - 1) // 2 * dx))
         for shave in _SHAVE_LADDER:
             v2 = GridFunction(profile * (1.0 - shave))
             if is_feasible(v2, cls).feasible:
@@ -285,6 +321,37 @@ def _draw_shape(rng: np.random.Generator, n: int) -> tuple[np.ndarray, str | Non
     return np.ones(n), "constant"
 
 
+def _scaled_step(cls: FeasibleClass, shape: np.ndarray, key: str | None,
+                 slack: tuple[float, float], frac: float,
+                 gains: dict[str, tuple[float, float]]) -> float | None:
+    """Step t along `shape` that the triangle inequality keeps inside S.
+
+    t = 0.9 * min(misfit slack / image gain, norm slack / norm gain) * frac,
+    or None when that is not positive and finite.  A shape with no misfit
+    room is dropped before the O(n^2) norm scan.  The gains of shapes with
+    a cache `key` are computed once per `gains` dict.
+    """
+    misfit_slack, norm_slack = slack
+    if key in gains:
+        image_gain, norm_gain = gains[key]
+    else:
+        image_gain = float(np.max(np.abs(cls.image(GridFunction(shape)))))
+        # an infinite norm gain stands for "not scanned" and gives t_norm = 0
+        norm_gain = math.inf
+        if _ratio(misfit_slack, image_gain) > 0.0:
+            norm_gain = cls.class_norm(GridFunction(shape))
+        if key is not None:
+            gains[key] = (image_gain, norm_gain)
+    t = 0.9 * min(_ratio(misfit_slack, image_gain), _ratio(norm_slack, norm_gain))
+    if not (t > 0.0 and math.isfinite(t)):
+        return None
+    return t * frac
+
+
+def _ratio(slack: float, gain: float) -> float:
+    return math.inf if gain == 0.0 else slack / gain
+
+
 def sample_feasible(cls: FeasibleClass, count: int, seed: int | np.random.SeedSequence = 0,
                     start: GridFunction | None = None) -> list[GridFunction]:
     """Up to `count` certified members of S around a feasible start element.
@@ -308,35 +375,17 @@ def sample_feasible(cls: FeasibleClass, count: int, seed: int | np.random.SeedSe
         return []
     members = [base]
     rng = np.random.default_rng(seed)
-    misfit_slack = cls.delta - chk.misfit
-    norm_slack = cls.bound - chk.class_norm
-    gain_cache: dict[str, tuple[float, float]] = {}
+    slack = (cls.delta - chk.misfit, cls.bound - chk.class_norm)
+    gains: dict[str, tuple[float, float]] = {}
     attempts = 0
     max_attempts = 30 * count + 100
     while len(members) < count and attempts < max_attempts:
         attempts += 1
         shape, key = _draw_shape(rng, cls.n)
         sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        frac = rng.uniform(0.2, 1.0)
-        if key in gain_cache:
-            image_gain, norm_gain = gain_cache[key]
-        else:
-            image_gain = float(np.max(np.abs(cls.image(GridFunction(shape)))))
-            t_mis = math.inf if image_gain == 0.0 else misfit_slack / image_gain
-            if t_mis <= 0.0:
-                # no room along this shape; skip before the O(n^2) norm scan
-                if key is not None:
-                    gain_cache[key] = (image_gain, math.inf)
-                continue
-            norm_gain = cls.class_norm(GridFunction(shape))
-            if key is not None:
-                gain_cache[key] = (image_gain, norm_gain)
-        t_mis = math.inf if image_gain == 0.0 else misfit_slack / image_gain
-        t_norm = math.inf if norm_gain == 0.0 else norm_slack / norm_gain
-        t = 0.9 * min(t_mis, t_norm)
-        if not (t > 0.0 and math.isfinite(t)):
+        t = _scaled_step(cls, shape, key, slack, rng.uniform(0.2, 1.0), gains)
+        if t is None:
             continue
-        t *= frac
         for _ in range(40):
             candidate = GridFunction(base.values + (sign * t) * shape)
             if is_feasible(candidate, cls).feasible:
@@ -370,34 +419,25 @@ def sup_error_estimate(reconstruction: GridFunction, cls: FeasibleClass,
 def _sine_candidates(cls: FeasibleClass) -> Iterator[tuple[GridFunction, GridFunction]]:
     if cls.kind != "sup-only":
         return
-    k0 = math.ceil(cls.bound / (math.pi * cls.delta))
     zero = GridFunction.zeros(cls.n)
-    k = k0
-    while 20 * k <= cls.n - 1:
+    for k in _sine_frequencies(cls.bound, cls.delta, cls.n)[0]:
         yield zero, _sine_profile(cls.bound, k, cls.n)
-        k += 1
 
 
 def _bump_candidates(cls: FeasibleClass) -> Iterator[tuple[GridFunction, GridFunction]]:
     if cls.kind != "holder":
         return
-    n = cls.n
-    dx = 1.0 / (n - 1)
-    center = (n - 1) // 2
-    room = min(center, n - 1 - center)
-    height_ideal = min(math.sqrt(cls.delta * cls.bound / 2.0), cls.bound / 2.0)
-    p0 = min(max(1, int(round(2.0 * height_ideal / cls.bound / dx))), room)
-    zero = GridFunction.zeros(n)
+    room, p_want = _bump_fit(cls.bound, cls.delta, cls.n)
+    p0 = min(max(1, p_want), room)
+    zero = GridFunction.zeros(cls.n)
     seen = set()
     for j in range(room):
         for p in (p0 - j, p0 + j):
             if p < 1 or p > room or p in seen:
                 continue
             seen.add(p)
-            width = p * dx
-            height = min(0.5 * cls.bound * width, cls.delta / width)
             for shave in _SHAVE_LADDER:
-                v2 = _snapped_bump(n, center, p, height * (1.0 - shave))
+                v2 = _snapped_bump(cls.n, p, cls.bound, cls.delta, shave)
                 if is_feasible(v2, cls).feasible:
                     yield zero, v2
                     break
@@ -409,17 +449,12 @@ def _random_candidates(cls: FeasibleClass, seed, base: GridFunction
     if not chk.feasible:
         return
     rng = np.random.default_rng(seed)
-    misfit_slack = cls.delta - chk.misfit
-    norm_slack = cls.bound - chk.class_norm
+    slack = (cls.delta - chk.misfit, cls.bound - chk.class_norm)
+    gains: dict[str, tuple[float, float]] = {}
     while True:
-        shape, _ = _draw_shape(rng, cls.n)
-        frac = rng.uniform(0.2, 1.0)
-        image_gain = float(np.max(np.abs(cls.image(GridFunction(shape)))))
-        norm_gain = cls.class_norm(GridFunction(shape))
-        t_mis = math.inf if image_gain == 0.0 else misfit_slack / image_gain
-        t_norm = math.inf if norm_gain == 0.0 else norm_slack / norm_gain
-        t = 0.9 * min(t_mis, t_norm) * frac
-        if not (t > 0.0 and math.isfinite(t)):
+        shape, key = _draw_shape(rng, cls.n)
+        t = _scaled_step(cls, shape, key, slack, rng.uniform(0.2, 1.0), gains)
+        if t is None:
             yield base, base
             continue
         yield (GridFunction(base.values + t * shape),
@@ -474,19 +509,14 @@ def diameter_probe(cls: FeasibleClass, generators: Sequence[str] = ("sine", "bum
 # serialization
 
 
+#: the certificate lines of a pair file, in file order
+_PAIR_KEYS = ("delta", "bound", "separation", "misfit1", "norm1", "misfit2", "norm2")
+
+
 def write_pair_csv(pair: AdversarialPair, path: str | Path) -> None:
     """Pair export: certificate as `# key=value` comments, then x,v1,v2 rows."""
-    cert = pair.certificate
-    lines = [
-        f"# delta={format_float(cert.delta)}",
-        f"# bound={format_float(cert.bound)}",
-        f"# separation={format_float(pair.separation)}",
-        f"# misfit1={format_float(cert.misfit1)}",
-        f"# norm1={format_float(cert.norm1)}",
-        f"# misfit2={format_float(cert.misfit2)}",
-        f"# norm2={format_float(cert.norm2)}",
-        "x,v1,v2",
-    ]
+    meta = {"separation": pair.separation, **pair.certificate._asdict()}
+    lines = [f"# {key}={format_float(meta[key])}" for key in _PAIR_KEYS] + ["x,v1,v2"]
     x = pair.v1.x
     for k in range(pair.v1.n):
         lines.append(",".join(format_float(val)
@@ -514,10 +544,9 @@ def read_pair_csv(path: str | Path) -> AdversarialPair:
     data = np.asarray(rows)
     if not header_seen or data.shape[0] < 2 or data.shape[1] != 3:
         raise ValueError(f"{path}: malformed pair file")
-    for key in ("delta", "bound", "separation", "misfit1", "norm1", "misfit2", "norm2"):
+    for key in _PAIR_KEYS:
         if key not in meta:
             raise ValueError(f"{path}: certificate line '# {key}=...' missing")
-    cert = PairCertificate(meta["delta"], meta["bound"], meta["misfit1"],
-                           meta["norm1"], meta["misfit2"], meta["norm2"])
+    cert = PairCertificate(*(meta[key] for key in PairCertificate._fields))
     return AdversarialPair(GridFunction(data[:, 1]), GridFunction(data[:, 2]),
                            meta["separation"], cert)

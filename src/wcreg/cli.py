@@ -12,17 +12,19 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .adversary import FeasibleClass, bump_pair, sample_feasible, sine_pair, \
     sup_error_estimate, write_pair_csv
-from .config import ExperimentConfig, parse_key_values
+from .config import (_FIELD_TO_KEY, _FLOAT_FIELDS, _INT_FIELDS, ExperimentConfig,
+                     parse_key_values)
 from .derivative import error_bound, regularize, step_size
 from .errors import ConfigError
-from .grid import (GridFunction, HolderParams, NoisyData, add_noise, format_float,
-                   holder_norm, integrate, read_grid_csv, write_grid_csv)
+from .grid import (GridFunction, HolderParams, NoisyData, _NOISE_ALIASES, _write_table,
+                   add_noise, holder_norm, integrate, read_grid_csv, write_grid_csv)
 from .modulus import LatticeCompactum, modulus_bruteforce, modulus_search
 from .operators import CompactumSpec, ProblemSpec
 from .variational import convergence_study, write_convergence_csv
@@ -30,8 +32,6 @@ from .variational import convergence_study, write_convergence_csv
 __all__ = ["main", "run", "builtin_truth", "read_csv_table"]
 
 COMMANDS = ("differentiate", "sweep", "adversary", "variational", "modulus")
-
-_NOISE_OK = ("none", "uniform", "uniform-iid", "alternating", "alternating-worst-case")
 
 
 def builtin_truth(name: str, n: int) -> GridFunction:
@@ -71,15 +71,6 @@ def read_csv_table(path: str | Path) -> tuple[list[str], list[list[float]], dict
         else:
             rows.append([float(c) for c in ln.split(",")])
     return header, rows, meta
-
-
-def _write_table(path: Path, header: str, rows, meta: dict[str, float] | None = None) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
-    for key, value in (meta or {}).items():
-        lines.append(f"# {key}={format_float(value)}")
-    path.write_text("\n".join(lines) + "\n")
 
 
 def _loglog_slope(xs, ys) -> float:
@@ -213,7 +204,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     _require(cfg.out is not None, "--out is required")
     _require(cfg.grid is None or cfg.grid >= 5, "grid must have at least 5 nodes")
     _require(all(d > 0 for d in cfg.deltas), "all deltas must be positive")
-    _require(cfg.noise in _NOISE_OK, f"unknown noise model {cfg.noise!r}")
+    _require(cfg.noise == "none" or cfg.noise in _NOISE_ALIASES,
+             f"unknown noise model {cfg.noise!r}")
     if cfg.command == "differentiate":
         _require(cfg.delta is not None and cfg.delta > 0, "delta must be positive")
         _require(cfg.a > 1.0, "the step rule requires a > 1")
@@ -251,32 +243,30 @@ def _validate(cfg: ExperimentConfig) -> None:
 # argument plumbing
 
 
+#: config fields set by a flag: every field but the subcommand itself
+_FLAG_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "command")
+_FLAG_HELP = {"out": "output directory", "deltas": "comma-separated list"}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """One flag per config field, named by its config-file key."""
     parser = argparse.ArgumentParser(prog="wcreg",
                                      description="worst-case regularization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--input", default=None)
-        p.add_argument("--truth", default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--deltas", default=None, help="comma-separated list")
-        p.add_argument("--a", type=float, default=None)
-        p.add_argument("--m", type=float, default=None)
-        p.add_argument("--c", type=float, default=None)
-        p.add_argument("--phi", default=None)
-        p.add_argument("--noise", default=None)
-        p.add_argument("--class", dest="class_kind", default=None)
-        p.add_argument("--count", type=int, default=None)
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--mode", default=None)
-        p.add_argument("--levels", type=int, default=None)
-        p.add_argument("--lattice-nodes", type=int, default=None)
-        p.add_argument("--constants-only", default=None, choices=("true", "false"))
+        for field in _FLAG_FIELDS:
+            flag = "--" + _FIELD_TO_KEY.get(field, field)
+            kwargs = {"dest": field, "default": None, "help": _FLAG_HELP.get(field)}
+            if field in _INT_FIELDS:
+                p.add_argument(flag, type=int, **kwargs)
+            elif field in _FLOAT_FIELDS:
+                p.add_argument(flag, type=float, **kwargs)
+            elif isinstance(getattr(ExperimentConfig, field), bool):
+                p.add_argument(flag, choices=("true", "false"), **kwargs)
+            else:
+                p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -284,15 +274,8 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config is not None:
         cfg = cfg.updated(parse_key_values(args.config))
-    overrides = {}
-    for name in ("out", "seed", "grid", "input", "truth", "delta", "deltas", "a",
-                 "m", "c", "phi", "noise", "class_kind", "count", "budget", "mode",
-                 "levels", "lattice_nodes", "constants_only"):
-        value = getattr(args, name)
-        if value is not None:
-            key = {"class_kind": "class", "lattice_nodes": "lattice-nodes",
-                   "constants_only": "constants-only"}.get(name, name)
-            overrides[key] = value
+    overrides = {field: getattr(args, field) for field in _FLAG_FIELDS
+                 if getattr(args, field) is not None}
     overrides["command"] = args.command
     return cfg.updated(overrides)
 

@@ -118,23 +118,50 @@ def sup_norm(f: GridFunction) -> float:
     return float(np.max(np.abs(f.values)))
 
 
-def _max_pair_quotient(values: np.ndarray, positions: np.ndarray, power: float) -> float:
-    """max over i != j of |v_i - v_j| / |x_i - x_j|**power, exhaustive O(n^2).
+def _pair_quotients(values: np.ndarray, positions: np.ndarray, power: float):
+    """The Holder-quotient kernel: |v_i - v_j| / |x_i - x_j|**power for every
+    node pair i, j along the last axis of `values`, exhaustive O(n^2).
 
-    Row blocks keep peak memory bounded on large grids.
+    Yields (i0, block) with block[..., r, j] the quotient of pair (i0 + r, j);
+    the diagonal reads 0.  Row blocks keep peak memory bounded on large grids.
     """
-    n = values.size
-    if n < 2:
-        return 0.0
-    best = 0.0
-    block = max(1, 2_000_000 // n)
+    n = values.shape[-1]
+    block = max(1, 2_000_000 // values.size)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        dv = np.abs(values[start:stop, None] - values[None, :])
+        dv = np.abs(values[..., start:stop, None] - values[..., None, :])
         dx = np.abs(positions[start:stop, None] - positions[None, :])
-        quot = dv / np.where(dx == 0.0, np.inf, dx) ** power
-        best = max(best, float(quot.max()))
+        yield start, dv / np.where(dx == 0.0, np.inf, dx) ** power
+
+
+def _max_pair_quotient(values: np.ndarray, positions: np.ndarray, power: float) -> np.ndarray:
+    """Largest pair quotient of each row (last axis) of `values`."""
+    best = np.zeros(values.shape[:-1])
+    for _, quot in _pair_quotients(values, positions, power):
+        np.maximum(best, quot.max(axis=(-2, -1)), out=best)
     return best
+
+
+def _first_max_pair(values: np.ndarray, positions: np.ndarray,
+                    power: float) -> tuple[float, int, int]:
+    """Largest pair quotient of a 1-D array with its row-major first maximizer (i, j)."""
+    best, i, j = 0.0, 0, 0
+    for start, quot in _pair_quotients(values, positions, power):
+        r, col = np.unravel_index(np.argmax(quot), quot.shape)
+        if quot[r, col] > best:
+            best, i, j = float(quot[r, col]), start + int(r), int(col)
+    return best, i, j
+
+
+def _holder_norms(values: np.ndarray, a: float) -> np.ndarray:
+    """Discrete Holder norm (see `holder_norm`) of each row of `values`."""
+    x = np.linspace(0.0, 1.0, values.shape[-1])
+    sup = np.max(np.abs(values), axis=-1)
+    if a <= 1.0:
+        return sup + _max_pair_quotient(values, x, a)
+    slopes = np.diff(values, axis=-1) / (x[1] - x[0])
+    return (sup + np.max(np.abs(slopes), axis=-1)
+            + _max_pair_quotient(slopes, x[:-1], a - 1.0))
 
 
 def holder_norm(f: GridFunction, a: float) -> float:
@@ -150,16 +177,7 @@ def holder_norm(f: GridFunction, a: float) -> float:
         raise ValueError(f"Holder exponent a must lie in (0, 2], got {a}")
     if f.n < 3:
         raise ValueError("holder_norm needs at least 3 nodes")
-    vals = f.values
-    x = f.x
-    if a <= 1.0:
-        return float(np.max(np.abs(vals))) + _max_pair_quotient(vals, x, a)
-    slopes = np.diff(vals) / f.spacing
-    return (
-        float(np.max(np.abs(vals)))
-        + float(np.max(np.abs(slopes)))
-        + _max_pair_quotient(slopes, x[:-1], a - 1.0)
-    )
+    return float(_holder_norms(f.values, a))
 
 
 def integrate(v: GridFunction) -> GridFunction:
@@ -206,13 +224,20 @@ def add_noise(g: GridFunction, delta: float, model: str = "uniform-iid",
     return NoisyData(GridFunction(noisy), delta)
 
 
+def _write_table(path: str | Path, header: str, rows,
+                 meta: dict[str, float] | None = None) -> None:
+    """Write a header line, rows of full-precision floats, then `# key=value` lines."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(format_float(v) for v in row))
+    for key, value in (meta or {}).items():
+        lines.append(f"# {key}={format_float(value)}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def write_grid_csv(f: GridFunction, path: str | Path) -> None:
     """Write `x,value` rows at full double precision."""
-    lines = ["x,value"]
-    x = f.x
-    for k in range(f.n):
-        lines.append(f"{format_float(x[k])},{format_float(f.values[k])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, "x,value", zip(f.x, f.values))
 
 
 def read_grid_csv(path: str | Path) -> GridFunction:

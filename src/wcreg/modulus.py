@@ -11,14 +11,14 @@ reported.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import FeasibleClass, _draw_shape, _sine_profile, _snapped_bump, is_feasible
+from .adversary import (FeasibleClass, _bump_fit, _draw_shape, _scaled_step,
+                        _sine_frequencies, _sine_profile, _snapped_bump, is_feasible)
 from .errors import PairBudgetExceededError
-from .grid import GridFunction, NoisyData
+from .grid import GridFunction, NoisyData, _holder_norms
 from .operators import CompactumSpec, ProblemSpec
 
 __all__ = ["LatticeCompactum", "modulus_bruteforce", "modulus_search"]
@@ -27,26 +27,11 @@ PAIR_GUARD = 10_000_000
 MEMBER_GUARD = 2_000_000
 
 
-def _batch_phi(members: np.ndarray, x: np.ndarray, spec: CompactumSpec) -> np.ndarray:
-    """Vectorized phi over rows of a small-n member array."""
-    sup = np.max(np.abs(members), axis=1)
+def _batch_phi(members: np.ndarray, spec: CompactumSpec) -> np.ndarray:
+    """phi of each row of a small-n member array."""
     if spec.phi == "sup-norm":
-        return sup
-    a = spec.a
-    n = members.shape[1]
-    if a <= 1.0:
-        best = np.zeros(members.shape[0])
-        for i, j in itertools.combinations(range(n), 2):
-            q = np.abs(members[:, i] - members[:, j]) / abs(x[i] - x[j]) ** a
-            np.maximum(best, q, out=best)
-        return sup + best
-    dx = x[1] - x[0]
-    slopes = np.diff(members, axis=1) / dx
-    best = np.zeros(members.shape[0])
-    for i, j in itertools.combinations(range(n - 1), 2):
-        q = np.abs(slopes[:, i] - slopes[:, j]) / abs(x[i] - x[j]) ** (a - 1.0)
-        np.maximum(best, q, out=best)
-    return sup + np.max(np.abs(slopes), axis=1) + best
+        return np.max(np.abs(members), axis=1)
+    return _holder_norms(members, spec.a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,8 +70,7 @@ class LatticeCompactum:
             grid = np.repeat(np.asarray(self.levels)[:, None], self.nodes, axis=1)
         else:
             grid = np.array(list(itertools.product(self.levels, repeat=self.nodes)))
-        x = np.linspace(0.0, 1.0, self.nodes)
-        keep = _batch_phi(grid, x, self.spec) <= self.spec.c
+        keep = _batch_phi(grid, self.spec) <= self.spec.c
         return grid[keep]
 
 
@@ -140,39 +124,27 @@ def _search_continuum(spec: CompactumSpec, delta: float, prob: ProblemSpec,
                       budget: int, seed, n: int) -> float:
     # image-distance constraint is delta itself, so the membership test is
     # the adversary one with noise radius delta around zero data
-    kind = "sup-only" if spec.phi == "sup-norm" else "holder"
-    cls = FeasibleClass(kind, spec.c, NoisyData(GridFunction.zeros(n), delta),
-                        a=spec.a,
-                        operator_matrix=None if prob.is_integration else prob.matrix(n))
+    cls = FeasibleClass.from_specs(spec, prob, NoisyData(GridFunction.zeros(n), delta))
     candidates = []
-    if spec.phi == "sup-norm":
-        k = math.ceil(spec.c / (math.pi * delta))
-        if 20 * k <= n - 1:
-            candidates.append(_sine_profile(spec.c, k, n))
+    if cls.kind == "sup-only":
+        ks, _ = _sine_frequencies(spec.c, delta, n)
+        if ks:
+            candidates.append(_sine_profile(spec.c, ks[0], n))
     elif spec.a == 1.0:
-        dx = 1.0 / (n - 1)
-        center = (n - 1) // 2
-        room = min(center, n - 1 - center)
-        height = min(math.sqrt(delta * spec.c / 2.0), spec.c / 2.0)
-        p = min(max(1, int(round(2.0 * height / spec.c / dx))), room)
-        width = p * dx
-        candidates.append(_snapped_bump(n, center, p,
-                                        min(0.5 * spec.c * width, delta / width) * (1 - 1e-12)))
+        room, p_want = _bump_fit(spec.c, delta, n)
+        candidates.append(_snapped_bump(n, min(max(1, p_want), room), spec.c, delta, 1e-12))
     rng = np.random.default_rng(seed)
     best = 0.0
     zero = GridFunction.zeros(n)
+    gains: dict[str, tuple[float, float]] = {}
     for idx in range(budget):
         if idx < len(candidates):
             v, w = candidates[idx], zero
         else:
-            shape, _ = _draw_shape(rng, n)
-            frac = rng.uniform(0.2, 1.0)
-            image_gain = float(np.max(np.abs(cls.image(GridFunction(shape)))))
-            norm_gain = cls.class_norm(GridFunction(shape))
-            t_mis = math.inf if image_gain == 0.0 else delta / image_gain
-            t_norm = math.inf if norm_gain == 0.0 else spec.c / norm_gain
-            t = 0.9 * min(t_mis, t_norm) * frac
-            if not (t > 0.0 and math.isfinite(t)):
+            # the zero start has misfit slack delta and norm slack c
+            shape, key = _draw_shape(rng, n)
+            t = _scaled_step(cls, shape, key, (delta, spec.c), rng.uniform(0.2, 1.0), gains)
+            if t is None:
                 continue
             half = 0.5 * t
             v = GridFunction(half * shape)

@@ -88,13 +88,11 @@ class CompactumSpec:
 class ProblemSpec:
     """Forward operator: the built-in integration map or an explicit matrix.
 
-    `injective` records whether the *grid* operator is injective.  The
-    built-in integration matrix is not (alternating kernel, see module
-    docstring), so the flag defaults to False for it.
+    The built-in integration matrix is not injective on the grid
+    (alternating kernel, see module docstring); `rectangle_matrix` is.
     """
 
     operator: str | np.ndarray = "integration"
-    injective: bool = False
 
     def __post_init__(self):
         if isinstance(self.operator, str):

@@ -27,7 +27,8 @@ import numpy as np
 from .adversary import FeasibleClass, sample_feasible, sup_error_estimate
 from .derivative import differentiate
 from .errors import InfeasibleProblemError
-from .grid import GridFunction, NoisyData, format_float, sup_norm
+from .grid import (NOISE_MODELS, GridFunction, NoisyData, _NOISE_ALIASES, _first_max_pair,
+                   _write_table, sup_norm)
 from .modulus import LatticeCompactum, modulus_bruteforce
 from .operators import CompactumSpec, ProblemSpec
 
@@ -75,15 +76,6 @@ def objective(v: GridFunction, data: NoisyData, spec: CompactumSpec,
     return mis + data.delta * spec.phi_value(v)
 
 
-def _pair_argmax(values: np.ndarray, positions: np.ndarray, power: float):
-    """(max quotient, i, j) over all pairs; grids here are small."""
-    dv = np.abs(values[:, None] - values[None, :])
-    dx = np.abs(positions[:, None] - positions[None, :])
-    quot = dv / np.where(dx == 0.0, np.inf, dx) ** power
-    i, j = np.unravel_index(np.argmax(quot), quot.shape)
-    return float(quot[i, j]), int(i), int(j)
-
-
 def _phi_subgradient(vals: np.ndarray, x: np.ndarray, spec: CompactumSpec) -> np.ndarray:
     """A subgradient of phi at vals (sum of subgradients of the max terms)."""
     n = vals.size
@@ -95,7 +87,7 @@ def _phi_subgradient(vals: np.ndarray, x: np.ndarray, spec: CompactumSpec) -> np
     a = spec.a
     dx = x[1] - x[0]
     if a <= 1.0:
-        quot, i, j = _pair_argmax(vals, x, a)
+        quot, i, j = _first_max_pair(vals, x, a)
         if quot > 0.0:
             s = np.sign(vals[i] - vals[j]) / abs(x[i] - x[j]) ** a
             grad[i] += s
@@ -106,7 +98,7 @@ def _phi_subgradient(vals: np.ndarray, x: np.ndarray, spec: CompactumSpec) -> np
     s = np.sign(slopes[k]) / dx
     grad[k + 1] += s
     grad[k] -= s
-    quot, i, j = _pair_argmax(slopes, x[:-1], a - 1.0)
+    quot, i, j = _first_max_pair(slopes, x[:-1], a - 1.0)
     if quot > 0.0:
         s = np.sign(slopes[i] - slopes[j]) / (abs(x[i] - x[j]) ** (a - 1.0) * dx)
         grad[i + 1] += s
@@ -160,7 +152,7 @@ def _anchor_candidates(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
 
 
 def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
-             budget: int = 2000, seed: int = 0, phi_u: float | None = None,
+             budget: int = 2000, phi_u: float | None = None,
              stop_at: float | None = None) -> VariationalResult:
     """Projected subgradient descent on F over the feasible set.
 
@@ -170,8 +162,7 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
     `stop_at` accepts the first iterate with F <= stop_at, the
     minimizing-sequence acceptance rule; `phi_u`, when the true coefficient
     is known, fixes the reported certificate at 2*(1+phi_u)*delta.  The
-    whole run is deterministic (the seed is kept for interface stability;
-    the reference solver draws nothing from it).
+    whole run is deterministic.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -261,12 +252,10 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
 
 
 def regularize_variational(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
-                           budget: int = 2000, seed: int = 0,
-                           phi_u: float | None = None,
+                           budget: int = 2000, phi_u: float | None = None,
                            stop_at: float | None = None) -> VariationalResult:
     """`minimize` with the output feasibility contract enforced strictly."""
-    res = minimize(data, spec, prob, budget=budget, seed=seed, phi_u=phi_u,
-                   stop_at=stop_at)
+    res = minimize(data, spec, prob, budget=budget, phi_u=phi_u, stop_at=stop_at)
     if res.misfit > data.delta or res.phi_value > spec.c:
         raise InfeasibleProblemError(
             f"output violates feasibility: misfit {res.misfit} vs delta "
@@ -274,20 +263,23 @@ def regularize_variational(data: NoisyData, spec: CompactumSpec, prob: ProblemSp
     return res
 
 
-NOISE_CHOICES = ("none", "uniform-iid", "alternating-worst-case")
+#: noise amplitude of the study data, as a fraction of delta
+NOISE_MARGIN = 0.5
+#: nodes and levels of the lattice compactum that gives omega(2*delta)
+LATTICE_NODES = 3
+LATTICE_LEVELS = 9
 
 
 def convergence_study(u_true: GridFunction, deltas: Sequence[float],
                       spec: CompactumSpec, prob: ProblemSpec,
                       noise: str = "uniform-iid", seed: int = 0,
-                      budget: int = 2000, ensemble_count: int = 32,
-                      noise_margin: float = 0.5,
-                      lattice_nodes: int = 3, lattice_levels: int = 9) -> list[StudyRow]:
+                      budget: int = 2000, ensemble_count: int = 32) -> list[StudyRow]:
     """One reconstruction row per noise level, largest delta first.
 
-    Data are generated as g + (noise_margin * delta) * xi with a single unit
+    Data are generated as g + (NOISE_MARGIN * delta) * xi with a single unit
     pattern xi shared across the sweep (common random numbers), so the true
     coefficient sits strictly inside the data tube and rows are comparable.
+    `noise` is a noise model of the grid module or "none" (xi = 0).
     Each row records the solve, the sup error against the known truth, an
     ensemble worst-case estimate, and the exact modulus omega(2*delta) of a
     small matched lattice compactum (same phi and c).
@@ -295,37 +287,36 @@ def convergence_study(u_true: GridFunction, deltas: Sequence[float],
     phi_u = spec.phi_value(u_true)
     if phi_u > spec.c:
         raise ValueError(f"phi(u_true) = {phi_u} exceeds the compactum bound {spec.c}")
-    if noise not in NOISE_CHOICES and noise not in ("uniform", "alternating"):
-        raise ValueError(f"unknown noise model {noise!r}; choose from {NOISE_CHOICES}")
+    if noise != "none" and noise not in _NOISE_ALIASES:
+        raise ValueError(f"unknown noise model {noise!r}; choose from "
+                         f"{('none',) + NOISE_MODELS}")
     if len(deltas) == 0:
         return []
     g = prob.apply(u_true)
     n = u_true.n
     root = np.random.SeedSequence(seed)
     noise_ss, ensemble_ss = root.spawn(2)
-    if noise in ("uniform", "uniform-iid"):
+    model = _NOISE_ALIASES.get(noise)
+    if model == "uniform-iid":
         xi = np.random.default_rng(noise_ss).uniform(-1.0, 1.0, n)
-    elif noise in ("alternating", "alternating-worst-case"):
+    elif model == "alternating-worst-case":
         xi = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     else:
         xi = np.zeros(n)
-    kind = "sup-only" if spec.phi == "sup-norm" else "holder"
-    op_mat = None if prob.is_integration else prob.matrix(n)
     children = ensemble_ss.spawn(len(deltas))
-    lattice = LatticeCompactum(lattice_nodes,
-                               tuple(np.linspace(-spec.c, spec.c, lattice_levels)),
+    lattice = LatticeCompactum(LATTICE_NODES,
+                               tuple(np.linspace(-spec.c, spec.c, LATTICE_LEVELS)),
                                spec)
     rows = []
     for child, delta in zip(children, sorted(deltas, reverse=True)):
-        data = NoisyData(GridFunction(g.values + (noise_margin * delta) * xi), delta)
-        res = regularize_variational(data, spec, prob, budget=budget, seed=seed,
-                                     phi_u=phi_u,
+        data = NoisyData(GridFunction(g.values + (NOISE_MARGIN * delta) * xi), delta)
+        res = regularize_variational(data, spec, prob, budget=budget, phi_u=phi_u,
                                      stop_at=2.0 * (1.0 + phi_u) * delta)
         err = sup_norm(GridFunction(res.v_delta.values - u_true.values))
-        cls = FeasibleClass(kind, spec.c, data, a=spec.a, operator_matrix=op_mat)
+        cls = FeasibleClass.from_specs(spec, prob, data)
         ensemble = sample_feasible(cls, ensemble_count, child, start=u_true)
         sup_est = sup_error_estimate(res.v_delta, cls, ensemble)
-        if prob.is_integration or prob.size() == lattice_nodes:
+        if prob.is_integration or prob.size() == LATTICE_NODES:
             omega = modulus_bruteforce(lattice, 2.0 * delta, prob)
         else:
             omega = math.nan
@@ -335,7 +326,4 @@ def convergence_study(u_true: GridFunction, deltas: Sequence[float],
 
 
 def write_convergence_csv(rows: Sequence[StudyRow], path: str | Path) -> None:
-    lines = [STUDY_HEADER]
-    for row in rows:
-        lines.append(",".join(format_float(field) for field in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, STUDY_HEADER, rows)

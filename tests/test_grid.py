@@ -6,6 +6,7 @@ import pytest
 from wcreg import (GridFunction, HolderParams, NoisyData, add_noise, holder_norm,
                    integrate, integration_matrix, read_grid_csv, sup_norm,
                    write_grid_csv)
+from wcreg.grid import _first_max_pair
 
 
 def grid_fn(func, n):
@@ -28,6 +29,19 @@ def pair_scan_norm(values, x, a):
         for j in range(i + 1, n - 1):
             best = max(best, abs(slopes[i] - slopes[j]) / abs(x[i] - x[j]) ** (a - 1.0))
     return max(abs(v) for v in values) + max(abs(s) for s in slopes) + best
+
+
+def pair_scan_first_max(values, x, power):
+    """Independent exhaustive oracle: largest pair quotient and its row-major
+    first maximizer (i, j), over ordered pairs i != j."""
+    best, at = 0.0, (0, 0)
+    for i in range(len(values)):
+        for j in range(len(values)):
+            if i != j:
+                q = abs(values[i] - values[j]) / abs(x[i] - x[j]) ** power
+                if q > best:
+                    best, at = q, (i, j)
+    return (best,) + at
 
 
 class TestGridFunction:
@@ -85,6 +99,28 @@ class TestHolderNorm:
         rng = np.random.default_rng(42)
         f = GridFunction(rng.normal(size=17))
         assert holder_norm(f, a) == pytest.approx(pair_scan_norm(f.values, f.x, a), rel=1e-12)
+
+    @pytest.mark.parametrize("values", [
+        np.where(np.arange(9) % 2 == 0, 1.0, -1.0),  # every neighbour pair ties
+        np.linspace(0.0, 1.0, 11),                   # every pair ties at power 1
+        np.zeros(7),                                 # no positive quotient
+        np.random.default_rng(4).normal(size=23),
+    ])
+    @pytest.mark.parametrize("power", [0.5, 1.0])
+    def test_first_max_pair_matches_oracle(self, values, power):
+        x = np.linspace(0.0, 1.0, values.size)
+        assert _first_max_pair(values, x, power) == pair_scan_first_max(values, x, power)
+
+    def test_first_max_pair_across_row_blocks(self):
+        # 1501 nodes span two row blocks; the alternating ties recur in both
+        n = 1501
+        x = np.linspace(0.0, 1.0, n)
+        for values in (np.where(np.arange(n) % 2 == 0, 1.0, -1.0),
+                       np.random.default_rng(8).normal(size=n)):
+            dx = np.abs(x[:, None] - x[None, :])
+            quot = np.abs(values[:, None] - values[None, :]) / np.where(dx == 0, np.inf, dx)
+            i, j = np.unravel_index(np.argmax(quot), quot.shape)
+            assert _first_max_pair(values, x, 1.0) == (quot[i, j], i, j)
 
     @pytest.mark.parametrize("a", [0.0, -1.0, 2.5])
     def test_rejects_bad_exponent(self, a):

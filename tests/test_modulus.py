@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from wcreg import (CompactumSpec, LatticeCompactum, PairBudgetExceededError,
-                   ProblemSpec, modulus_bruteforce, modulus_search, rectangle_matrix,
-                   sine_pair)
+from wcreg import (CompactumSpec, GridFunction, GridTooCoarseError, LatticeCompactum,
+                   PairBudgetExceededError, ProblemSpec, holder_norm, modulus_bruteforce,
+                   modulus_search, rectangle_matrix, sine_pair)
 
 CONST_LEVELS = tuple(np.arange(-10, 11) / 10.0)  # 21 levels in [-1, 1]
 
@@ -23,6 +25,13 @@ class TestLatticeCompactum:
         lat = LatticeCompactum(3, (-1.0, 0.0, 1.0), CompactumSpec("sup-norm", 0.5))
         members = lat.members()
         assert members.shape == (1, 3)  # only the zero function survives
+        for a in (0.5, 2.0):
+            spec = CompactumSpec("holder-norm", 2.5, a=a)
+            lat = LatticeCompactum(4, tuple(np.linspace(-1, 1, 9)), spec)
+            grid = np.array(list(itertools.product(lat.levels, repeat=4)))
+            keep = [holder_norm(GridFunction(row), a) <= spec.c for row in grid]
+            assert 9 < sum(keep) < len(grid)
+            assert np.array_equal(lat.members(), grid[keep])
 
     def test_enumeration_guard(self):
         lat = LatticeCompactum(7, tuple(np.linspace(-1, 1, 15)), CompactumSpec("sup-norm", 1.0))
@@ -55,7 +64,7 @@ class TestBruteforce:
     def test_decay_with_injective_operator(self):
         spec = CompactumSpec("sup-norm", 2.0)
         lat = LatticeCompactum(3, tuple(np.linspace(-2, 2, 9)), spec)
-        prob = ProblemSpec(rectangle_matrix(3), injective=True)
+        prob = ProblemSpec(rectangle_matrix(3))
         small = modulus_bruteforce(lat, 0.1, prob)   # below min image gap 0.125
         large = modulus_bruteforce(lat, 10.0, prob)
         assert small == 0.0
@@ -105,6 +114,11 @@ class TestSearch:
         prob = ProblemSpec()
         assert modulus_search(lat, 0.35, prob, budget=64, seed=5) == \
             modulus_search(lat, 0.35, prob, budget=64, seed=5)
+
+    def test_continuum_bump_needs_room(self):
+        with pytest.raises(GridTooCoarseError):
+            modulus_search(CompactumSpec("holder-norm", 1.0, a=1.0), 0.01, ProblemSpec(),
+                           budget=1, n=2)
 
     def test_continuum_needs_grid(self):
         with pytest.raises(ValueError):

@@ -67,7 +67,7 @@ class TestMinimize:
     def test_three_node_oracle(self):
         u, data, spec, prob = three_node_instance()
         oracle = lattice_search_optimum(data, spec, prob)
-        res = minimize(data, spec, prob, budget=2000, seed=0, phi_u=1.0)
+        res = minimize(data, spec, prob, budget=2000, phi_u=1.0)
         assert res.objective_value <= oracle + 0.02
         assert res.certificate_bound == pytest.approx(2 * (1 + 1.0) * 0.1)
         assert res.objective_value <= res.certificate_bound
@@ -92,7 +92,7 @@ class TestMinimize:
         noisy = add_noise(integrate(u), 0.02, "uniform-iid", 9)
         data = NoisyData(noisy.g_delta, 0.04)
         spec = CompactumSpec("sup-norm", 2.0)
-        values = [minimize(data, spec, ProblemSpec(), budget=b, seed=1).objective_value
+        values = [minimize(data, spec, ProblemSpec(), budget=b).objective_value
                   for b in (0, 50, 200, 800)]
         for lo, hi in zip(values[1:], values):
             assert lo <= hi
@@ -180,7 +180,7 @@ class TestModulusBridge:
     def test_error_below_matched_modulus(self):
         # injective cumulative operator: both sides of the bridge inequality
         # are computable on the lattice instance
-        prob = ProblemSpec(rectangle_matrix(3), injective=True)
+        prob = ProblemSpec(rectangle_matrix(3))
         u = GridFunction(np.ones(3))
         delta = 0.15
         data = add_noise(prob.apply(u), delta, "alternating-worst-case", 0)
