@@ -328,8 +328,8 @@ def _scaled_step(cls: FeasibleClass, shape: np.ndarray, key: str | None,
 
     t = 0.9 * min(misfit slack / image gain, norm slack / norm gain) * frac,
     or None when that is not positive and finite.  A shape with no misfit
-    room is dropped before the O(n^2) norm scan.  The gains of shapes with
-    a cache `key` are computed once per `gains` dict.
+    room is dropped before the norm scan.  The gains of shapes with a cache
+    `key` are computed once per `gains` dict.
     """
     misfit_slack, norm_slack = slack
     if key in gains:

@@ -118,49 +118,68 @@ def sup_norm(f: GridFunction) -> float:
     return float(np.max(np.abs(f.values)))
 
 
-def _pair_quotients(values: np.ndarray, positions: np.ndarray, power: float):
-    """The Holder-quotient kernel: |v_i - v_j| / |x_i - x_j|**power for every
-    node pair i, j along the last axis of `values`, exhaustive O(n^2).
+def _pair_bands(values: np.ndarray, positions: np.ndarray, power: float,
+                best: np.ndarray):
+    """The Holder-quotient kernel: |v_j - v_i| / (x_j - x_i)**power over the
+    node pairs i < j, scanned by offset band d = j - i.
 
-    Yields (i0, block) with block[..., r, j] the quotient of pair (i0 + r, j);
-    the diagonal reads 0.  Row blocks keep peak memory bounded on large grids.
+    `values` is node-major: axis 0 runs over the n nodes at the nondecreasing
+    `positions`, any further axes over independent rows.  Yields (d, q) for
+    d = 1, 2, ..., with q[k] the quotients of pair (k, k + d).  The caller
+    keeps `best`, shaped like q[0], at its running row maxima.
+
+    Pruning: before band d the scan stops once every row has span = 0 or
+    span / min_k((x_{k+d} - x_k)**power) * (1 + 1e-12) < best, with span the
+    row's max - min.  Rounded subtraction and division are monotone, so no
+    pair at offset >= d has a larger difference or a smaller distance, and
+    the 1e-12 margin covers the rounding of pow: every pair left unscanned is
+    strictly below `best`.  Row maxima and first maximizers thus equal those
+    of the exhaustive scan bit for bit.
+
+    Ties: quotients are symmetric in i and j, so the row-major first
+    maximizer over all ordered pairs is the maximizing pair i < j with the
+    smallest i, then the smallest j.
     """
-    n = values.shape[-1]
-    block = max(1, 2_000_000 // values.size)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        dv = np.abs(values[..., start:stop, None] - values[..., None, :])
-        dx = np.abs(positions[start:stop, None] - positions[None, :])
-        yield start, dv / np.where(dx == 0.0, np.inf, dx) ** power
+    span = values.max(axis=0) - values.min(axis=0)
+    dead = span == 0.0
+    tail = (1,) * (values.ndim - 1)
+    for d in range(1, values.shape[0]):
+        scale = (positions[d:] - positions[:-d]) ** power
+        if (dead | (span / scale.min() * (1.0 + 1e-12) < best)).all():
+            return
+        yield d, np.abs(values[d:] - values[:-d]) / scale.reshape(scale.shape + tail)
 
 
 def _max_pair_quotient(values: np.ndarray, positions: np.ndarray, power: float) -> np.ndarray:
-    """Largest pair quotient of each row (last axis) of `values`."""
-    best = np.zeros(values.shape[:-1])
-    for _, quot in _pair_quotients(values, positions, power):
-        np.maximum(best, quot.max(axis=(-2, -1)), out=best)
+    """Largest pair quotient of each row of node-major `values` (see `_pair_bands`)."""
+    best = np.zeros(values.shape[1:])
+    for _, quot in _pair_bands(values, positions, power, best):
+        np.maximum(best, quot.max(axis=0), out=best)
     return best
 
 
 def _first_max_pair(values: np.ndarray, positions: np.ndarray,
                     power: float) -> tuple[float, int, int]:
     """Largest pair quotient of a 1-D array with its row-major first maximizer (i, j)."""
-    best, i, j = 0.0, 0, 0
-    for start, quot in _pair_quotients(values, positions, power):
-        r, col = np.unravel_index(np.argmax(quot), quot.shape)
-        if quot[r, col] > best:
-            best, i, j = float(quot[r, col]), start + int(r), int(col)
-    return best, i, j
+    best = np.zeros(())
+    i, j = 0, 0
+    for d, quot in _pair_bands(values, positions, power, best):
+        k = int(np.argmax(quot))
+        if quot[k] > best or (quot[k] == best and k < i):
+            best[...], i, j = quot[k], k, k + d
+    return float(best), i, j
 
 
 def _holder_norms(values: np.ndarray, a: float) -> np.ndarray:
     """Discrete Holder norm (see `holder_norm`) of each row of `values`."""
-    x = np.linspace(0.0, 1.0, values.shape[-1])
-    sup = np.max(np.abs(values), axis=-1)
+    # node-major, so each reduction runs along the long axis of many rows
+    vals = np.ascontiguousarray(np.moveaxis(values, -1, 0))
+    x = np.linspace(0.0, 1.0, vals.shape[0])
+    sup = np.max(np.abs(vals), axis=0)
     if a <= 1.0:
-        return sup + _max_pair_quotient(values, x, a)
-    slopes = np.diff(values, axis=-1) / (x[1] - x[0])
-    return (sup + np.max(np.abs(slopes), axis=-1)
+        return sup + _max_pair_quotient(vals, x, a)
+    slopes = np.diff(vals, axis=0) / (x[1] - x[0])
+    return (sup + np.max(np.abs(slopes), axis=0)
             + _max_pair_quotient(slopes, x[:-1], a - 1.0))
 
 
@@ -242,9 +261,9 @@ def write_grid_csv(f: GridFunction, path: str | Path) -> None:
 
 def read_grid_csv(path: str | Path) -> GridFunction:
     """Read a `x,value` CSV back into a GridFunction, checking the grid."""
-    rows = [ln for ln in Path(path).read_text().splitlines()
-            if ln.strip() and not ln.startswith("#")]
-    if not rows or rows[0].strip().lower() != "x,value":
+    rows = [ln for ln in map(str.strip, Path(path).read_text().splitlines())
+            if ln and not ln.startswith("#")]
+    if not rows or rows[0].lower() != "x,value":
         raise ValueError(f"{path}: expected header 'x,value'")
     data = np.array([[float(c) for c in ln.split(",")] for ln in rows[1:]])
     if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] != 2:

@@ -1,10 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
 from wcreg.cli import builtin_truth, main, read_csv_table
 from wcreg.config import ExperimentConfig
 from wcreg.grid import read_grid_csv, write_grid_csv
-from wcreg import GridFunction, integrate
+from wcreg import GridFunction, integrate, read_pair_csv
 
 
 def run_cli(*args):
@@ -104,6 +106,26 @@ class TestAdversaryCommand:
         seps = np.array([r[1] for r in rows])
         slope = np.polyfit(np.log(deltas), np.log(seps), 1)[0]
         assert abs(slope - 0.5) <= 0.05
+
+    def test_lip_class_large_grid(self, tmp_path):
+        # delta = 1e-7 auto-selects n = 17,897 nodes (1.6e8 node pairs); the
+        # norm scans must stay far from quadratic time
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        code = run_cli("adversary", "--class", "lip", "--m", "1",
+                       "--deltas", "1e-7", "--out", str(out))
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        pair = read_pair_csv(out / "pair_000.csv")
+        assert pair.v1.n == 17_897
+        h = 1.0 / (pair.v1.n - 1)
+        for v in (pair.v1.values, pair.v2.values):
+            image = np.concatenate(([0.0], np.cumsum((v[1:] + v[:-1]) * (0.5 * h))))
+            assert np.max(np.abs(image)) <= 1e-7
+            # sup plus the largest adjacent slope is the Lipschitz norm of a
+            # piecewise-linear function in real arithmetic, hence the tolerance
+            lip = np.max(np.abs(v)) + np.max(np.abs(np.diff(v))) / h
+            assert lip <= 1.0 * (1.0 + 1e-9)
 
     def test_unknown_class_exit_2(self, tmp_path):
         assert run_cli("adversary", "--class", "huber", "--m", "1",

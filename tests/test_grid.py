@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from wcreg import (GridFunction, HolderParams, NoisyData, add_noise, holder_norm,
                    integrate, integration_matrix, read_grid_csv, sup_norm,
                    write_grid_csv)
-from wcreg.grid import _first_max_pair
+from wcreg.grid import _first_max_pair, _max_pair_quotient, _pair_bands
 
 
 def grid_fn(func, n):
@@ -42,6 +43,26 @@ def pair_scan_first_max(values, x, power):
                 if q > best:
                     best, at = q, (i, j)
     return (best,) + at
+
+
+def dense_quotients(values, x, power):
+    """All ordered pair quotients at once, formed as the exhaustive scan formed them."""
+    dx = np.abs(x[:, None] - x[None, :])
+    return np.abs(values[:, None] - values[None, :]) / np.where(dx == 0, np.inf, dx) ** power
+
+
+def kernel_cases(n):
+    x = np.linspace(0.0, 1.0, n)
+    return {
+        "alternating": np.where(np.arange(n) % 2 == 0, 1.0, -1.0),
+        # at power < 1 the largest quotient of linear data sits at the largest offset
+        "linear": x.copy(),
+        "square": x ** 2,
+        "kinked": np.abs(x - 0.37),
+        "random": np.random.default_rng(n).normal(size=n),
+        "zero": np.zeros(n),
+        "constant": np.full(n, -2.5),
+    }
 
 
 class TestGridFunction:
@@ -112,7 +133,8 @@ class TestHolderNorm:
         assert _first_max_pair(values, x, power) == pair_scan_first_max(values, x, power)
 
     def test_first_max_pair_across_row_blocks(self):
-        # 1501 nodes span two row blocks; the alternating ties recur in both
+        # 1501 nodes (two row blocks of the former exhaustive scan); the
+        # alternating ties recur across the whole grid
         n = 1501
         x = np.linspace(0.0, 1.0, n)
         for values in (np.where(np.arange(n) % 2 == 0, 1.0, -1.0),
@@ -121,6 +143,48 @@ class TestHolderNorm:
             quot = np.abs(values[:, None] - values[None, :]) / np.where(dx == 0, np.inf, dx)
             i, j = np.unravel_index(np.argmax(quot), quot.shape)
             assert _first_max_pair(values, x, 1.0) == (quot[i, j], i, j)
+
+    @pytest.mark.parametrize("n", [3, 4, 17, 101, 400, 641, 1501])
+    @pytest.mark.parametrize("power", [0.3, 0.5, 1.0])
+    def test_band_kernel_matches_dense_oracle(self, n, power):
+        x = np.linspace(0.0, 1.0, n)
+        for name, values in kernel_cases(n).items():
+            quot = dense_quotients(values, x, power)
+            i, j = np.unravel_index(np.argmax(quot), quot.shape)
+            assert _max_pair_quotient(values, x, power) == quot.max(), name
+            assert _first_max_pair(values, x, power) == (quot[i, j], i, j), name
+
+    @pytest.mark.parametrize("power", [0.3, 0.5, 1.0])
+    def test_band_kernel_rows_match_dense_oracle(self, power):
+        # lattice-style rows: every 4-node function over 5 levels, plus random rows
+        rows = np.concatenate([
+            np.array(list(itertools.product(np.linspace(-1.0, 1.0, 5), repeat=4))),
+            np.random.default_rng(3).normal(size=(50, 4)),
+        ])
+        x = np.linspace(0.0, 1.0, 4)
+        expected = [dense_quotients(row, x, power).max() for row in rows]
+        assert np.array_equal(_max_pair_quotient(rows.T, x, power), expected)
+        rows = np.random.default_rng(5).normal(size=(7, 101))
+        x = np.linspace(0.0, 1.0, 101)
+        expected = [dense_quotients(row, x, power).max() for row in rows]
+        assert np.array_equal(_max_pair_quotient(rows.T, x, power), expected)
+
+    @pytest.mark.parametrize("power", [0.3, 0.5, 1.0])
+    def test_band_scan_prunes(self, power):
+        # alternating: neighbours reach the largest difference at the smallest
+        # distance, so no farther band can win; constant: every quotient is 0
+        n = 2001
+        x = np.linspace(0.0, 1.0, n)
+        for values, max_bands, top in ((np.where(np.arange(n) % 2 == 0, 1.0, -1.0), 2,
+                                        np.max(2.0 / np.diff(x) ** power)),
+                                       (np.full(n, 0.7), 0, 0.0)):
+            best = np.zeros(())
+            bands = 0
+            for _, quot in _pair_bands(values, x, power, best):
+                bands += 1
+                np.maximum(best, quot.max(axis=0), out=best)
+            assert bands <= max_bands
+            assert best == top
 
     @pytest.mark.parametrize("a", [0.0, -1.0, 2.5])
     def test_rejects_bad_exponent(self, a):
@@ -258,6 +322,11 @@ class TestCsv:
         write_grid_csv(f, path)
         back = read_grid_csv(path)
         assert np.array_equal(back.values, f.values)
+
+    def test_indented_comment_line(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("x,value\n0,1\n  # note\n0.5,2\n1,3\n")
+        assert np.array_equal(read_grid_csv(path).values, [1.0, 2.0, 3.0])
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
