@@ -2,7 +2,7 @@
 
 The feasible set pairs a data constraint with an a-priori class constraint:
 
-    S = {v : sup|Av - g_delta| <= delta  and  class_norm(v) <= bound}
+    S = {v : sup|Av - g_delta| <= delta  and  phi(v) <= c}
 
 where A is the cumulative trapezoid integral (or an explicit matrix).  Any
 two certified members v1, v2 of S are indistinguishable from the data, so
@@ -29,16 +29,17 @@ lower bound on the worst-case error of a given reconstruction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import GridTooCoarseError, InfeasibleProblemError
+from .grid import GridFunction, NoisyData, _read_grid_table, format_float, sup_norm
 # holder_norm stays bound here because bench/selftest.py checks that the
 # tracer rebinds wcreg.adversary.holder_norm
-from .grid import GridFunction, NoisyData, format_float, holder_norm, sup_norm  # noqa: F401
+from .grid import holder_norm  # noqa: F401
 from .operators import CompactumSpec, ProblemSpec
 
 __all__ = [
@@ -56,10 +57,6 @@ __all__ = [
     "read_pair_csv",
 ]
 
-#: the compactum functional phi that bounds each class kind
-_KIND_PHI = {"holder": "holder-norm", "sup-only": "sup-norm"}
-CLASS_KINDS = tuple(_KIND_PHI)
-
 #: escalating multiplicative trims used when float rounding or off-node
 #: kinks push a construction an ulp past an exact constraint boundary
 _SHAVE_LADDER = (0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3)
@@ -67,47 +64,25 @@ _SHAVE_LADDER = (0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3)
 
 @dataclass(frozen=True, eq=False)
 class FeasibleClass:
-    """Membership test data for S: noise radius, class norm, and its bound.
+    """The feasible set S = {v : phi(v) <= c, sup|Av - g_delta| <= delta}.
 
-    `kind` is "holder" (norm = discrete Holder a-norm) or "sup-only"
-    (norm = plain sup norm).  The forward map defaults to the trapezoid
-    integral; pass `operator_matrix` to use an explicit matrix instead.
-    The class {norm <= bound} and the forward map are held as the
-    CompactumSpec `spec` and the ProblemSpec `prob`, which do the work.
+    The class {phi <= c} is the CompactumSpec `spec`, the data tube of
+    radius delta around g_delta is `data`, and the forward map A is the
+    ProblemSpec `prob` (default: the trapezoid integral).
     """
 
-    kind: str
-    bound: float
+    spec: CompactumSpec
     data: NoisyData
-    a: float | None = None
-    operator_matrix: np.ndarray | None = None
-    spec: CompactumSpec = field(init=False, repr=False)
-    prob: ProblemSpec = field(init=False, repr=False)
+    prob: ProblemSpec = ProblemSpec()
 
     def __post_init__(self):
-        if self.kind not in _KIND_PHI:
-            raise ValueError(f"class kind must be one of {CLASS_KINDS}, got {self.kind!r}")
-        spec = CompactumSpec(_KIND_PHI[self.kind], self.bound, a=self.a)
-        prob = ProblemSpec() if self.operator_matrix is None else ProblemSpec(self.operator_matrix)
-        if prob.size() not in (None, self.n):
+        if self.prob.size() not in (None, self.n):
             raise ValueError(f"operator matrix must be {self.n}x{self.n}, "
-                             f"got {prob.operator.shape}")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "prob", prob)
-        object.__setattr__(self, "operator_matrix", None if prob.is_integration else prob.operator)
+                             f"got {self.prob.operator.shape}")
 
     @classmethod
-    def for_zero_data(cls, kind: str, bound: float, delta: float, n: int,
-                      a: float | None = None) -> "FeasibleClass":
-        return cls(kind, bound, NoisyData(GridFunction.zeros(n), delta), a=a)
-
-    @classmethod
-    def from_specs(cls, spec: CompactumSpec, prob: ProblemSpec,
-                   data: NoisyData) -> "FeasibleClass":
-        """The class {phi <= c} of `spec` under the operator of `prob`."""
-        kind = next(k for k, phi in _KIND_PHI.items() if phi == spec.phi)
-        return cls(kind, spec.c, data, a=spec.a,
-                   operator_matrix=None if prob.is_integration else prob.operator)
+    def for_zero_data(cls, spec: CompactumSpec, delta: float, n: int) -> "FeasibleClass":
+        return cls(spec, NoisyData(GridFunction.zeros(n), delta))
 
     @property
     def delta(self) -> float:
@@ -116,9 +91,6 @@ class FeasibleClass:
     @property
     def n(self) -> int:
         return self.data.g_delta.n
-
-    def class_norm(self, v: GridFunction) -> float:
-        return self.spec.phi_value(v)
 
     def image(self, v: GridFunction) -> np.ndarray:
         return self.prob.apply(v).values
@@ -157,8 +129,8 @@ def is_feasible(v: GridFunction, cls: FeasibleClass) -> FeasibilityCheck:
     if v.n != cls.n:
         raise ValueError(f"grid mismatch: candidate has {v.n} nodes, class data {cls.n}")
     mis = cls.misfit(v)
-    norm = cls.class_norm(v)
-    return FeasibilityCheck(mis <= cls.delta and norm <= cls.bound, mis, norm)
+    norm = cls.spec.phi_value(v)
+    return FeasibilityCheck(mis <= cls.delta and norm <= cls.spec.c, mis, norm)
 
 
 def _assemble_pair(v1: GridFunction, v2: GridFunction, cls: FeasibleClass) -> AdversarialPair:
@@ -168,9 +140,9 @@ def _assemble_pair(v1: GridFunction, v2: GridFunction, cls: FeasibleClass) -> Ad
         raise InfeasibleProblemError(
             "pair member failed the membership test: "
             f"misfits ({c1.misfit}, {c2.misfit}) vs delta {cls.delta}, "
-            f"norms ({c1.class_norm}, {c2.class_norm}) vs bound {cls.bound}")
+            f"norms ({c1.class_norm}, {c2.class_norm}) vs bound {cls.spec.c}")
     sep = sup_norm(GridFunction(v1.values - v2.values))
-    cert = PairCertificate(cls.delta, cls.bound, c1.misfit, c1.class_norm,
+    cert = PairCertificate(cls.delta, cls.spec.c, c1.misfit, c1.class_norm,
                            c2.misfit, c2.class_norm)
     return AdversarialPair(v1, v2, sep, cert)
 
@@ -185,7 +157,7 @@ def _sine_profile(bound: float, k: int, n: int) -> GridFunction:
 
 
 def _sine_frequencies(bound: float, delta: float, n: int | None) -> tuple[range, int]:
-    """Sine frequencies a sup-only class admits on the grid, and the grid size.
+    """Sine frequencies the sup-norm class admits on the grid, and the grid size.
 
     k = ceil(bound / (pi * delta)) is the lowest frequency whose integral
     bound/(pi*k) stays within delta; the grid must resolve at least 20 nodes
@@ -199,7 +171,7 @@ def _sine_frequencies(bound: float, delta: float, n: int | None) -> tuple[range,
 
 
 def sine_pair(bound: float, delta: float, n: int | None = None) -> AdversarialPair:
-    """Flat-amplitude pair for the sup-only class: v1 = 0, v2 a sinusoid.
+    """Flat-amplitude pair for the sup-norm class: v1 = 0, v2 a sinusoid.
 
     Frequency k = ceil(bound / (pi * delta)) makes sup|A v2| = bound/(pi*k)
     <= delta in the continuum; on the grid the trapezoid rule damps the
@@ -214,7 +186,7 @@ def sine_pair(bound: float, delta: float, n: int | None = None) -> AdversarialPa
         raise GridTooCoarseError(
             f"grid with {n} nodes cannot resolve frequency k={ks.start}; "
             f"need at least {20 * ks.start + 1} nodes")
-    cls = FeasibleClass.for_zero_data("sup-only", bound, delta, n)
+    cls = FeasibleClass.for_zero_data(CompactumSpec("sup-norm", bound), delta, n)
     v2 = _sine_profile(bound, ks[0], n)
     try:
         return _assemble_pair(GridFunction.zeros(n), v2, cls)
@@ -270,7 +242,7 @@ def bump_pair(bound: float, delta: float, n: int | None = None) -> AdversarialPa
         width_ideal = 2.0 * height_ideal / bound
         n = int(max(1001, min(2_000_001, 8 * math.ceil(1.0 / width_ideal) + 1)))
     room, p_want = _bump_fit(bound, delta, n)
-    cls = FeasibleClass.for_zero_data("holder", bound, delta, n, a=1.0)
+    cls = FeasibleClass.for_zero_data(CompactumSpec("holder-norm", bound, a=1.0), delta, n)
     zero = GridFunction.zeros(n)
 
     if p_want <= room:
@@ -339,7 +311,7 @@ def _scaled_step(cls: FeasibleClass, shape: np.ndarray, key: str | None,
         # an infinite norm gain stands for "not scanned" and gives t_norm = 0
         norm_gain = math.inf
         if _ratio(misfit_slack, image_gain) > 0.0:
-            norm_gain = cls.class_norm(GridFunction(shape))
+            norm_gain = cls.spec.phi_value(GridFunction(shape))
         if key is not None:
             gains[key] = (image_gain, norm_gain)
     t = 0.9 * min(_ratio(misfit_slack, image_gain), _ratio(norm_slack, norm_gain))
@@ -370,12 +342,12 @@ def sample_feasible(cls: FeasibleClass, count: int, seed: int | np.random.SeedSe
         raise InfeasibleProblemError(
             "no feasible point found: start element has "
             f"misfit {chk.misfit} (delta {cls.delta}) and norm {chk.class_norm} "
-            f"(bound {cls.bound})")
+            f"(bound {cls.spec.c})")
     if count == 0:
         return []
     members = [base]
     rng = np.random.default_rng(seed)
-    slack = (cls.delta - chk.misfit, cls.bound - chk.class_norm)
+    slack = (cls.delta - chk.misfit, cls.spec.c - chk.class_norm)
     gains: dict[str, tuple[float, float]] = {}
     attempts = 0
     max_attempts = 30 * count + 100
@@ -417,17 +389,17 @@ def sup_error_estimate(reconstruction: GridFunction, cls: FeasibleClass,
 
 
 def _sine_candidates(cls: FeasibleClass) -> Iterator[tuple[GridFunction, GridFunction]]:
-    if cls.kind != "sup-only":
+    if cls.spec.phi != "sup-norm":
         return
     zero = GridFunction.zeros(cls.n)
-    for k in _sine_frequencies(cls.bound, cls.delta, cls.n)[0]:
-        yield zero, _sine_profile(cls.bound, k, cls.n)
+    for k in _sine_frequencies(cls.spec.c, cls.delta, cls.n)[0]:
+        yield zero, _sine_profile(cls.spec.c, k, cls.n)
 
 
 def _bump_candidates(cls: FeasibleClass) -> Iterator[tuple[GridFunction, GridFunction]]:
-    if cls.kind != "holder":
+    if cls.spec.phi != "holder-norm":
         return
-    room, p_want = _bump_fit(cls.bound, cls.delta, cls.n)
+    room, p_want = _bump_fit(cls.spec.c, cls.delta, cls.n)
     p0 = min(max(1, p_want), room)
     zero = GridFunction.zeros(cls.n)
     seen = set()
@@ -437,7 +409,7 @@ def _bump_candidates(cls: FeasibleClass) -> Iterator[tuple[GridFunction, GridFun
                 continue
             seen.add(p)
             for shave in _SHAVE_LADDER:
-                v2 = _snapped_bump(cls.n, p, cls.bound, cls.delta, shave)
+                v2 = _snapped_bump(cls.n, p, cls.spec.c, cls.delta, shave)
                 if is_feasible(v2, cls).feasible:
                     yield zero, v2
                     break
@@ -449,7 +421,7 @@ def _random_candidates(cls: FeasibleClass, seed, base: GridFunction
     if not chk.feasible:
         return
     rng = np.random.default_rng(seed)
-    slack = (cls.delta - chk.misfit, cls.bound - chk.class_norm)
+    slack = (cls.delta - chk.misfit, cls.spec.c - chk.class_norm)
     gains: dict[str, tuple[float, float]] = {}
     while True:
         shape, key = _draw_shape(rng, cls.n)
@@ -525,25 +497,8 @@ def write_pair_csv(pair: AdversarialPair, path: str | Path) -> None:
 
 
 def read_pair_csv(path: str | Path) -> AdversarialPair:
-    meta: dict[str, float] = {}
-    rows = []
-    header_seen = False
-    for ln in Path(path).read_text().splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        if ln.startswith("#"):
-            key, _, val = ln[1:].strip().partition("=")
-            meta[key.strip()] = float(val)
-        elif not header_seen:
-            if ln.lower() != "x,v1,v2":
-                raise ValueError(f"{path}: expected header 'x,v1,v2'")
-            header_seen = True
-        else:
-            rows.append([float(c) for c in ln.split(",")])
-    data = np.asarray(rows)
-    if not header_seen or data.shape[0] < 2 or data.shape[1] != 3:
-        raise ValueError(f"{path}: malformed pair file")
+    """Read a pair file back, requiring every certificate line."""
+    data, meta = _read_grid_table(path, "x,v1,v2")
     for key in _PAIR_KEYS:
         if key not in meta:
             raise ValueError(f"{path}: certificate line '# {key}=...' missing")

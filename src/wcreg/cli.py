@@ -24,9 +24,10 @@ from .config import (_FIELD_TO_KEY, _FLOAT_FIELDS, _INT_FIELDS, ExperimentConfig
 from .derivative import error_bound, regularize, step_size
 from .errors import ConfigError
 from .grid import (GridFunction, HolderParams, NoisyData, _NOISE_ALIASES, _write_table,
-                   add_noise, holder_norm, integrate, read_grid_csv, write_grid_csv)
+                   add_noise, holder_norm, integrate, read_csv_table, read_grid_csv,
+                   write_grid_csv)
 from .modulus import LatticeCompactum, modulus_bruteforce, modulus_search
-from .operators import CompactumSpec, ProblemSpec
+from .operators import PHI_KINDS, CompactumSpec, ProblemSpec
 from .variational import convergence_study, write_convergence_csv
 
 __all__ = ["main", "run", "builtin_truth", "read_csv_table"]
@@ -50,27 +51,6 @@ def builtin_truth(name: str, n: int) -> GridFunction:
         return GridFunction(np.sin(2.0 * np.pi * k * x))
     raise ConfigError(f"unknown builtin truth {name!r}; "
                       "choose quadratic, constant, sine(k), or abs-shift")
-
-
-def read_csv_table(path: str | Path) -> tuple[list[str], list[list[float]], dict[str, float]]:
-    """Generic reader for the emitted tables: header, float rows, # key=value meta."""
-    header: list[str] = []
-    rows: list[list[float]] = []
-    meta: dict[str, float] = {}
-    for ln in Path(path).read_text().splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        if ln.startswith("#"):
-            key, sep, value = ln[1:].strip().partition("=")
-            if sep:
-                meta[key.strip()] = float(value)
-            continue
-        if not header:
-            header = [c.strip() for c in ln.split(",")]
-        else:
-            rows.append([float(c) for c in ln.split(",")])
-    return header, rows, meta
 
 
 def _loglog_slope(xs, ys) -> float:
@@ -129,7 +109,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> None:
         data = _noisy_data(cfg, g, delta, children[2 * i])
         result = regularize(data, params)
         h_rule = step_size(delta, params)
-        cls = FeasibleClass("holder", cfg.m, data, a=cfg.a)
+        cls = FeasibleClass(CompactumSpec("holder-norm", cfg.m, a=cfg.a), data)
         ensemble = sample_feasible(cls, cfg.count, children[2 * i + 1], start=u)
         est = sup_error_estimate(result.u_delta, cls, ensemble)
         rows.append((delta, h_rule, error_bound(delta, params, h_rule), est))
@@ -200,37 +180,37 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    """Each rule is stated once.  Order matters: a command line that breaks
+    several rules reports the first one its command checks."""
     _require(cfg.command in COMMANDS, f"unknown command {cfg.command!r}")
     _require(cfg.out is not None, "--out is required")
     _require(cfg.grid is None or cfg.grid >= 5, "grid must have at least 5 nodes")
     _require(all(d > 0 for d in cfg.deltas), "all deltas must be positive")
     _require(cfg.noise == "none" or cfg.noise in _NOISE_ALIASES,
              f"unknown noise model {cfg.noise!r}")
-    if cfg.command == "differentiate":
+    cmd = cfg.command
+    if cmd == "differentiate":
         _require(cfg.delta is not None and cfg.delta > 0, "delta must be positive")
-        _require(cfg.a > 1.0, "the step rule requires a > 1")
-        _require(cfg.m > 0, "class bound m must be positive")
-        if cfg.input is not None:
-            _require(Path(cfg.input).is_file(), f"input file not found: {cfg.input}")
-    elif cfg.command == "sweep":
+    elif cmd == "sweep":
         _require(len(cfg.deltas) >= 2, "sweep needs at least 2 deltas")
-        _require(cfg.a > 1.0, "the step rule requires a > 1")
-        _require(cfg.m > 0, "class bound m must be positive")
-        _require(cfg.count >= 1, "ensemble count must be at least 1")
-    elif cfg.command == "adversary":
+    elif cmd == "adversary":
         _require(cfg.class_kind in ("sup", "lip"),
                  f"class must be 'sup' or 'lip', got {cfg.class_kind!r}")
+    else:
+        _require(cfg.phi in PHI_KINDS,
+                 f"phi must be 'sup-norm' or 'holder-norm', got {cfg.phi!r}")
+        _require(cfg.c > 0, "compactum bound c must be positive")
+    if cmd in ("differentiate", "sweep"):
+        _require(cfg.a > 1.0, "the step rule requires a > 1")
+    if cmd in ("differentiate", "sweep", "adversary"):
         _require(cfg.m > 0, "class bound m must be positive")
-    elif cfg.command == "variational":
-        _require(cfg.phi in ("sup-norm", "holder-norm"),
-                 f"phi must be 'sup-norm' or 'holder-norm', got {cfg.phi!r}")
-        _require(cfg.c > 0, "compactum bound c must be positive")
+    if cmd == "differentiate" and cfg.input is not None:
+        _require(Path(cfg.input).is_file(), f"input file not found: {cfg.input}")
+    if cmd == "variational":
         _require(cfg.budget >= 0, "budget must be nonnegative")
+    if cmd in ("sweep", "variational"):
         _require(cfg.count >= 1, "ensemble count must be at least 1")
-    elif cfg.command == "modulus":
-        _require(cfg.phi in ("sup-norm", "holder-norm"),
-                 f"phi must be 'sup-norm' or 'holder-norm', got {cfg.phi!r}")
-        _require(cfg.c > 0, "compactum bound c must be positive")
+    if cmd == "modulus":
         _require(cfg.mode in ("bruteforce", "search"),
                  f"mode must be 'bruteforce' or 'search', got {cfg.mode!r}")
         _require(cfg.levels >= 1, "levels must be at least 1")

@@ -27,6 +27,7 @@ __all__ = [
     "format_float",
     "write_grid_csv",
     "read_grid_csv",
+    "read_csv_table",
 ]
 
 NOISE_MODELS = ("uniform-iid", "alternating-worst-case")
@@ -259,16 +260,56 @@ def write_grid_csv(f: GridFunction, path: str | Path) -> None:
     _write_table(path, "x,value", zip(f.x, f.values))
 
 
+def _scan_table(path: str | Path) -> tuple[list[str], list[str], dict[str, float]]:
+    """Header cells, data lines and `# key=value` metadata of a CSV file.
+
+    The rules of every CSV reader: blank lines are skipped.  A line starting
+    with `#` is a comment; when it reads `key=value` with a float value it
+    is a metadata entry, otherwise it is ignored.  The first other line is
+    the header, its cells stripped of spaces and lower-cased; every later
+    line is a data line.
+    """
+    header: list[str] = []
+    lines: list[str] = []
+    meta: dict[str, float] = {}
+    for ln in Path(path).read_text().splitlines():
+        ln = ln.strip()
+        if not ln:
+            continue
+        if ln.startswith("#"):
+            key, _, value = ln[1:].partition("=")
+            try:
+                meta[key.strip()] = float(value)
+            except ValueError:
+                pass  # a plain comment: no `=`, or no number after it
+        elif not header:
+            header = [c.strip().lower() for c in ln.split(",")]
+        else:
+            lines.append(ln)
+    return header, lines, meta
+
+
+def read_csv_table(path: str | Path) -> tuple[list[str], list[list[float]], dict[str, float]]:
+    """Header, float rows and metadata of any emitted table (see `_scan_table`)."""
+    header, lines, meta = _scan_table(path)
+    return header, [[float(c) for c in ln.split(",")] for ln in lines], meta
+
+
+def _read_grid_table(path: str | Path, columns: str) -> tuple[np.ndarray, dict[str, float]]:
+    """Rows and metadata of a grid file with header `columns`, at least two
+    rows and the uniform grid on [0, 1] as its x column."""
+    header, lines, meta = _scan_table(path)
+    if header != columns.split(","):
+        raise ValueError(f"{path}: expected header '{columns}'")
+    data = np.array([[float(c) for c in ln.split(",")] for ln in lines])
+    if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] != len(header):
+        count = {2: "two", 3: "three"}[len(header)]
+        raise ValueError(f"{path}: expected {count} columns and at least two rows")
+    if np.max(np.abs(data[:, 0] - np.linspace(0.0, 1.0, data.shape[0]))) > 1e-12:
+        raise ValueError(f"{path}: x column is not the uniform grid on [0, 1]")
+    return data, meta
+
+
 def read_grid_csv(path: str | Path) -> GridFunction:
     """Read a `x,value` CSV back into a GridFunction, checking the grid."""
-    rows = [ln for ln in map(str.strip, Path(path).read_text().splitlines())
-            if ln and not ln.startswith("#")]
-    if not rows or rows[0].lower() != "x,value":
-        raise ValueError(f"{path}: expected header 'x,value'")
-    data = np.array([[float(c) for c in ln.split(",")] for ln in rows[1:]])
-    if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] != 2:
-        raise ValueError(f"{path}: expected two columns and at least two rows")
-    n = data.shape[0]
-    if np.max(np.abs(data[:, 0] - np.linspace(0.0, 1.0, n))) > 1e-12:
-        raise ValueError(f"{path}: x column is not the uniform grid on [0, 1]")
-    return GridFunction(data[:, 1])
+    return GridFunction(_read_grid_table(path, "x,value")[0][:, 1])

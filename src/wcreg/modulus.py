@@ -10,7 +10,6 @@ reported.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +68,9 @@ class LatticeCompactum:
         if self.constants_only:
             grid = np.repeat(np.asarray(self.levels)[:, None], self.nodes, axis=1)
         else:
-            grid = np.array(list(itertools.product(self.levels, repeat=self.nodes)))
+            # every level combination, in itertools.product order
+            index = np.indices((len(self.levels),) * self.nodes).reshape(self.nodes, -1).T
+            grid = np.asarray(self.levels)[index]
         keep = _batch_phi(grid, self.spec) <= self.spec.c
         return grid[keep]
 
@@ -124,9 +125,9 @@ def _search_continuum(spec: CompactumSpec, delta: float, prob: ProblemSpec,
                       budget: int, seed, n: int) -> float:
     # image-distance constraint is delta itself, so the membership test is
     # the adversary one with noise radius delta around zero data
-    cls = FeasibleClass.from_specs(spec, prob, NoisyData(GridFunction.zeros(n), delta))
+    cls = FeasibleClass(spec, NoisyData(GridFunction.zeros(n), delta), prob)
     candidates = []
-    if cls.kind == "sup-only":
+    if spec.phi == "sup-norm":
         ks, _ = _sine_frequencies(spec.c, delta, n)
         if ks:
             candidates.append(_sine_profile(spec.c, ks[0], n))

@@ -86,34 +86,28 @@ class CompactumSpec:
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """Forward operator: the built-in integration map or an explicit matrix.
+    """Forward operator: an explicit square matrix, or None for the built-in
+    trapezoid integration map.
 
     The built-in integration matrix is not injective on the grid
     (alternating kernel, see module docstring); `rectangle_matrix` is.
     """
 
-    operator: str | np.ndarray = "integration"
+    operator: np.ndarray | None = None
 
     def __post_init__(self):
-        if isinstance(self.operator, str):
-            if self.operator != "integration":
-                raise ValueError(f"unknown operator {self.operator!r}")
-        else:
+        if self.operator is not None:
             mat = np.asarray(self.operator, dtype=float)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
                 raise ValueError("explicit operator must be a square matrix, n >= 2")
             object.__setattr__(self, "operator", mat)
 
-    @property
-    def is_integration(self) -> bool:
-        return isinstance(self.operator, str)
-
     def size(self) -> int | None:
         """Grid size pinned by an explicit matrix, None for the built-in map."""
-        return None if self.is_integration else int(self.operator.shape[0])
+        return None if self.operator is None else int(self.operator.shape[0])
 
     def matrix(self, n: int) -> np.ndarray:
-        if self.is_integration:
+        if self.operator is None:
             return integration_matrix(n)
         if self.operator.shape[0] != n:
             raise ValueError(
@@ -122,6 +116,6 @@ class ProblemSpec:
         return self.operator
 
     def apply(self, f: GridFunction) -> GridFunction:
-        if self.is_integration:
+        if self.operator is None:
             return integrate(f)
         return GridFunction(self.matrix(f.n) @ f.values)

@@ -123,7 +123,7 @@ def _anchor_candidates(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
         grad[0] = grad[1]
         grad[-1] = grad[-2]
     out.append(grad)
-    if prob.is_integration:
+    if prob.operator is None:
         m = 1
         ladder = []
         while 2 * m <= n - 1 and m <= (n - 1) // 4 + 1:
@@ -313,10 +313,10 @@ def convergence_study(u_true: GridFunction, deltas: Sequence[float],
         res = regularize_variational(data, spec, prob, budget=budget, phi_u=phi_u,
                                      stop_at=2.0 * (1.0 + phi_u) * delta)
         err = sup_norm(GridFunction(res.v_delta.values - u_true.values))
-        cls = FeasibleClass.from_specs(spec, prob, data)
+        cls = FeasibleClass(spec, data, prob)
         ensemble = sample_feasible(cls, ensemble_count, child, start=u_true)
         sup_est = sup_error_estimate(res.v_delta, cls, ensemble)
-        if prob.is_integration or prob.size() == LATTICE_NODES:
+        if prob.size() in (None, LATTICE_NODES):
             omega = modulus_bruteforce(lattice, 2.0 * delta, prob)
         else:
             omega = math.nan

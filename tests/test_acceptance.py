@@ -43,7 +43,7 @@ def test_criterion_1_rate_and_ensemble_bound():
     for i, delta in enumerate(deltas):
         data = add_noise(g, delta, "alternating-worst-case", 0)
         recon = regularize(data, params)
-        cls = FeasibleClass("holder", 1.0, data, a=2.0)
+        cls = FeasibleClass(CompactumSpec("holder-norm", 1.0, a=2.0), data)
         ensemble = sample_feasible(cls, 100, 100 + i, start=u)
         assert len(ensemble) >= 100
         measured = sup_error_estimate(recon.u_delta, cls, ensemble)
@@ -90,7 +90,7 @@ def test_criterion_4_sup_only_impossibility():
     separations = []
     for delta in (1e-2, 1e-3, 1e-4):
         pair = sine_pair(1.0, delta)
-        cls = FeasibleClass.for_zero_data("sup-only", 1.0, delta, pair.v1.n)
+        cls = FeasibleClass.for_zero_data(CompactumSpec("sup-norm", 1.0), delta, pair.v1.n)
         assert is_feasible(pair.v1, cls).feasible
         assert is_feasible(pair.v2, cls).feasible
         assert pair.separation >= 0.98

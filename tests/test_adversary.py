@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from wcreg import (AdversarialPair, FeasibleClass, GridFunction, GridTooCoarseError,
-                   InfeasibleProblemError, NoisyData, add_noise, bump_pair,
-                   diameter_probe, holder_norm, integrate, is_feasible,
-                   read_pair_csv, sample_feasible, sine_pair, sup_error_estimate,
-                   sup_norm, write_pair_csv)
+from wcreg import (AdversarialPair, CompactumSpec, FeasibleClass, GridFunction,
+                   GridTooCoarseError, InfeasibleProblemError, NoisyData, ProblemSpec,
+                   add_noise, bump_pair, diameter_probe, holder_norm, integrate,
+                   is_feasible, read_pair_csv, rectangle_matrix, sample_feasible,
+                   sine_pair, sup_error_estimate, sup_norm, write_pair_csv)
 
 
-def truth_class(u, delta, bound, a=None, kind="holder", noise="uniform-iid", seed=0):
+def truth_class(u, delta, bound, a=None, phi="holder-norm", noise="uniform-iid", seed=0):
     data = add_noise(integrate(u), delta, noise, seed)
-    return FeasibleClass(kind, bound, data, a=a), data
+    return FeasibleClass(CompactumSpec(phi, bound, a=a), data), data
 
 
 class TestIsFeasible:
@@ -43,9 +43,17 @@ class TestIsFeasible:
 
     def test_grid_mismatch(self):
         u = GridFunction(np.zeros(11))
-        cls, _ = truth_class(u, 1e-3, 1.0, kind="sup-only")
+        cls, _ = truth_class(u, 1e-3, 1.0, phi="sup-norm")
         with pytest.raises(ValueError):
             is_feasible(GridFunction(np.zeros(12)), cls)
+
+    def test_operator_size_must_match_grid(self):
+        data = NoisyData(GridFunction.zeros(11), 0.1)
+        spec = CompactumSpec("sup-norm", 1.0)
+        with pytest.raises(ValueError, match="11x11"):
+            FeasibleClass(spec, data, ProblemSpec(rectangle_matrix(12)))
+        cls = FeasibleClass(spec, data, ProblemSpec(rectangle_matrix(11)))
+        assert is_feasible(GridFunction.zeros(11), cls).feasible
 
 
 class TestSampleFeasible:
@@ -57,7 +65,7 @@ class TestSampleFeasible:
     def test_hundred_members_all_feasible(self):
         u = GridFunction.from_callable(lambda x: 0.4 * x, 101)
         data = NoisyData(integrate(u), 1e-3)  # exact data: full slack
-        cls = FeasibleClass("holder", 1.0, data, a=2.0)
+        cls = FeasibleClass(CompactumSpec("holder-norm", 1.0, a=2.0), data)
         members = sample_feasible(cls, 100, 11, start=u)
         assert len(members) == 100
         for v in members:
@@ -132,7 +140,7 @@ class TestSinePair:
 
     def test_members_reverify(self):
         pair = sine_pair(2.0, 0.05)
-        cls = FeasibleClass.for_zero_data("sup-only", 2.0, 0.05, pair.v1.n)
+        cls = FeasibleClass.for_zero_data(CompactumSpec("sup-norm", 2.0), 0.05, pair.v1.n)
         assert is_feasible(pair.v1, cls).feasible
         assert is_feasible(pair.v2, cls).feasible
         sep = sup_norm(GridFunction(pair.v1.values - pair.v2.values))
@@ -167,34 +175,34 @@ class TestBumpPair:
 
     def test_members_reverify(self):
         pair = bump_pair(1.5, 3e-3)
-        cls = FeasibleClass.for_zero_data("holder", 1.5, 3e-3, pair.v1.n, a=1.0)
+        cls = FeasibleClass.for_zero_data(CompactumSpec("holder-norm", 1.5, a=1.0), 3e-3, pair.v1.n)
         assert is_feasible(pair.v2, cls).feasible
         assert holder_norm(pair.v2, 1.0) == pytest.approx(pair.certificate.norm2)
 
 
 class TestDiameterProbe:
     def test_sine_probe(self):
-        cls = FeasibleClass.for_zero_data("sup-only", 1.0, 0.01, 641)
+        cls = FeasibleClass.for_zero_data(CompactumSpec("sup-norm", 1.0), 0.01, 641)
         assert diameter_probe(cls, ("sine",), budget=4) >= 0.99
 
     def test_bump_probe(self):
-        cls = FeasibleClass.for_zero_data("holder", 2.0, 0.01, 1001, a=1.0)
+        cls = FeasibleClass.for_zero_data(CompactumSpec("holder-norm", 2.0, a=1.0), 0.01, 1001)
         assert diameter_probe(cls, ("bump",), budget=4) >= 0.1 - 1e-9
 
     def test_zero_budget(self):
-        cls = FeasibleClass.for_zero_data("sup-only", 1.0, 0.01, 641)
+        cls = FeasibleClass.for_zero_data(CompactumSpec("sup-norm", 1.0), 0.01, 641)
         assert diameter_probe(cls, (), budget=0) == 0.0
         assert diameter_probe(cls, ("sine",), budget=0) == 0.0
 
     def test_monotone_in_budget(self):
-        cls = FeasibleClass.for_zero_data("sup-only", 1.0, 0.05, 421)
+        cls = FeasibleClass.for_zero_data(CompactumSpec("sup-norm", 1.0), 0.05, 421)
         values = [diameter_probe(cls, ("sine", "random-search"), budget=b, seed=5)
                   for b in (1, 4, 16, 32)]
         for lo, hi in zip(values, values[1:]):
             assert hi >= lo
 
     def test_unknown_generator(self):
-        cls = FeasibleClass.for_zero_data("sup-only", 1.0, 0.05, 421)
+        cls = FeasibleClass.for_zero_data(CompactumSpec("sup-norm", 1.0), 0.05, 421)
         with pytest.raises(ValueError):
             diameter_probe(cls, ("newton",), budget=1)
 
@@ -209,4 +217,27 @@ class TestPairCsv:
         assert np.array_equal(back.v1.values, pair.v1.values)
         assert np.array_equal(back.v2.values, pair.v2.values)
         assert back.separation == pair.separation
+        assert back.certificate == pair.certificate
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda lines: [ln for ln in lines if not ln.startswith("# norm2=")], "norm2"),
+        (lambda lines: [ln.replace("x,v1,v2", "x,v,w") for ln in lines], "header"),
+        (lambda lines: lines[:9], "at least two rows"),
+        (lambda lines: lines[:9] + ["0.75,0,0", "1,0,0"], "uniform grid"),
+    ], ids=["no-norm2-line", "wrong-header", "single-row", "uneven-x"])
+    def test_rejects_malformed(self, tmp_path, edit, match):
+        path = tmp_path / "pair.csv"
+        write_pair_csv(bump_pair(2.0, 0.01, n=401), path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError, match=match):
+            read_pair_csv(path)
+
+    def test_lenient_header_and_comments(self, tmp_path):
+        pair = bump_pair(2.0, 0.01, n=401)
+        path = tmp_path / "pair.csv"
+        write_pair_csv(pair, path)
+        text = path.read_text().replace("x,v1,v2", "# a plain note\nX, V1, V2")
+        path.write_text(text)
+        back = read_pair_csv(path)
+        assert np.array_equal(back.v2.values, pair.v2.values)
         assert back.certificate == pair.certificate

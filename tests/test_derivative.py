@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from wcreg import (FeasibleClass, GridFunction, GridTooCoarseError, HolderParams,
-                   NoisyData, add_noise, differentiate, error_bound, integrate,
-                   regularize, sample_feasible, step_size, stencil_worst_noise,
-                   sup_error_estimate, sup_norm)
+from wcreg import (CompactumSpec, FeasibleClass, GridFunction, GridTooCoarseError,
+                   HolderParams, NoisyData, add_noise, differentiate, error_bound,
+                   integrate, regularize, sample_feasible, step_size,
+                   stencil_worst_noise, sup_error_estimate, sup_norm)
 
 
 def exact_data(func, n, delta=1e-12):
@@ -164,7 +164,7 @@ class TestRegularize:
         delta = 1e-3
         data = add_noise(g, delta, "alternating-worst-case", 0)
         res = regularize(data, HolderParams(2, 1))
-        cls = FeasibleClass("holder", 1.0, data, a=2.0)
+        cls = FeasibleClass(CompactumSpec("holder-norm", 1.0, a=2.0), data)
         ensemble = sample_feasible(cls, 60, 17, start=u)
         assert len(ensemble) == 60
         assert sup_error_estimate(res.u_delta, cls, ensemble) <= res.eta

@@ -7,7 +7,7 @@ import pytest
 from wcreg import (GridFunction, HolderParams, NoisyData, add_noise, holder_norm,
                    integrate, integration_matrix, read_grid_csv, sup_norm,
                    write_grid_csv)
-from wcreg.grid import _first_max_pair, _max_pair_quotient, _pair_bands
+from wcreg.grid import _first_max_pair, _max_pair_quotient, _pair_bands, read_csv_table
 
 
 def grid_fn(func, n):
@@ -333,3 +333,30 @@ class TestCsv:
         path.write_text("a,b\n0,1\n1,2\n")
         with pytest.raises(ValueError):
             read_grid_csv(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ("x,value\n0,1\n", "at least two rows"),
+        ("x,value\n0,1\n0.25,2\n1,3\n", "uniform grid"),
+        ("x,value\n0,1,2\n1,2,3\n", "two columns"),
+    ])
+    def test_rejects_malformed_rows(self, tmp_path, text, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            read_grid_csv(path)
+
+    def test_lenient_header_and_comments(self, tmp_path):
+        # header cells are compared without case or spacing; a comment line
+        # without `=`, or without a number after it, is skipped
+        path = tmp_path / "f.csv"
+        path.write_text("# plain note\n X , Value \n# g = x^2/2\n0,1\n0.5,2\n1,3\n")
+        assert np.array_equal(read_grid_csv(path).values, [1.0, 2.0, 3.0])
+
+    def test_table_reader_rules(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# plain note\nDelta, H\n1,2\n\n  3,4\n# slope=-0.5\n"
+                        "# label=abc\n# bare\n")
+        header, rows, meta = read_csv_table(path)
+        assert header == ["delta", "h"]
+        assert rows == [[1.0, 2.0], [3.0, 4.0]]
+        assert meta == {"slope": -0.5}

@@ -1,0 +1,172 @@
+"""Byte-identity check of the wcreg command line across two source trees.
+
+    python3 tools/golden.py capture SRC OUT   # run the fixed command list against SRC
+    python3 tools/golden.py compare A B       # list the files that differ between captures
+
+`capture` runs every command line of `COMMANDS` in a fresh process with
+PYTHONPATH=SRC and its own working directory OUT/<name>, so every path the
+program sees or prints is relative.  Each run leaves its CSV files under
+OUT/<name>/out and its exit code and stderr in OUT/<name>/status.txt; the
+sha256 of each of these files goes into OUT/MANIFEST.sha256.  `compare`
+reads two manifests and exits 1 when a file differs or exists on one side
+only.
+
+Capture the parent commit's `src/` and the changed `src/` into two fresh
+directories, then compare them: a change that claims identical output
+passes with no file listed.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+
+def _grid_file(xs) -> str:
+    return "".join(f"{x!r},{x * x / 2!r}\n" for x in xs)
+
+
+#: files written into every working directory: grid inputs for
+#: `differentiate --input` (data of u(x) = x) and a config file for `--config`
+FILES = {
+    # upper-case header, comment lines with and without `=`, one indented
+    "input.csv": "# g(x) = x^2/2 on 11 nodes\nX,Value\n  # indented note\n"
+                 + _grid_file(k / 10 for k in range(11)),
+    "one-row.csv": "x,value\n" + _grid_file([0.0]),
+    "uneven.csv": "x,value\n" + _grid_file([0.0, 0.25, 1.0]),
+    "ragged.csv": "x,value\n0,0\n0.5,0.125,1\n1,0.5\n",
+    "config.txt": "seed = 4\ndeltas = 1e-2,1e-3\na = 1.5\nm = 2\ncount = 12\ngrid = 201\n",
+}
+
+#: (name, arguments after `wcreg`); every line writes into ./out
+COMMANDS = (
+    # differentiate: builtin truths, noise models, explicit grid, input file
+    ("diff-default", "differentiate --delta 1e-3"),
+    ("diff-sine-alt", "differentiate --truth sine(2) --noise alternating --grid 301 --delta 1e-4"),
+    ("diff-abs-none", "differentiate --truth abs-shift --noise none --a 1.5 --m 2 --delta 1e-2"),
+    ("diff-input", "differentiate --input input.csv --delta 1e-3"),
+    # sweep: Holder class rescaled truth, all noise spellings, config file
+    ("sweep-default", "sweep --deltas 1e-2,1e-3,1e-4 --count 20"),
+    ("sweep-seed3", "sweep --deltas 1e-2,1e-3,1e-4,1e-5 --a 2 --m 1 --count 20 --seed 3"),
+    ("sweep-a13-alt", "sweep --deltas 1e-2,1e-3 --a 1.3 --noise alternating-worst-case "
+                      "--truth sine(1) --grid 201 --count 10"),
+    ("sweep-none", "sweep --deltas 1e-1,1e-2 --noise none --truth constant --grid 101 --count 10"),
+    ("sweep-config", "sweep --config config.txt --noise uniform"),
+    # adversary: sup (sine pairs) and lip (bump pairs), default and fixed grids
+    ("adv-sup", "adversary --class sup --m 1 --deltas 1e-1,2e-2"),
+    ("adv-sup-grid", "adversary --class sup --m 2 --deltas 1e-1 --grid 801"),
+    ("adv-lip", "adversary --class lip --m 1 --deltas 1e-2,1e-4,1e-6"),
+    ("adv-lip-grid", "adversary --class lip --m 1.5 --deltas 1e-2,1e-3 --grid 301"),
+    ("adv-lip-clipped", "adversary --class lip --m 1 --deltas 1 --grid 21"),
+    # variational: sup and Holder phi over the trapezoid operator
+    ("var-sup", "variational --phi sup-norm --c 2 --deltas 1e-1,1e-2 --budget 150 --count 12"),
+    ("var-holder-a2", "variational --phi holder-norm --a 2 --c 3 --deltas 1e-1,1e-2 "
+                      "--budget 150 --count 12 --grid 61"),
+    ("var-holder-a1", "variational --phi holder-norm --a 1 --c 2 --deltas 1e-1 "
+                      "--budget 100 --count 8 --grid 41 --noise alternating"),
+    ("var-holder-a05", "variational --phi holder-norm --a 0.5 --c 3 --deltas 1e-1 "
+                       "--budget 100 --count 8 --grid 41 --seed 2"),
+    # modulus: bruteforce and search over sup and Holder lattices
+    ("mod-sup", "modulus --phi sup-norm --c 1 --levels 7 --deltas 0.5,0.1"),
+    ("mod-sup-const", "modulus --phi sup-norm --c 1 --levels 21 --lattice-nodes 5 "
+                      "--constants-only true --deltas 0.05,0.35,2.5"),
+    ("mod-holder-a1", "modulus --phi holder-norm --a 1 --c 2 --levels 7 --lattice-nodes 4 "
+                      "--deltas 0.5,0.1"),
+    ("mod-holder-a2", "modulus --phi holder-norm --a 2 --c 3 --levels 9 --deltas 0.5"),
+    ("mod-search", "modulus --phi holder-norm --a 2 --c 3 --levels 9 --mode search "
+                   "--budget 400 --seed 3 --deltas 0.5,0.1"),
+    ("mod-search-sup", "modulus --phi sup-norm --mode search --budget 300 --deltas 0.3"),
+    # rejected command lines: exit 2 (configuration) and 3 (runtime)
+    ("bad-no-delta", "differentiate"),
+    ("bad-diff-a", "differentiate --delta 1e-3 --a 1"),
+    ("bad-diff-m", "differentiate --delta 1e-3 --m 0"),
+    ("bad-input-missing", "differentiate --delta 1e-3 --input missing.csv"),
+    ("bad-input-header", "differentiate --delta 1e-3 --input config.txt"),
+    ("bad-input-rows", "differentiate --delta 1e-3 --input one-row.csv"),
+    ("bad-input-uneven", "differentiate --delta 1e-3 --input uneven.csv"),
+    ("bad-input-ragged", "differentiate --delta 1e-3 --input ragged.csv"),
+    ("bad-sweep-one-delta", "sweep --deltas 1e-2"),
+    ("bad-sweep-a", "sweep --deltas 1e-2,1e-3 --a 0.5"),
+    ("bad-sweep-m", "sweep --deltas 1e-2,1e-3 --m -1"),
+    ("bad-sweep-count", "sweep --deltas 1e-2,1e-3 --count 0"),
+    ("bad-noise", "sweep --deltas 1e-2,1e-3 --noise pink"),
+    ("bad-grid", "sweep --deltas 1e-2,1e-3 --grid 3"),
+    ("bad-class", "adversary --class holder --deltas 1e-2"),
+    ("bad-adv-m", "adversary --class lip --m 0 --deltas 1e-2"),
+    ("bad-sup-coarse", "adversary --class sup --deltas 1e-3 --grid 11"),
+    ("bad-var-phi", "variational --phi l2 --deltas 1e-2"),
+    ("bad-var-c", "variational --c 0 --deltas 1e-2"),
+    ("bad-var-budget", "variational --budget -1 --deltas 1e-2"),
+    ("bad-var-count", "variational --count 0 --deltas 1e-2"),
+    ("bad-var-class", "variational --c 0.5 --deltas 1e-2"),
+    ("bad-mod-phi", "modulus --phi l2 --deltas 0.5"),
+    ("bad-mod-c", "modulus --c -1 --deltas 0.5"),
+    ("bad-mod-mode", "modulus --mode exact --deltas 0.5"),
+    ("bad-mod-levels", "modulus --levels 0 --deltas 0.5"),
+    ("bad-mod-nodes", "modulus --lattice-nodes 1 --deltas 0.5"),
+    ("bad-mod-budget", "modulus --mode search --budget 0 --deltas 0.5"),
+    ("bad-mod-guard", "modulus --levels 41 --lattice-nodes 4 --deltas 0.5"),
+    ("bad-delta", "modulus --deltas 0.5,-1"),
+    ("bad-flag-type", "sweep --deltas 1e-2,1e-3 --grid many"),
+    # several broken rules: the first one each command checks is reported
+    ("bad-diff-many", "differentiate --delta 1e-3 --a 1 --m 0 --input missing.csv"),
+    ("bad-sweep-many", "sweep --deltas 1e-2,1e-3 --a 1 --m 0 --count 0"),
+    ("bad-var-many", "variational --c 0 --budget -1 --count 0 --deltas 1e-2"),
+    ("bad-mod-many", "modulus --c 0 --mode exact --levels 0 --deltas 0.5"),
+)
+
+MANIFEST = "MANIFEST.sha256"
+
+
+def capture(src: Path, out: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", PYTHONHASHSEED="0")
+    out.mkdir(parents=True, exist_ok=False)
+    for name, args in COMMANDS:
+        cwd = out / name
+        cwd.mkdir()
+        for file, text in FILES.items():
+            (cwd / file).write_text(text)
+        proc = subprocess.run([sys.executable, "-m", "wcreg.cli", *args.split(), "--out", "out"],
+                              cwd=cwd, env=env, capture_output=True, text=True)
+        (cwd / "status.txt").write_text(f"exit {proc.returncode}\n{proc.stderr}")
+        print(f"{name}: exit {proc.returncode}", flush=True)
+    lines = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(out).as_posix()}"
+             for p in sorted(out.rglob("*")) if p.is_file() and p.name not in FILES]
+    (out / MANIFEST).write_text("\n".join(lines) + "\n")
+
+
+def _manifest(root: Path) -> dict[str, str]:
+    digests = {}
+    for line in (root / MANIFEST).read_text().splitlines():
+        digest, _, name = line.partition("  ")
+        digests[name] = digest
+    return digests
+
+
+def compare(a: Path, b: Path) -> int:
+    left, right = _manifest(a), _manifest(b)
+    differ = sorted(name for name in left.keys() | right.keys()
+                    if left.get(name) != right.get(name))
+    for name in differ:
+        side = "only in A" if name not in right else "only in B" if name not in left else "differs"
+        print(f"{side}: {name}")
+    print(f"{len(left.keys() | right.keys())} files compared, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 3 or argv[0] not in ("capture", "compare"):
+        print(__doc__, file=sys.stderr)
+        return 2
+    if argv[0] == "capture":
+        capture(Path(argv[1]), Path(argv[2]))
+        return 0
+    return compare(Path(argv[1]), Path(argv[2]))
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
