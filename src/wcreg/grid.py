@@ -260,8 +260,8 @@ def write_grid_csv(f: GridFunction, path: str | Path) -> None:
     _write_table(path, "x,value", zip(f.x, f.values))
 
 
-def _scan_table(path: str | Path) -> tuple[list[str], list[str], dict[str, float]]:
-    """Header cells, data lines and `# key=value` metadata of a CSV file.
+def _scan_table(path: str | Path) -> tuple[list[str], list[tuple[int, str]], dict[str, float]]:
+    """Header cells, numbered data lines and `# key=value` metadata of a CSV file.
 
     The rules of every CSV reader: blank lines are skipped.  A line starting
     with `#` is a comment; when it reads `key=value` with a float value it
@@ -270,9 +270,9 @@ def _scan_table(path: str | Path) -> tuple[list[str], list[str], dict[str, float
     line is a data line.
     """
     header: list[str] = []
-    lines: list[str] = []
+    lines: list[tuple[int, str]] = []
     meta: dict[str, float] = {}
-    for ln in Path(path).read_text().splitlines():
+    for number, ln in enumerate(Path(path).read_text().splitlines(), start=1):
         ln = ln.strip()
         if not ln:
             continue
@@ -285,14 +285,14 @@ def _scan_table(path: str | Path) -> tuple[list[str], list[str], dict[str, float
         elif not header:
             header = [c.strip().lower() for c in ln.split(",")]
         else:
-            lines.append(ln)
+            lines.append((number, ln))
     return header, lines, meta
 
 
 def read_csv_table(path: str | Path) -> tuple[list[str], list[list[float]], dict[str, float]]:
     """Header, float rows and metadata of any emitted table (see `_scan_table`)."""
     header, lines, meta = _scan_table(path)
-    return header, [[float(c) for c in ln.split(",")] for ln in lines], meta
+    return header, [[float(c) for c in ln.split(",")] for _, ln in lines], meta
 
 
 def _read_grid_table(path: str | Path, columns: str) -> tuple[np.ndarray, dict[str, float]]:
@@ -301,7 +301,12 @@ def _read_grid_table(path: str | Path, columns: str) -> tuple[np.ndarray, dict[s
     header, lines, meta = _scan_table(path)
     if header != columns.split(","):
         raise ValueError(f"{path}: expected header '{columns}'")
-    data = np.array([[float(c) for c in ln.split(",")] for ln in lines])
+    rows = [ln.split(",") for _, ln in lines]
+    for (number, _), row in zip(lines, rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"{path}: line {number} has {len(row)} cells, "
+                             f"line {lines[0][0]} has {len(rows[0])}")
+    data = np.array([[float(c) for c in row] for row in rows])
     if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] != len(header):
         count = {2: "two", 3: "three"}[len(header)]
         raise ValueError(f"{path}: expected {count} columns and at least two rows")

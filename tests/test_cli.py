@@ -60,6 +60,14 @@ class TestDifferentiateCommand:
                        "--delta", "1e-4", "--out", str(tmp_path / "o"))
         assert code == 2
 
+    def test_ragged_input_exit_3(self, tmp_path, capsys):
+        src = tmp_path / "ragged.csv"
+        src.write_text("x,value\n0,0\n0.5,0.125,1\n1,0.5\n")
+        code = run_cli("differentiate", "--input", str(src), "--delta", "1e-3",
+                       "--out", str(tmp_path / "o"))
+        assert code == 3
+        assert f"{src}: line 3 has 3 cells" in capsys.readouterr().err
+
     def test_a_not_above_one_exit_2(self, tmp_path, capsys):
         code = run_cli("differentiate", "--truth", "quadratic", "--delta", "1e-4",
                        "--a", "1", "--out", str(tmp_path / "o"))

@@ -338,6 +338,7 @@ class TestCsv:
         ("x,value\n0,1\n", "at least two rows"),
         ("x,value\n0,1\n0.25,2\n1,3\n", "uniform grid"),
         ("x,value\n0,1,2\n1,2,3\n", "two columns"),
+        ("x,value\n# note\n0,0\n0.5,0.125,1\n1,0.5\n", "line 4 has 3 cells, line 3 has 2"),
     ])
     def test_rejects_malformed_rows(self, tmp_path, text, match):
         path = tmp_path / "bad.csv"

@@ -15,6 +15,28 @@ def constants_lattice(nodes=5, c=1.0):
                             constants_only=True)
 
 
+def all_pairs_omega(members, images, deltas, block=256):
+    """omega for each delta from every pair of members (i <= j)."""
+    def dist(values, rows, cols):
+        # max over nodes of |values[j] - values[i]|, one node at a time
+        out = np.zeros((len(rows), len(cols)))
+        for col in range(values.shape[1]):
+            np.maximum(out, np.abs(values[cols, col][None, :] - values[rows, col][:, None]),
+                       out=out)
+        return out
+
+    omega = [0.0] * len(deltas)
+    m = len(members)
+    for start in range(0, m, block):
+        rows, cols = np.arange(start, min(start + block, m)), np.arange(start, m)
+        sep, img_dist = dist(members, rows, cols), dist(images, rows, cols)
+        for k, delta in enumerate(deltas):
+            ok = img_dist <= delta
+            if ok.any():
+                omega[k] = max(omega[k], float(np.max(sep[ok])))
+    return omega
+
+
 class TestLatticeCompactum:
     def test_member_counts(self):
         lat = constants_lattice()
@@ -77,6 +99,51 @@ class TestBruteforce:
         spec = CompactumSpec("sup-norm", 1.0)
         lat = LatticeCompactum(3, (-1.0, 0.0, 1.0), spec)
         assert modulus_bruteforce(lat, 1e-6, ProblemSpec()) == pytest.approx(2.0)
+
+    def test_matches_all_pairs_oracle(self):
+        rng = np.random.default_rng(3)
+        dominant = rng.normal(size=(3, 3))
+        dominant[0] *= 10.0
+        sup = CompactumSpec("sup-norm", 1.0)
+        cases = [
+            (LatticeCompactum(4, tuple(np.linspace(-1, 1, 8)), sup), ProblemSpec()),
+            (LatticeCompactum(4, tuple(np.linspace(-1, 1, 8)), sup),
+             ProblemSpec(rectangle_matrix(4))),
+            (LatticeCompactum(3, tuple(np.linspace(-1, 1, 9)), sup), ProblemSpec(dominant)),
+            (LatticeCompactum(4, tuple(np.linspace(-1, 1, 9)),
+                              CompactumSpec("holder-norm", 1.5, a=0.5)), ProblemSpec()),
+            (LatticeCompactum(3, tuple(np.linspace(-1, 1, 9)),
+                              CompactumSpec("holder-norm", 1.5, a=2.0)), ProblemSpec()),
+            (constants_lattice(), ProblemSpec()),
+        ]
+        deltas = (1e-6, 1e-3, 1e-2, 0.1, 0.5, 10.0)
+        widest_keys = []
+        for lat, prob in cases:
+            members = lat.members()
+            images = members @ prob.matrix(lat.nodes).T
+            widest_keys.append(int(np.argmax(np.ptp(images, axis=0))))
+            expected = all_pairs_omega(members, images, deltas)
+            assert [modulus_bruteforce(lat, d, prob) for d in deltas] == expected
+        assert widest_keys[0] == 3 and widest_keys[2] == 0
+
+    def test_delta_at_a_pair_image_distance(self):
+        # delta equal to a pair's float image distance is the edge case of
+        # the sort-key window: fl(|key_j - key_i|) <= delta while the exact
+        # key difference may exceed delta.  On 2 nodes the trapezoid map
+        # gives mirrored members identical images; there delta is the least
+        # positive float, which vanishes next to the key.
+        rng = np.random.default_rng(11)
+        spec = CompactumSpec("sup-norm", 1.0)
+        tiny = np.nextafter(0.0, 1.0)
+        for _ in range(400):
+            lat = LatticeCompactum(2, tuple(rng.uniform(-1, 1, 2)), spec)
+            members = lat.members()
+            for prob in (ProblemSpec(rng.normal(size=(2, 2))), ProblemSpec()):
+                images = members @ prob.matrix(2).T
+                for i, j in itertools.combinations(range(len(members)), 2):
+                    delta = max(float(np.max(np.abs(images[i] - images[j]))), tiny)
+                    assert modulus_bruteforce(lat, delta, prob) == \
+                        all_pairs_omega(members, images, [delta])[0]
 
     def test_pair_guard(self):
         spec = CompactumSpec("sup-norm", 1.0)

@@ -76,6 +76,11 @@ COMMANDS = (
     ("mod-holder-a1", "modulus --phi holder-norm --a 1 --c 2 --levels 7 --lattice-nodes 4 "
                       "--deltas 0.5,0.1"),
     ("mod-holder-a2", "modulus --phi holder-norm --a 2 --c 3 --levels 9 --deltas 0.5"),
+    # narrow sort-key windows: the benchmark's lattice shape, and a Holder lattice
+    ("mod-sup-narrow", "modulus --phi sup-norm --c 1 --lattice-nodes 4 --levels 8 "
+                       "--deltas 1e-2,1e-3"),
+    ("mod-holder-a05", "modulus --phi holder-norm --a 0.5 --c 1 --lattice-nodes 4 "
+                       "--levels 21 --deltas 1,0.1,0.01"),
     ("mod-search", "modulus --phi holder-norm --a 2 --c 3 --levels 9 --mode search "
                    "--budget 400 --seed 3 --deltas 0.5,0.1"),
     ("mod-search-sup", "modulus --phi sup-norm --mode search --budget 300 --deltas 0.3"),
