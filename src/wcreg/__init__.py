@@ -12,8 +12,8 @@ just the one true solution.  The package provides:
   constructions showing which classes admit no uniform reconstruction;
 * `variational` - constrained minimization of sup|Av-g| + delta*phi(v) over
   a compactum, with the near-minimizer certificate 2*(1+phi(u))*delta;
-* `modulus` - modulus of continuity of the inverse operator on lattice
-  compacta, exact by enumeration or lower-bounded by search;
+* `modulus` - modulus of continuity of the inverse operator, exact by
+  enumeration on lattice compacta;
 * `cli` - reproducible experiment runner emitting plot-ready CSV.
 """
 
@@ -28,7 +28,7 @@ from .errors import (ConfigError, GridTooCoarseError, InfeasibleProblemError,
 from .grid import (NOISE_MODELS, GridFunction, HolderParams, NoisyData,
                    add_noise, format_float, holder_norm, integrate,
                    read_grid_csv, sup_norm, write_grid_csv)
-from .modulus import LatticeCompactum, modulus_bruteforce, modulus_search
+from .modulus import LatticeCompactum, modulus_bruteforce
 from .operators import (CompactumSpec, ProblemSpec, integration_matrix,
                         rectangle_matrix)
 from .variational import (StudyRow, VariationalResult, convergence_study,

@@ -442,7 +442,10 @@ def diameter_probe(cls: FeasibleClass, generators: Sequence[str] = ("sine", "bum
     streams; each candidate consumes one unit of budget whether or not it
     certifies, which makes the result monotone nondecreasing in the budget
     for a fixed seed.  Half the returned value lower-bounds the worst-case
-    error of every reconstruction rule on this class.
+    error of every reconstruction rule on this class.  On zero data with
+    noise radius delta/2 both members of a certified pair lie within delta/2
+    of zero data, so their images differ by at most delta: the value is then
+    a lower bound on the modulus omega(delta) of `wcreg.modulus`.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")

@@ -26,7 +26,7 @@ from .errors import ConfigError
 from .grid import (GridFunction, HolderParams, NoisyData, _NOISE_ALIASES, _write_table,
                    add_noise, holder_norm, integrate, read_csv_table, read_grid_csv,
                    write_grid_csv)
-from .modulus import LatticeCompactum, modulus_bruteforce, modulus_search
+from .modulus import LatticeCompactum, modulus_bruteforce
 from .operators import PHI_KINDS, CompactumSpec, ProblemSpec
 from .variational import convergence_study, write_convergence_csv
 
@@ -151,13 +151,8 @@ def cmd_modulus(cfg: ExperimentConfig, out: Path) -> None:
                                tuple(np.linspace(-cfg.c, cfg.c, cfg.levels)),
                                spec, constants_only=cfg.constants_only)
     prob = ProblemSpec()
-    rows = []
-    for delta in sorted(cfg.deltas, reverse=True):
-        if cfg.mode == "bruteforce":
-            omega = modulus_bruteforce(lattice, delta, prob)
-        else:
-            omega = modulus_search(lattice, delta, prob, cfg.budget, seed=cfg.seed)
-        rows.append((delta, omega))
+    rows = [(delta, modulus_bruteforce(lattice, delta, prob))
+            for delta in sorted(cfg.deltas, reverse=True)]
     _write_table(out / "modulus.csv", "delta,omega", rows)
 
 
@@ -211,12 +206,9 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cmd in ("sweep", "variational"):
         _require(cfg.count >= 1, "ensemble count must be at least 1")
     if cmd == "modulus":
-        _require(cfg.mode in ("bruteforce", "search"),
-                 f"mode must be 'bruteforce' or 'search', got {cfg.mode!r}")
+        _require(cfg.mode == "bruteforce", f"mode must be 'bruteforce', got {cfg.mode!r}")
         _require(cfg.levels >= 1, "levels must be at least 1")
         _require(cfg.lattice_nodes >= 2, "lattice needs at least 2 nodes")
-        _require(cfg.budget >= 1 or cfg.mode == "bruteforce",
-                 "search mode needs a positive budget")
 
 
 # ---------------------------------------------------------------------------

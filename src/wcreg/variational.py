@@ -11,8 +11,8 @@ by feasibility of the output plus the near-minimizer bound
 whenever the true coefficient u is known (any point below that threshold is
 an acceptable near-minimizer: the infimum itself is at most
 (1 + phi(u)) * delta because u is feasible).  `convergence_study` sweeps the
-noise level and records how the reconstruction error, an ensemble
-worst-case estimate, and the matched modulus of continuity shrink together.
+noise level and records how the reconstruction error and an ensemble
+worst-case estimate shrink together.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .derivative import differentiate
 from .errors import InfeasibleProblemError
 from .grid import (NOISE_MODELS, GridFunction, NoisyData, _NOISE_ALIASES, _first_max_pair,
                    _write_table, sup_norm)
-from .modulus import LatticeCompactum, modulus_bruteforce
 from .operators import CompactumSpec, ProblemSpec
 
 __all__ = [
@@ -43,7 +42,7 @@ __all__ = [
     "STUDY_HEADER",
 ]
 
-STUDY_HEADER = "delta,misfit,phi,objective,sup_err_truth,sup_err_ensemble,omega_2delta"
+STUDY_HEADER = "delta,misfit,phi,objective,sup_err_truth,sup_err_ensemble"
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +63,6 @@ class StudyRow(NamedTuple):
     objective: float
     sup_err_truth: float
     sup_err_ensemble: float
-    omega_2delta: float
 
 
 def objective(v: GridFunction, data: NoisyData, spec: CompactumSpec,
@@ -265,9 +263,6 @@ def regularize_variational(data: NoisyData, spec: CompactumSpec, prob: ProblemSp
 
 #: noise amplitude of the study data, as a fraction of delta
 NOISE_MARGIN = 0.5
-#: nodes and levels of the lattice compactum that gives omega(2*delta)
-LATTICE_NODES = 3
-LATTICE_LEVELS = 9
 
 
 def convergence_study(u_true: GridFunction, deltas: Sequence[float],
@@ -280,9 +275,8 @@ def convergence_study(u_true: GridFunction, deltas: Sequence[float],
     pattern xi shared across the sweep (common random numbers), so the true
     coefficient sits strictly inside the data tube and rows are comparable.
     `noise` is a noise model of the grid module or "none" (xi = 0).
-    Each row records the solve, the sup error against the known truth, an
-    ensemble worst-case estimate, and the exact modulus omega(2*delta) of a
-    small matched lattice compactum (same phi and c).
+    Each row records the solve, the sup error against the known truth, and
+    an ensemble worst-case estimate.
     """
     phi_u = spec.phi_value(u_true)
     if phi_u > spec.c:
@@ -304,9 +298,6 @@ def convergence_study(u_true: GridFunction, deltas: Sequence[float],
     else:
         xi = np.zeros(n)
     children = ensemble_ss.spawn(len(deltas))
-    lattice = LatticeCompactum(LATTICE_NODES,
-                               tuple(np.linspace(-spec.c, spec.c, LATTICE_LEVELS)),
-                               spec)
     rows = []
     for child, delta in zip(children, sorted(deltas, reverse=True)):
         data = NoisyData(GridFunction(g.values + (NOISE_MARGIN * delta) * xi), delta)
@@ -316,12 +307,8 @@ def convergence_study(u_true: GridFunction, deltas: Sequence[float],
         cls = FeasibleClass(spec, data, prob)
         ensemble = sample_feasible(cls, ensemble_count, child, start=u_true)
         sup_est = sup_error_estimate(res.v_delta, cls, ensemble)
-        if prob.size() in (None, LATTICE_NODES):
-            omega = modulus_bruteforce(lattice, 2.0 * delta, prob)
-        else:
-            omega = math.nan
         rows.append(StudyRow(delta, res.misfit, res.phi_value, res.objective_value,
-                             err, sup_est, omega))
+                             err, sup_est))
     return rows
 
 

@@ -155,6 +155,16 @@ class TestVariationalCommand:
                        "--phi", "sup-norm", "--c", "0.5", "--out", str(tmp_path / "o"))
         assert code == 3
 
+    def test_header_columns(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("variational", "--truth", "constant", "--deltas", "1e-1",
+                       "--phi", "sup-norm", "--c", "2", "--grid", "21", "--count", "4",
+                       "--out", str(out)) == 0
+        header, rows, _ = read_csv_table(out / "convergence.csv")
+        assert header == ["delta", "misfit", "phi", "objective", "sup_err_truth",
+                          "sup_err_ensemble"]
+        assert len(rows) == 1 and len(rows[0]) == 6
+
 
 class TestModulusCommand:
     def test_constants_pattern(self, tmp_path):
@@ -169,6 +179,20 @@ class TestModulusCommand:
         assert table[0.15] == pytest.approx(0.1, abs=1e-12)
         assert table[0.35] == pytest.approx(0.3, abs=1e-12)
         assert table[2.5] == pytest.approx(2.0, abs=1e-12)
+
+    def test_bruteforce_mode_is_the_default(self, tmp_path):
+        # the benchmark workload's flags, with and without --mode
+        flags = ["--phi", "sup-norm", "--c", "1", "--lattice-nodes", "4", "--levels", "8",
+                 "--deltas", "1e-2,1e-3"]
+        assert run_cli("modulus", *flags[:4], "--mode", "bruteforce", *flags[4:],
+                       "--out", str(tmp_path / "with")) == 0
+        assert run_cli("modulus", *flags, "--out", str(tmp_path / "without")) == 0
+        assert read_bytes_tree(tmp_path / "with") == read_bytes_tree(tmp_path / "without")
+
+    def test_search_mode_exit_2(self, tmp_path, capsys):
+        assert run_cli("modulus", "--mode", "search", "--deltas", "0.5",
+                       "--out", str(tmp_path / "o")) == 2
+        assert "mode must be 'bruteforce', got 'search'" in capsys.readouterr().err
 
 
 class TestConfigHandling:

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from wcreg import (CompactumSpec, GridFunction, GridTooCoarseError, LatticeCompactum,
-                   PairBudgetExceededError, ProblemSpec, holder_norm, modulus_bruteforce,
-                   modulus_search, rectangle_matrix, sine_pair)
+from wcreg import (CompactumSpec, FeasibleClass, GridFunction, GridTooCoarseError,
+                   LatticeCompactum, PairBudgetExceededError, ProblemSpec, diameter_probe,
+                   holder_norm, modulus_bruteforce, rectangle_matrix, sine_pair)
 
 CONST_LEVELS = tuple(np.arange(-10, 11) / 10.0)  # 21 levels in [-1, 1]
 
@@ -153,40 +153,16 @@ class TestBruteforce:
 
 
 class TestSearch:
-    def test_zero_budget(self):
-        assert modulus_search(constants_lattice(), 0.5, ProblemSpec(), budget=0) == 0.0
-
-    def test_never_exceeds_bruteforce(self):
-        lat = constants_lattice()
-        prob = ProblemSpec()
-        for delta in (0.05, 0.35, 1.05, 2.5):
-            brute = modulus_bruteforce(lat, delta, prob)
-            found = modulus_search(lat, delta, prob, budget=400, seed=7)
-            assert found <= brute
+    """Continuum lower bounds on omega(delta): `diameter_probe` on the delta/2 tube."""
 
     def test_matches_sine_separation(self):
-        spec = CompactumSpec("sup-norm", 1.0)
-        found = modulus_search(spec, 0.01, ProblemSpec(), budget=1, seed=0, n=641)
-        pair = sine_pair(1.0, 0.01, n=641)
+        cls = FeasibleClass.for_zero_data(CompactumSpec("sup-norm", 1.0), 0.01 / 2, 1281)
+        found = diameter_probe(cls, ("sine",), budget=1)
+        pair = sine_pair(1.0, 0.005, n=1281)
         assert found == pytest.approx(pair.separation, abs=1e-12)
-
-    def test_monotone_in_budget(self):
-        lat = constants_lattice()
-        prob = ProblemSpec()
-        values = [modulus_search(lat, 0.55, prob, budget=b, seed=2) for b in (1, 8, 64, 256)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_deterministic(self):
-        lat = constants_lattice()
-        prob = ProblemSpec()
-        assert modulus_search(lat, 0.35, prob, budget=64, seed=5) == \
-            modulus_search(lat, 0.35, prob, budget=64, seed=5)
+        assert found == pytest.approx(1.0, abs=1e-12)
 
     def test_continuum_bump_needs_room(self):
+        cls = FeasibleClass.for_zero_data(CompactumSpec("holder-norm", 1.0, a=1.0), 0.01 / 2, 2)
         with pytest.raises(GridTooCoarseError):
-            modulus_search(CompactumSpec("holder-norm", 1.0, a=1.0), 0.01, ProblemSpec(),
-                           budget=1, n=2)
-
-    def test_continuum_needs_grid(self):
-        with pytest.raises(ValueError):
-            modulus_search(CompactumSpec("sup-norm", 1.0), 0.01, ProblemSpec(), budget=4)
+            diameter_probe(cls, ("bump",), budget=1)

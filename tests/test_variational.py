@@ -168,7 +168,6 @@ class TestConvergenceStudy:
             assert row.misfit <= row.delta
             assert row.phi <= 2.0
             assert row.objective <= 2 * (1 + 1.0) * row.delta
-            assert row.sup_err_truth <= row.omega_2delta + 1e-12
 
     def test_rejects_truth_outside_compactum(self):
         u = GridFunction(np.ones(11))

@@ -69,7 +69,7 @@ COMMANDS = (
                       "--budget 100 --count 8 --grid 41 --noise alternating"),
     ("var-holder-a05", "variational --phi holder-norm --a 0.5 --c 3 --deltas 1e-1 "
                        "--budget 100 --count 8 --grid 41 --seed 2"),
-    # modulus: bruteforce and search over sup and Holder lattices
+    # modulus: brute force over sup and Holder lattices
     ("mod-sup", "modulus --phi sup-norm --c 1 --levels 7 --deltas 0.5,0.1"),
     ("mod-sup-const", "modulus --phi sup-norm --c 1 --levels 21 --lattice-nodes 5 "
                       "--constants-only true --deltas 0.05,0.35,2.5"),
@@ -79,11 +79,10 @@ COMMANDS = (
     # narrow sort-key windows: the benchmark's lattice shape, and a Holder lattice
     ("mod-sup-narrow", "modulus --phi sup-norm --c 1 --lattice-nodes 4 --levels 8 "
                        "--deltas 1e-2,1e-3"),
+    ("mod-bench-flags", "modulus --phi sup-norm --c 1 --mode bruteforce --lattice-nodes 4 "
+                        "--levels 8 --deltas 1e-2,1e-3"),
     ("mod-holder-a05", "modulus --phi holder-norm --a 0.5 --c 1 --lattice-nodes 4 "
                        "--levels 21 --deltas 1,0.1,0.01"),
-    ("mod-search", "modulus --phi holder-norm --a 2 --c 3 --levels 9 --mode search "
-                   "--budget 400 --seed 3 --deltas 0.5,0.1"),
-    ("mod-search-sup", "modulus --phi sup-norm --mode search --budget 300 --deltas 0.3"),
     # rejected command lines: exit 2 (configuration) and 3 (runtime)
     ("bad-no-delta", "differentiate"),
     ("bad-diff-a", "differentiate --delta 1e-3 --a 1"),
@@ -110,6 +109,9 @@ COMMANDS = (
     ("bad-mod-phi", "modulus --phi l2 --deltas 0.5"),
     ("bad-mod-c", "modulus --c -1 --deltas 0.5"),
     ("bad-mod-mode", "modulus --mode exact --deltas 0.5"),
+    ("mod-search", "modulus --phi holder-norm --a 2 --c 3 --levels 9 --mode search "
+                   "--budget 400 --seed 3 --deltas 0.5,0.1"),
+    ("mod-search-sup", "modulus --phi sup-norm --mode search --budget 300 --deltas 0.3"),
     ("bad-mod-levels", "modulus --levels 0 --deltas 0.5"),
     ("bad-mod-nodes", "modulus --lattice-nodes 1 --deltas 0.5"),
     ("bad-mod-budget", "modulus --mode search --budget 0 --deltas 0.5"),
