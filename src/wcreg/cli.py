@@ -3,8 +3,10 @@
 Subcommands: differentiate, sweep, adversary, variational, modulus.  Each
 writes plot-ready CSV files into --out; all floats carry 17 significant
 digits and no output contains timestamps, so a rerun with the same config
-and seed is byte-identical.  Exit codes: 0 success, 2 configuration or
-validation error, 3 runtime error (infeasibility, coarse grids, guards).
+and seed is byte-identical.  A flag the subcommand does not read is named
+in a warning on stderr and otherwise ignored.  Exit codes: 0 success, 2
+configuration or validation error, 3 runtime error (infeasibility, coarse
+grids, guards).
 """
 
 from __future__ import annotations
@@ -32,7 +34,17 @@ from .variational import convergence_study, write_convergence_csv
 
 __all__ = ["main", "run", "builtin_truth", "read_csv_table"]
 
-COMMANDS = ("differentiate", "sweep", "adversary", "variational", "modulus")
+#: config fields each command reads besides `out`; a flag for any other
+#: field is accepted but ignored, with a warning on stderr
+_READS = {
+    "differentiate": {"grid", "input", "truth", "delta", "a", "m", "noise", "seed"},
+    "sweep": {"grid", "truth", "deltas", "a", "m", "noise", "seed", "count"},
+    "adversary": {"grid", "deltas", "m", "class_kind"},
+    "variational": {"grid", "truth", "deltas", "a", "c", "phi", "noise", "seed", "budget",
+                    "count"},
+    "modulus": {"deltas", "a", "c", "phi", "mode", "levels", "lattice_nodes", "constants_only"},
+}
+COMMANDS = tuple(_READS)
 
 
 def builtin_truth(name: str, n: int) -> GridFunction:
@@ -220,6 +232,10 @@ _FLAG_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "comm
 _FLAG_HELP = {"out": "output directory", "deltas": "comma-separated list"}
 
 
+def _flag(field: str) -> str:
+    return "--" + _FIELD_TO_KEY.get(field, field)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """One flag per config field, named by its config-file key."""
     parser = argparse.ArgumentParser(prog="wcreg",
@@ -229,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value config file")
         for field in _FLAG_FIELDS:
-            flag = "--" + _FIELD_TO_KEY.get(field, field)
+            flag = _flag(field)
             kwargs = {"dest": field, "default": None, "help": _FLAG_HELP.get(field)}
             if field in _INT_FIELDS:
                 p.add_argument(flag, type=int, **kwargs)
@@ -255,6 +271,10 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for field in _FLAG_FIELDS:
+        if (getattr(args, field) is not None and field != "out"
+                and field not in _READS[args.command]):
+            print(f"wcreg: warning: {args.command} ignores {_flag(field)}", file=sys.stderr)
     try:
         cfg = _merge(args)
         _validate(cfg)

@@ -107,8 +107,9 @@ def _phi_subgradient(vals: np.ndarray, x: np.ndarray, spec: CompactumSpec) -> np
 
 
 def _anchor_candidates(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
-                       a_mat: np.ndarray) -> list[np.ndarray]:
-    """Deterministic data-fit probes: zero, smoothed derivatives, least squares.
+                       a_mat: np.ndarray) -> list[tuple[np.ndarray, float]]:
+    """Deterministic data-fit probes, each with its phi: zero, smoothed
+    derivatives, least squares.
 
     Each raw candidate is also offered rescaled onto {phi <= c}; candidates
     that fail both constraints are simply not selected.
@@ -141,12 +142,9 @@ def _anchor_candidates(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
         if deg <= n - 2:
             poly = np.polynomial.Polynomial.fit(x, grad, deg)
             out.append(poly(x))
-    scaled = []
-    for vals in out[1:]:
-        phi = spec.phi_value(GridFunction(vals))
-        if phi > spec.c:
-            scaled.append(vals * (spec.c / phi) * (1.0 - 1e-12))
-    return out + scaled
+    raw = [(vals, spec.phi_value(GridFunction(vals))) for vals in out]
+    scaled = [vals * (spec.c / phi) * (1.0 - 1e-12) for vals, phi in raw[1:] if phi > spec.c]
+    return raw + [(vals, spec.phi_value(GridFunction(vals))) for vals in scaled]
 
 
 def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
@@ -179,9 +177,8 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
 
     best_vals = None
     best = (math.inf, math.inf, math.inf)  # (objective, misfit, phi)
-    for cand in _anchor_candidates(data, spec, prob, a_mat):
+    for cand, phi in _anchor_candidates(data, spec, prob, a_mat):
         mis = misfit_of(cand)
-        phi = phi_of(cand)
         if mis <= delta and phi <= c:
             f_val = mis + delta * phi
             if f_val < best[0]:

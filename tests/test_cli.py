@@ -189,6 +189,18 @@ class TestModulusCommand:
         assert run_cli("modulus", *flags, "--out", str(tmp_path / "without")) == 0
         assert read_bytes_tree(tmp_path / "with") == read_bytes_tree(tmp_path / "without")
 
+    def test_ignored_flags_named_on_stderr(self, tmp_path, capsys):
+        flags = ["--levels", "3", "--deltas", "0.5"]
+        assert run_cli("modulus", *flags, "--out", str(tmp_path / "plain")) == 0
+        assert capsys.readouterr().err == ""
+        assert run_cli("modulus", "--budget", "0", "--seed", "5", "--count", "0",
+                       "--truth", "nope", *flags, "--out", str(tmp_path / "extra")) == 0
+        err = capsys.readouterr().err
+        assert read_bytes_tree(tmp_path / "extra") == read_bytes_tree(tmp_path / "plain")
+        for flag in ("--budget", "--seed", "--count", "--truth"):
+            assert f"modulus ignores {flag}\n" in err
+        assert len(err.splitlines()) == 4
+
     def test_search_mode_exit_2(self, tmp_path, capsys):
         assert run_cli("modulus", "--mode", "search", "--deltas", "0.5",
                        "--out", str(tmp_path / "o")) == 2

@@ -45,10 +45,25 @@ def pair_scan_first_max(values, x, power):
     return (best,) + at
 
 
-def dense_quotients(values, x, power):
-    """All ordered pair quotients at once, formed as the exhaustive scan formed them."""
-    dx = np.abs(x[:, None] - x[None, :])
-    return np.abs(values[:, None] - values[None, :]) / np.where(dx == 0, np.inf, dx) ** power
+def dense_quotients(values, x, power, rows=slice(None)):
+    """All ordered pair quotients (i, j), i in `rows`, formed as the exhaustive
+    scan formed them."""
+    dx = np.abs(x[rows, None] - x[None, :])
+    return np.abs(values[rows, None] - values[None, :]) / np.where(dx == 0, np.inf, dx) ** power
+
+
+def dense_first_max(values, x, power, block=32):
+    """Largest of the `dense_quotients` with its row-major first maximizer,
+    formed `block` rows at a time so that large grids fit in memory.  Rows
+    i >= lo need only the columns j >= lo: the quotients are symmetric, so
+    the first maximizer has i < j."""
+    best, at = -1.0, (0, 0)
+    for lo in range(0, values.size, block):
+        quot = dense_quotients(values[lo:], x[lo:], power, slice(0, block))
+        i, j = np.unravel_index(np.argmax(quot), quot.shape)
+        if quot[i, j] > best:
+            best, at = quot[i, j], (lo + i, lo + j)
+    return (best,) + at
 
 
 def kernel_cases(n):
@@ -63,6 +78,32 @@ def kernel_cases(n):
         "zero": np.zeros(n),
         "constant": np.full(n, -2.5),
     }
+
+
+def near_tie_cases(n):
+    """Power-1 near ties: data whose adjacent quotients (nearly) tie with the
+    largest, so that rounding can lift a wider pair to or above it."""
+    x = np.linspace(0.0, 1.0, n)
+    cases = {
+        "linear 0.9": 0.9 * x,
+        # at n = 7 pair (2, 5) rounds strictly above every adjacent quotient
+        "linear 0.7": 0.7 * x,
+        "linear +-1e-15": x + 1e-15 * np.random.default_rng(n).integers(-1, 2, n),
+        # the adjacent maxima 0.92 at n = 5 tie, and pair (1, 3) rounds above them
+        "rounded linear": np.round(0.225 * (n - 1) * x, 2),
+        # forward slopes of x^2, the a = 2 path: no two adjacent quotients tie
+        "square slopes": np.diff(np.linspace(0.0, 1.0, n + 1) ** 2) * n,
+    }
+    # equal slopes with the adjacent argmax at n // 2 and a kink two gaps
+    # before or after it: wider pairs across the argmax come within ulps of it
+    k0 = n // 2
+    for kink in (1e-16, 1e-13):
+        for side, k in (("before", k0 - 2), ("after", k0 + 2)):
+            values = x.copy()
+            values[k0 + 1:] += 4e-16
+            values[max(k, 0) + 1:] -= kink
+            cases[f"kink {kink:g} {side}"] = values
+    return cases
 
 
 class TestGridFunction:
@@ -144,15 +185,25 @@ class TestHolderNorm:
             i, j = np.unravel_index(np.argmax(quot), quot.shape)
             assert _first_max_pair(values, x, 1.0) == (quot[i, j], i, j)
 
-    @pytest.mark.parametrize("n", [3, 4, 17, 101, 400, 641, 1501])
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 9, 17, 101, 400, 641, 1501])
     @pytest.mark.parametrize("power", [0.3, 0.5, 1.0])
     def test_band_kernel_matches_dense_oracle(self, n, power):
         x = np.linspace(0.0, 1.0, n)
-        for name, values in kernel_cases(n).items():
+        for name, values in (kernel_cases(n) | near_tie_cases(n)).items():
             quot = dense_quotients(values, x, power)
             i, j = np.unravel_index(np.argmax(quot), quot.shape)
             assert _max_pair_quotient(values, x, power) == quot.max(), name
             assert _first_max_pair(values, x, power) == (quot[i, j], i, j), name
+
+    def test_band_kernel_near_ties_on_a_large_grid(self):
+        n = 17_897
+        x = np.linspace(0.0, 1.0, n)
+        cases = near_tie_cases(n)
+        for name in ("linear +-1e-15", "square slopes", "kink 1e-16 before", "kink 1e-13 after"):
+            values = cases[name]
+            top = dense_first_max(values, x, 1.0)
+            assert _max_pair_quotient(values, x, 1.0) == top[0], name
+            assert _first_max_pair(values, x, 1.0) == top, name
 
     @pytest.mark.parametrize("power", [0.3, 0.5, 1.0])
     def test_band_kernel_rows_match_dense_oracle(self, power):
@@ -168,6 +219,18 @@ class TestHolderNorm:
         x = np.linspace(0.0, 1.0, 101)
         expected = [dense_quotients(row, x, power).max() for row in rows]
         assert np.array_equal(_max_pair_quotient(rows.T, x, power), expected)
+        # one row near a tie beside one that is not, either anywhere or with
+        # its one sharp peak inside the tie: the tie sets the bands
+        for n in (5, 7, 17, 101):
+            x = np.linspace(0.0, 1.0, n)
+            for name, values in near_tie_cases(n).items():
+                peak = values.copy()
+                peak[np.argmax(np.abs(np.diff(values))) + 1:] += 1e-3
+                other = np.random.default_rng(n).normal(size=n)
+                for rows in (np.stack([values, peak]), np.stack([values, other]),
+                             np.stack([other, values])):
+                    expected = [dense_quotients(row, x, power).max() for row in rows]
+                    assert np.array_equal(_max_pair_quotient(rows.T, x, power), expected), name
 
     @pytest.mark.parametrize("power", [0.3, 0.5, 1.0])
     def test_band_scan_prunes(self, power):
@@ -175,16 +238,29 @@ class TestHolderNorm:
         # distance, so no farther band can win; constant: every quotient is 0
         n = 2001
         x = np.linspace(0.0, 1.0, n)
-        for values, max_bands, top in ((np.where(np.arange(n) % 2 == 0, 1.0, -1.0), 2,
-                                        np.max(2.0 / np.diff(x) ** power)),
-                                       (np.full(n, 0.7), 0, 0.0)):
+        def scan(values):
             best = np.zeros(())
             bands = 0
             for _, quot in _pair_bands(values, x, power, best):
                 bands += 1
                 np.maximum(best, quot.max(axis=0), out=best)
+            return bands, best
+
+        for values, max_bands, top in ((np.where(np.arange(n) % 2 == 0, 1.0, -1.0), 2,
+                                        np.max(2.0 / np.diff(x) ** power)),
+                                       (np.full(n, 0.7), 0, 0.0)):
+            bands, best = scan(values)
             assert bands <= max_bands
             assert best == top
+        # smooth data at power 1: the near-maximal adjacent quotients form short
+        # runs, and no wider pair can beat them
+        if power == 1.0:
+            for values in (np.sin(2.0 * np.pi * x), x ** 2):
+                bands, best = scan(values)
+                assert bands <= 2
+                assert best == dense_quotients(values, x, power).max()
+        # linear data: every pair ties at power 1, and below it the widest wins
+        assert scan(x)[0] == n - 1
 
     @pytest.mark.parametrize("a", [0.0, -1.0, 2.5])
     def test_rejects_bad_exponent(self, a):

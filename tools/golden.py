@@ -55,6 +55,7 @@ COMMANDS = (
                       "--truth sine(1) --grid 201 --count 10"),
     ("sweep-none", "sweep --deltas 1e-1,1e-2 --noise none --truth constant --grid 101 --count 10"),
     ("sweep-config", "sweep --config config.txt --noise uniform"),
+    ("sweep-grid3x", "sweep --deltas 1e-2,1e-3,1e-4 --count 20 --grid 1923"),
     # adversary: sup (sine pairs) and lip (bump pairs), default and fixed grids
     ("adv-sup", "adversary --class sup --m 1 --deltas 1e-1,2e-2"),
     ("adv-sup-grid", "adversary --class sup --m 2 --deltas 1e-1 --grid 801"),
@@ -69,6 +70,9 @@ COMMANDS = (
                       "--budget 100 --count 8 --grid 41 --noise alternating"),
     ("var-holder-a05", "variational --phi holder-norm --a 0.5 --c 3 --deltas 1e-1 "
                        "--budget 100 --count 8 --grid 41 --seed 2"),
+    # the benchmark's solve size: 401 nodes, Holder a = 2
+    ("var-holder-a2-401", "variational --phi holder-norm --a 2 --c 3 --deltas 1e-2 "
+                          "--budget 60 --count 8 --grid 401"),
     # modulus: brute force over sup and Holder lattices
     ("mod-sup", "modulus --phi sup-norm --c 1 --levels 7 --deltas 0.5,0.1"),
     ("mod-sup-const", "modulus --phi sup-norm --c 1 --levels 21 --lattice-nodes 5 "
