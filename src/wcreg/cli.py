@@ -187,15 +187,20 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    """Each rule is stated once.  Order matters: a command line that breaks
-    several rules reports the first one its command checks."""
+    """Each rule is stated once and checks a field only for the commands
+    that read it.  Order matters: a command line that breaks several rules
+    reports the first one its command checks."""
     _require(cfg.command in COMMANDS, f"unknown command {cfg.command!r}")
     _require(cfg.out is not None, "--out is required")
-    _require(cfg.grid is None or cfg.grid >= 5, "grid must have at least 5 nodes")
-    _require(all(d > 0 for d in cfg.deltas), "all deltas must be positive")
-    _require(cfg.noise == "none" or cfg.noise in _NOISE_ALIASES,
-             f"unknown noise model {cfg.noise!r}")
     cmd = cfg.command
+    reads = _READS[cmd]
+    if "grid" in reads:
+        _require(cfg.grid is None or cfg.grid >= 5, "grid must have at least 5 nodes")
+    if "deltas" in reads:
+        _require(all(d > 0 for d in cfg.deltas), "all deltas must be positive")
+    if "noise" in reads:
+        _require(cfg.noise == "none" or cfg.noise in _NOISE_ALIASES,
+                 f"unknown noise model {cfg.noise!r}")
     if cmd == "differentiate":
         _require(cfg.delta is not None and cfg.delta > 0, "delta must be positive")
     elif cmd == "sweep":

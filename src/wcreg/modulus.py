@@ -22,6 +22,16 @@ __all__ = ["LatticeCompactum", "modulus_bruteforce"]
 
 PAIR_GUARD = 10_000_000
 MEMBER_GUARD = 2_000_000
+#: window pairs per block of the brute-force scan
+PAIR_BLOCK = 4096
+
+
+def _node_max_abs_diff(table: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """max over the rows of a node-major table of |table[:, j] - table[:, i]|."""
+    out = np.abs(table[0, j] - table[0, i])
+    for row in table[1:]:
+        np.maximum(out, np.abs(row[j] - row[i]), out=out)
+    return out
 
 
 def _batch_phi(members: np.ndarray, spec: CompactumSpec) -> np.ndarray:
@@ -82,10 +92,12 @@ def modulus_bruteforce(compactum: LatticeCompactum, delta: float, prob: ProblemS
     accepts: fl(|key_j - key_i|) <= delta gives an exact difference of at
     most delta (1 + 2**-53) <= 2 delta, and rounding is monotone.  A window
     of key_i + delta is not one: it misses pairs at distance delta itself.
-    Pairs whose separation cannot beat the running maximum are skipped, and
-    the scan stops once that maximum reaches the widest node range.  Each
-    pair gives the same floats as in an all-pairs scan, so omega is bit for
-    bit the all-pairs maximum.
+    The window pairs, ordered by member, are scanned in blocks of at most
+    PAIR_BLOCK: the image test first, one node at a time, then the
+    separation of the accepted pairs only.  The scan stops between blocks
+    once the running maximum reaches the widest node range.  Each pair
+    gives the same floats as in an all-pairs scan, so omega is bit for bit
+    the all-pairs maximum.
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -100,20 +112,24 @@ def modulus_bruteforce(compactum: LatticeCompactum, delta: float, prob: ProblemS
     images = members @ prob.matrix(compactum.nodes).T
     k = np.argmax(np.ptp(images, axis=0))
     order = np.argsort(images[:, k], kind="stable")
-    members, images = members[order], images[order]
-    key = images[:, k]
-    ends = np.searchsorted(key, key + 2.0 * delta, side="right")
-    widest = float(np.max(np.ptp(members, axis=0)))
+    # node-major copies: one contiguous row per node
+    members_t, images_t = members[order].T.copy(), images[order].T.copy()
+    key = images_t[k]
+    counts = np.searchsorted(key, key + 2.0 * delta, side="right") - np.arange(1, m + 1)
+    firsts = np.cumsum(counts) - counts  # index of each member's first pair
+    widest = float(np.max(np.ptp(members_t, axis=1)))
     omega = 0.0
-    for i in range(m - 1):
+    total = int(firsts[-1] + counts[-1])
+    for start in range(0, total, PAIR_BLOCK):
         if omega >= widest:
             break
-        sep = np.max(np.abs(members[i + 1:ends[i]] - members[i]), axis=1)
-        mask = sep > omega
-        if not mask.any():
-            continue
-        img_dist = np.max(np.abs(images[i + 1:ends[i]][mask] - images[i]), axis=1)
-        ok = img_dist <= delta
+        stop = min(start + PAIR_BLOCK, total)
+        rows = np.arange(np.searchsorted(firsts, start, side="right") - 1,
+                         np.searchsorted(firsts, stop, side="left"))
+        take = np.minimum(firsts[rows] + counts[rows], stop) - np.maximum(firsts[rows], start)
+        i = np.repeat(rows, take)
+        j = i + 1 + np.arange(start, stop) - firsts[i]
+        ok = _node_max_abs_diff(images_t, i, j) <= delta
         if ok.any():
-            omega = float(np.max(sep[mask][ok]))
+            omega = max(omega, float(np.max(_node_max_abs_diff(members_t, i[ok], j[ok]))))
     return omega

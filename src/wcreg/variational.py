@@ -159,6 +159,35 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
     minimizing-sequence acceptance rule; `phi_u`, when the true coefficient
     is known, fixes the reported certificate at 2*(1+phi_u)*delta.  The
     whole run is deterministic.
+
+    Each residual Av - g is formed once: the iterate's and the incumbent's
+    are kept, not recomputed.  The bisection runs 50 steps on the segment
+    b + t d (b the incumbent, d the step toward the iterate) and keeps the
+    largest tested t whose computed misfit max|fl(A fl(b + fl(t d))) - g|
+    is <= delta.  On that segment the residual is affine in t, so with
+    r0 = fl(Ab - g) and r1 = fl(Ad), formed once per bisection, the O(n)
+    model q(t) = max|fl(r0 + fl(t r1))| stands in for a dense mat-vec.
+    For any summation order, with or without FMA, a length-n dot product
+    obeys |fl(x.y) - x.y| <= gamma_n |x|.|y|, gamma_n = n u / (1 - n u),
+    u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 3.5).  Applied to fl(Ab), fl(Ad) and fl(Aw), w = fl(b + fl(t d)),
+    and adding the O(u) errors of forming w, the subtractions of g and the
+    model itself, it bounds the distance between q(t) and the computed
+    misfit by (2 gamma_n + 4u) ||A|| (||b|| + ||d||) + 2u (||r0|| + ||r1||)
+    + u ||g|| plus second-order terms, all norms sup norms (||A|| the
+    largest absolute row sum).  Hence
+
+        eps = 2 (n + 10) (u S + eta),  S = ||A|| (||b|| + ||d||)
+                                           + ||r0|| + ||r1|| + ||g||,
+
+    where the 20 u S of slack covers those O(u) terms, the second-order
+    ones and the rounding of eps, S and q - delta themselves, and
+    eta = 2**-1074 per operation covers gradual underflow.  A step with
+    eps < |q(t) - delta| < inf takes the side of delta that q(t) is on,
+    which is the side the computed misfit is on; any other step (q(t)
+    within eps of delta, or q, eps or S not finite) forms the misfit
+    exactly as before.  So every decision, hence every output bit, is
+    the plain bisection's.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -169,20 +198,21 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
     c = spec.c
     x = data.g_delta.x
 
-    def misfit_of(vals: np.ndarray) -> float:
-        return float(np.max(np.abs(a_mat @ vals - g)))
+    def sup(vec: np.ndarray) -> float:
+        return float(np.abs(vec).max())
 
     def phi_of(vals: np.ndarray) -> float:
         return spec.phi_value(GridFunction(vals))
 
-    best_vals = None
+    best_vals = best_res = None
     best = (math.inf, math.inf, math.inf)  # (objective, misfit, phi)
     for cand, phi in _anchor_candidates(data, spec, prob, a_mat):
-        mis = misfit_of(cand)
+        res = a_mat @ cand - g
+        mis = sup(res)
         if mis <= delta and phi <= c:
             f_val = mis + delta * phi
             if f_val < best[0]:
-                best_vals = cand.copy()
+                best_vals, best_res = cand.copy(), res
                 best = (f_val, mis, phi)
     if best_vals is None:
         raise InfeasibleProblemError(
@@ -207,39 +237,53 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
     else:
         lip_phi = 1.0 + 2.0 / dx + 4.0 / dx ** spec.a
     step0 = c / (10.0 * max(lip_mis + delta * lip_phi, 1e-12))
+    a_norm = float(np.max(np.sum(np.abs(a_mat), axis=1)))
+    g_norm = sup(g)
+    eps_scale = 2.0 * (a_mat.shape[1] + 10)
 
-    v = best_vals.copy()
+    v, res = best_vals.copy(), best_res
     for it in range(1, budget + 1):
-        residual = a_mat @ v - g
-        j = int(np.argmax(np.abs(residual)))
-        sub = np.sign(residual[j]) * a_mat[j] + delta * _phi_subgradient(v, x, spec)
+        j = int(np.argmax(np.abs(res)))
+        sub = np.sign(res[j]) * a_mat[j] + delta * _phi_subgradient(v, x, spec)
         v = v - (step0 / math.sqrt(it)) * sub
         phi = phi_of(v)
         if phi > c:
             v = v * (c / phi) * (1.0 - 1e-12)
-        mis = misfit_of(v)
+        res = a_mat @ v - g
+        mis = sup(res)
         if mis > delta:
             # bisect toward the feasible incumbent; both constraints are
             # convex along the segment, so the endpoint stays admissible
             direction = v - best_vals
+            r1 = a_mat @ direction
+            eps = eps_scale * (2.0 ** -53 * (a_norm * (sup(best_vals) + sup(direction))
+                                             + sup(best_res) + sup(r1) + g_norm)
+                               + 2.0 ** -1074)
             lo, hi = 0.0, 1.0
             for _ in range(50):
                 mid = 0.5 * (lo + hi)
-                if misfit_of(best_vals + mid * direction) <= delta:
+                gap = sup(best_res + mid * r1) - delta
+                if eps < abs(gap) < math.inf:
+                    inside = gap < 0.0
+                else:
+                    inside = sup(a_mat @ (best_vals + mid * direction) - g) <= delta
+                if inside:
                     lo = mid
                 else:
                     hi = mid
             v = best_vals + lo * direction
-            mis = misfit_of(v)
+            res = a_mat @ v - g
+            mis = sup(res)
             phi = phi_of(v)
             if phi > c:
                 v = v * (c / phi) * (1.0 - 1e-12)
                 phi = phi_of(v)
-                mis = misfit_of(v)
+                res = a_mat @ v - g
+                mis = sup(res)
         if mis <= delta and phi <= c:
             f_val = mis + delta * phi
             if f_val < best[0]:
-                best_vals = v.copy()
+                best_vals, best_res = v.copy(), res
                 best = (f_val, mis, phi)
                 if stop_at is not None and best[0] <= stop_at:
                     break

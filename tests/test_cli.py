@@ -201,6 +201,18 @@ class TestModulusCommand:
             assert f"modulus ignores {flag}\n" in err
         assert len(err.splitlines()) == 4
 
+    def test_rules_of_unread_fields_not_applied(self, tmp_path, capsys):
+        flags = ["--levels", "3", "--deltas", "0.5"]
+        assert run_cli("modulus", *flags, "--out", str(tmp_path / "plain")) == 0
+        assert run_cli("modulus", "--grid", "3", "--noise", "pink", *flags,
+                       "--out", str(tmp_path / "extra")) == 0
+        assert read_bytes_tree(tmp_path / "extra") == read_bytes_tree(tmp_path / "plain")
+        assert capsys.readouterr().err == ("wcreg: warning: modulus ignores --grid\n"
+                                           "wcreg: warning: modulus ignores --noise\n")
+        assert run_cli("sweep", "--deltas", "1e-2,1e-3", "--grid", "3",
+                       "--out", str(tmp_path / "sweep")) == 2
+        assert "grid must have at least 5 nodes" in capsys.readouterr().err
+
     def test_search_mode_exit_2(self, tmp_path, capsys):
         assert run_cli("modulus", "--mode", "search", "--deltas", "0.5",
                        "--out", str(tmp_path / "o")) == 2

@@ -6,6 +6,7 @@ import pytest
 from wcreg import (CompactumSpec, FeasibleClass, GridFunction, GridTooCoarseError,
                    LatticeCompactum, PairBudgetExceededError, ProblemSpec, diameter_probe,
                    holder_norm, modulus_bruteforce, rectangle_matrix, sine_pair)
+from wcreg import modulus
 
 CONST_LEVELS = tuple(np.arange(-10, 11) / 10.0)  # 21 levels in [-1, 1]
 
@@ -125,6 +126,29 @@ class TestBruteforce:
             expected = all_pairs_omega(members, images, deltas)
             assert [modulus_bruteforce(lat, d, prob) for d in deltas] == expected
         assert widest_keys[0] == 3 and widest_keys[2] == 0
+
+    @pytest.mark.parametrize("block", [1, 3, 4096])
+    def test_block_scan_matches_all_pairs_oracle(self, monkeypatch, block):
+        # blocks of 1 and 3 pairs end inside members' windows; 4096 is the
+        # default, which holds many members' windows whole
+        monkeypatch.setattr(modulus, "PAIR_BLOCK", block)
+        levels = tuple(np.linspace(-1, 1, 5))
+        rect = ProblemSpec(rectangle_matrix(3))
+        cases = [
+            (LatticeCompactum(3, levels, CompactumSpec("sup-norm", 1.0)), ProblemSpec()),
+            (LatticeCompactum(3, levels, CompactumSpec("sup-norm", 1.0)), rect),
+            (LatticeCompactum(3, levels, CompactumSpec("holder-norm", 1.5, a=0.5)), rect),
+            (LatticeCompactum(3, tuple(np.linspace(-1, 1, 7)),
+                              CompactumSpec("holder-norm", 1.5, a=2.0)), ProblemSpec()),
+            (LatticeCompactum(3, tuple(np.linspace(-1, 1, 7)),
+                              CompactumSpec("holder-norm", 1.5, a=2.0)), rect),
+        ]
+        deltas = (1e-3, 0.05, 0.2, 0.6, 10.0)
+        for lat, prob in cases:
+            members = lat.members()
+            images = members @ prob.matrix(lat.nodes).T
+            expected = all_pairs_omega(members, images, deltas)
+            assert [modulus_bruteforce(lat, d, prob) for d in deltas] == expected
 
     def test_delta_at_a_pair_image_distance(self):
         # delta equal to a pair's float image distance is the edge case of
