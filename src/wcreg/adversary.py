@@ -391,9 +391,9 @@ def sup_error_estimate(reconstruction: GridFunction, cls: FeasibleClass,
 def _sine_candidates(cls: FeasibleClass) -> Iterator[tuple[GridFunction, GridFunction]]:
     if cls.spec.phi != "sup-norm":
         return
-    zero = GridFunction.zeros(cls.n)
     for k in _sine_frequencies(cls.spec.c, cls.delta, cls.n)[0]:
-        yield zero, _sine_profile(cls.spec.c, k, cls.n)
+        v = _sine_profile(cls.spec.c, k, cls.n)
+        yield GridFunction(-v.values), v
 
 
 def _bump_candidates(cls: FeasibleClass) -> Iterator[tuple[GridFunction, GridFunction]]:
@@ -401,7 +401,6 @@ def _bump_candidates(cls: FeasibleClass) -> Iterator[tuple[GridFunction, GridFun
         return
     room, p_want = _bump_fit(cls.spec.c, cls.delta, cls.n)
     p0 = min(max(1, p_want), room)
-    zero = GridFunction.zeros(cls.n)
     seen = set()
     for j in range(room):
         for p in (p0 - j, p0 + j):
@@ -409,9 +408,9 @@ def _bump_candidates(cls: FeasibleClass) -> Iterator[tuple[GridFunction, GridFun
                 continue
             seen.add(p)
             for shave in _SHAVE_LADDER:
-                v2 = _snapped_bump(cls.n, p, cls.spec.c, cls.delta, shave)
-                if is_feasible(v2, cls).feasible:
-                    yield zero, v2
+                v = _snapped_bump(cls.n, p, cls.spec.c, cls.delta, shave)
+                if is_feasible(v, cls).feasible:
+                    yield GridFunction(-v.values), v
                     break
 
 

@@ -21,12 +21,11 @@ import numpy as np
 
 from .adversary import FeasibleClass, bump_pair, sample_feasible, sine_pair, \
     sup_error_estimate, write_pair_csv
-from .config import (_FIELD_TO_KEY, _FLOAT_FIELDS, _INT_FIELDS, ExperimentConfig,
-                     parse_key_values)
+from .config import _FIELD_TO_KEY, ExperimentConfig, parse_key_values
 from .derivative import error_bound, regularize, step_size
 from .errors import ConfigError
-from .grid import (GridFunction, HolderParams, NoisyData, _NOISE_ALIASES, _write_table,
-                   add_noise, holder_norm, integrate, read_csv_table, read_grid_csv,
+from .grid import (GridFunction, HolderParams, NoisyData, _write_table, add_noise,
+                   holder_norm, integrate, noise_pattern, read_csv_table, read_grid_csv,
                    write_grid_csv)
 from .modulus import LatticeCompactum, modulus_bruteforce
 from .operators import PHI_KINDS, CompactumSpec, ProblemSpec
@@ -77,13 +76,6 @@ def _loglog_slope(xs, ys) -> float:
 # commands
 
 
-def _noisy_data(cfg: ExperimentConfig, g: GridFunction, delta: float,
-                seed) -> NoisyData:
-    if cfg.noise == "none":
-        return NoisyData(g, delta)
-    return add_noise(g, delta, cfg.noise, seed)
-
-
 def cmd_differentiate(cfg: ExperimentConfig, out: Path) -> None:
     n = cfg.grid or 1001
     if cfg.input is not None:
@@ -91,7 +83,7 @@ def cmd_differentiate(cfg: ExperimentConfig, out: Path) -> None:
         data = NoisyData(g_delta, cfg.delta)
     else:
         u = builtin_truth(cfg.truth, n)
-        data = _noisy_data(cfg, integrate(u), cfg.delta, cfg.seed)
+        data = add_noise(integrate(u), cfg.delta, cfg.noise, cfg.seed)
     result = regularize(data, HolderParams(cfg.a, cfg.m))
     write_grid_csv(result.u_delta, out / "reconstruction.csv")
     _write_table(out / "summary.csv", "delta,h,eta",
@@ -118,7 +110,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> None:
     children = np.random.SeedSequence(cfg.seed).spawn(2 * len(deltas))
     rows = []
     for i, delta in enumerate(deltas):
-        data = _noisy_data(cfg, g, delta, children[2 * i])
+        data = add_noise(g, delta, cfg.noise, children[2 * i])
         result = regularize(data, params)
         h_rule = step_size(delta, params)
         cls = FeasibleClass(CompactumSpec("holder-norm", cfg.m, a=cfg.a), data)
@@ -190,7 +182,6 @@ def _validate(cfg: ExperimentConfig) -> None:
     """Each rule is stated once and checks a field only for the commands
     that read it.  Order matters: a command line that breaks several rules
     reports the first one its command checks."""
-    _require(cfg.command in COMMANDS, f"unknown command {cfg.command!r}")
     _require(cfg.out is not None, "--out is required")
     cmd = cfg.command
     reads = _READS[cmd]
@@ -199,8 +190,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     if "deltas" in reads:
         _require(all(d > 0 for d in cfg.deltas), "all deltas must be positive")
     if "noise" in reads:
-        _require(cfg.noise == "none" or cfg.noise in _NOISE_ALIASES,
-                 f"unknown noise model {cfg.noise!r}")
+        try:
+            noise_pattern(cfg.noise, 1)
+        except ValueError:
+            raise ConfigError(f"unknown noise model {cfg.noise!r}") from None
     if cmd == "differentiate":
         _require(cfg.delta is not None and cfg.delta > 0, "delta must be positive")
     elif cmd == "sweep":
@@ -242,7 +235,8 @@ def _flag(field: str) -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """One flag per config field, named by its config-file key."""
+    """One flag per config field, named by its config-file key.  Values stay
+    strings, so `ExperimentConfig.updated` parses them as it parses a file."""
     parser = argparse.ArgumentParser(prog="wcreg",
                                      description="worst-case regularization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -250,16 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value config file")
         for field in _FLAG_FIELDS:
-            flag = _flag(field)
-            kwargs = {"dest": field, "default": None, "help": _FLAG_HELP.get(field)}
-            if field in _INT_FIELDS:
-                p.add_argument(flag, type=int, **kwargs)
-            elif field in _FLOAT_FIELDS:
-                p.add_argument(flag, type=float, **kwargs)
-            elif isinstance(getattr(ExperimentConfig, field), bool):
-                p.add_argument(flag, choices=("true", "false"), **kwargs)
-            else:
-                p.add_argument(flag, **kwargs)
+            p.add_argument(_flag(field), dest=field, default=None, help=_FLAG_HELP.get(field))
     return parser
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "sup_norm",
     "holder_norm",
     "integrate",
+    "noise_pattern",
     "add_noise",
     "format_float",
     "write_grid_csv",
@@ -37,6 +38,7 @@ _NOISE_ALIASES = {
     "uniform-iid": "uniform-iid",
     "alternating": "alternating-worst-case",
     "alternating-worst-case": "alternating-worst-case",
+    "none": "none",
 }
 
 
@@ -245,26 +247,34 @@ def integrate(v: GridFunction) -> GridFunction:
     return GridFunction(out)
 
 
-def add_noise(g: GridFunction, delta: float, model: str = "uniform-iid",
-              seed: int | np.random.SeedSequence = 0) -> NoisyData:
-    """Perturb exact data within the closed sup-norm ball of radius delta.
+def noise_pattern(model: str, n: int, seed: int | np.random.SeedSequence = 0,
+                  scale: float = 1.0) -> np.ndarray:
+    """Perturbation of the noise model on n nodes, entries in [-scale, scale].
 
-    "uniform-iid" draws each node perturbation independently from
-    [-delta, delta] (PCG64 generator, reproducible from the seed).
-    "alternating-worst-case" uses the deterministic pattern (-1)^k * delta,
-    the sign flip between neighbouring nodes that drives one-sided
-    difference quotients to their extremes.
+    "uniform-iid" (or "uniform") draws each node independently and
+    uniformly (PCG64 generator, reproducible from the seed).
+    "alternating-worst-case" (or "alternating") is the deterministic
+    pattern (-1)^k * scale, the sign flip between neighbouring nodes that
+    drives one-sided difference quotients to their extremes.  "none" is zero.
     """
-    if not delta > 0.0:
-        raise ValueError(f"noise level delta must be positive, got {delta}")
     kind = _NOISE_ALIASES.get(model)
     if kind is None:
-        raise ValueError(f"unknown noise model {model!r}; choose from {NOISE_MODELS}")
+        raise ValueError(f"unknown noise model {model!r}; choose from "
+                         f"{NOISE_MODELS + ('none',)}")
     if kind == "uniform-iid":
-        rng = np.random.default_rng(seed)
-        pert = rng.uniform(-delta, delta, g.n)
-    else:
-        pert = np.where(np.arange(g.n) % 2 == 0, delta, -delta)
+        return np.random.default_rng(seed).uniform(-scale, scale, n)
+    if kind == "alternating-worst-case":
+        return np.where(np.arange(n) % 2 == 0, scale, -scale)
+    return np.zeros(n)
+
+
+def add_noise(g: GridFunction, delta: float, model: str = "uniform-iid",
+              seed: int | np.random.SeedSequence = 0) -> NoisyData:
+    """Perturb exact data within the closed sup-norm ball of radius delta
+    by the `noise_pattern` of `model` at scale delta."""
+    if not delta > 0.0:
+        raise ValueError(f"noise level delta must be positive, got {delta}")
+    pert = noise_pattern(model, g.n, seed, delta)
     noisy = g.values + pert
     # adding the perturbation rounds, which can leave the *stored* values one
     # ulp outside the ball; nudge those nodes back so the bound holds exactly

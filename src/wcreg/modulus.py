@@ -95,7 +95,8 @@ def modulus_bruteforce(compactum: LatticeCompactum, delta: float, prob: ProblemS
     The window pairs, ordered by member, are scanned in blocks of at most
     PAIR_BLOCK: the image test first, one node at a time, then the
     separation of the accepted pairs only.  The scan stops between blocks
-    once the running maximum reaches the widest node range.  Each pair
+    once the running maximum reaches the widest node range, and raises once
+    PAIR_GUARD window pairs have been scanned short of that.  Each pair
     gives the same floats as in an all-pairs scan, so omega is bit for bit
     the all-pairs maximum.
     """
@@ -103,10 +104,6 @@ def modulus_bruteforce(compactum: LatticeCompactum, delta: float, prob: ProblemS
         raise ValueError(f"delta must be positive, got {delta}")
     members = compactum.members()
     m = members.shape[0]
-    if m * (m - 1) // 2 > PAIR_GUARD:
-        raise PairBudgetExceededError(
-            f"{m} feasible members give {m * (m - 1) // 2} pairs, above the "
-            f"{PAIR_GUARD} guard")
     if m < 2:
         return 0.0
     images = members @ prob.matrix(compactum.nodes).T
@@ -123,6 +120,10 @@ def modulus_bruteforce(compactum: LatticeCompactum, delta: float, prob: ProblemS
     for start in range(0, total, PAIR_BLOCK):
         if omega >= widest:
             break
+        if start >= PAIR_GUARD:
+            raise PairBudgetExceededError(
+                f"{m} feasible members give {total} window pairs; {start} scanned "
+                f"without reaching the widest range, at the {PAIR_GUARD} guard")
         stop = min(start + PAIR_BLOCK, total)
         rows = np.arange(np.searchsorted(firsts, start, side="right") - 1,
                          np.searchsorted(firsts, stop, side="left"))

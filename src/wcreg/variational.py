@@ -24,11 +24,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .adversary import FeasibleClass, sample_feasible, sup_error_estimate
+from .adversary import _SHAVE_LADDER, FeasibleClass, sample_feasible, sup_error_estimate
 from .derivative import differentiate
 from .errors import InfeasibleProblemError
-from .grid import (NOISE_MODELS, GridFunction, NoisyData, _NOISE_ALIASES, _first_max_pair,
-                   _write_table, sup_norm)
+from .grid import (GridFunction, NoisyData, _first_max_pair, _write_table, noise_pattern,
+                   sup_norm)
 from .operators import CompactumSpec, ProblemSpec
 
 __all__ = [
@@ -147,6 +147,33 @@ def _anchor_candidates(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
     return raw + [(vals, spec.phi_value(GridFunction(vals))) for vals in scaled]
 
 
+def _tube_step(a_mat: np.ndarray, g: np.ndarray, delta: float, base: np.ndarray,
+               base_res: np.ndarray, direction: np.ndarray
+               ) -> tuple[float, np.ndarray, np.ndarray]:
+    """(t, b + t d, its residual) for the t where the segment from the
+    incumbent b leaves the data tube.
+
+    Along the segment the residual is r0 + t r1, r0 = base_res = Ab - g and
+    r1 = Ad, so the exit is t = min(1, min over r1_k != 0 of
+    (sign(r1_k) delta - r0_k) / r1_k).  When rounding puts the misfit formed
+    at t above delta, t is trimmed by the shave ladder; the last resort,
+    t = 0, is the incumbent itself.
+    """
+    r1 = a_mat @ direction
+    moving = r1 != 0.0
+    t = 1.0
+    if moving.any():
+        exits = (np.copysign(delta, r1[moving]) - base_res[moving]) / r1[moving]
+        t = min(t, float(exits.min()))
+    for shave in _SHAVE_LADDER:
+        step = t * (1.0 - shave)
+        v = base + step * direction
+        res = a_mat @ v - g
+        if np.abs(res).max() <= delta:
+            return step, v, res
+    return 0.0, base, base_res
+
+
 def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
              budget: int = 2000, phi_u: float | None = None,
              stop_at: float | None = None) -> VariationalResult:
@@ -154,40 +181,15 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
 
     Starts from the best feasible data-fit probe (error if none passes both
     constraints), keeps the first-found best iterate, restores phi <= c by
-    radial rescaling and misfit <= delta by bisection toward the incumbent.
+    radial rescaling and misfit <= delta by a step back toward the incumbent.
     `stop_at` accepts the first iterate with F <= stop_at, the
     minimizing-sequence acceptance rule; `phi_u`, when the true coefficient
     is known, fixes the reported certificate at 2*(1+phi_u)*delta.  The
     whole run is deterministic.
 
     Each residual Av - g is formed once: the iterate's and the incumbent's
-    are kept, not recomputed.  The bisection runs 50 steps on the segment
-    b + t d (b the incumbent, d the step toward the iterate) and keeps the
-    largest tested t whose computed misfit max|fl(A fl(b + fl(t d))) - g|
-    is <= delta.  On that segment the residual is affine in t, so with
-    r0 = fl(Ab - g) and r1 = fl(Ad), formed once per bisection, the O(n)
-    model q(t) = max|fl(r0 + fl(t r1))| stands in for a dense mat-vec.
-    For any summation order, with or without FMA, a length-n dot product
-    obeys |fl(x.y) - x.y| <= gamma_n |x|.|y|, gamma_n = n u / (1 - n u),
-    u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms,
-    sec. 3.5).  Applied to fl(Ab), fl(Ad) and fl(Aw), w = fl(b + fl(t d)),
-    and adding the O(u) errors of forming w, the subtractions of g and the
-    model itself, it bounds the distance between q(t) and the computed
-    misfit by (2 gamma_n + 4u) ||A|| (||b|| + ||d||) + 2u (||r0|| + ||r1||)
-    + u ||g|| plus second-order terms, all norms sup norms (||A|| the
-    largest absolute row sum).  Hence
-
-        eps = 2 (n + 10) (u S + eta),  S = ||A|| (||b|| + ||d||)
-                                           + ||r0|| + ||r1|| + ||g||,
-
-    where the 20 u S of slack covers those O(u) terms, the second-order
-    ones and the rounding of eps, S and q - delta themselves, and
-    eta = 2**-1074 per operation covers gradual underflow.  A step with
-    eps < |q(t) - delta| < inf takes the side of delta that q(t) is on,
-    which is the side the computed misfit is on; any other step (q(t)
-    within eps of delta, or q, eps or S not finite) forms the misfit
-    exactly as before.  So every decision, hence every output bit, is
-    the plain bisection's.
+    are kept, not recomputed.  An iterate outside the data tube is pulled
+    back along the segment toward the incumbent by `_tube_step`.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -237,9 +239,6 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
     else:
         lip_phi = 1.0 + 2.0 / dx + 4.0 / dx ** spec.a
     step0 = c / (10.0 * max(lip_mis + delta * lip_phi, 1e-12))
-    a_norm = float(np.max(np.sum(np.abs(a_mat), axis=1)))
-    g_norm = sup(g)
-    eps_scale = 2.0 * (a_mat.shape[1] + 10)
 
     v, res = best_vals.copy(), best_res
     for it in range(1, budget + 1):
@@ -252,27 +251,9 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
         res = a_mat @ v - g
         mis = sup(res)
         if mis > delta:
-            # bisect toward the feasible incumbent; both constraints are
-            # convex along the segment, so the endpoint stays admissible
-            direction = v - best_vals
-            r1 = a_mat @ direction
-            eps = eps_scale * (2.0 ** -53 * (a_norm * (sup(best_vals) + sup(direction))
-                                             + sup(best_res) + sup(r1) + g_norm)
-                               + 2.0 ** -1074)
-            lo, hi = 0.0, 1.0
-            for _ in range(50):
-                mid = 0.5 * (lo + hi)
-                gap = sup(best_res + mid * r1) - delta
-                if eps < abs(gap) < math.inf:
-                    inside = gap < 0.0
-                else:
-                    inside = sup(a_mat @ (best_vals + mid * direction) - g) <= delta
-                if inside:
-                    lo = mid
-                else:
-                    hi = mid
-            v = best_vals + lo * direction
-            res = a_mat @ v - g
+            # both constraints are convex along the segment to the feasible
+            # incumbent, so its exit point stays admissible
+            _, v, res = _tube_step(a_mat, g, delta, best_vals, best_res, v - best_vals)
             mis = sup(res)
             phi = phi_of(v)
             if phi > c:
@@ -315,29 +296,18 @@ def convergence_study(u_true: GridFunction, deltas: Sequence[float],
     Data are generated as g + (NOISE_MARGIN * delta) * xi with a single unit
     pattern xi shared across the sweep (common random numbers), so the true
     coefficient sits strictly inside the data tube and rows are comparable.
-    `noise` is a noise model of the grid module or "none" (xi = 0).
+    `noise` is a model of `grid.noise_pattern`.
     Each row records the solve, the sup error against the known truth, and
     an ensemble worst-case estimate.
     """
     phi_u = spec.phi_value(u_true)
     if phi_u > spec.c:
         raise ValueError(f"phi(u_true) = {phi_u} exceeds the compactum bound {spec.c}")
-    if noise != "none" and noise not in _NOISE_ALIASES:
-        raise ValueError(f"unknown noise model {noise!r}; choose from "
-                         f"{('none',) + NOISE_MODELS}")
+    noise_ss, ensemble_ss = np.random.SeedSequence(seed).spawn(2)
+    xi = noise_pattern(noise, u_true.n, noise_ss)
     if len(deltas) == 0:
         return []
     g = prob.apply(u_true)
-    n = u_true.n
-    root = np.random.SeedSequence(seed)
-    noise_ss, ensemble_ss = root.spawn(2)
-    model = _NOISE_ALIASES.get(noise)
-    if model == "uniform-iid":
-        xi = np.random.default_rng(noise_ss).uniform(-1.0, 1.0, n)
-    elif model == "alternating-worst-case":
-        xi = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    else:
-        xi = np.zeros(n)
     children = ensemble_ss.spawn(len(deltas))
     rows = []
     for child, delta in zip(children, sorted(deltas, reverse=True)):

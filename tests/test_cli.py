@@ -213,6 +213,14 @@ class TestModulusCommand:
                        "--out", str(tmp_path / "sweep")) == 2
         assert "grid must have at least 5 nodes" in capsys.readouterr().err
 
+    def test_default_lattice(self, tmp_path):
+        # 9,261 members give 42,878,430 member pairs, above the pair guard,
+        # but the scan reaches the widest range within its first block
+        out = tmp_path / "out"
+        assert run_cli("modulus", "--deltas", "0.5", "--out", str(out)) == 0
+        _, rows, _ = read_csv_table(out / "modulus.csv")
+        assert rows == [[0.5, 2.0]]
+
     def test_search_mode_exit_2(self, tmp_path, capsys):
         assert run_cli("modulus", "--mode", "search", "--deltas", "0.5",
                        "--out", str(tmp_path / "o")) == 2
@@ -237,6 +245,23 @@ class TestConfigHandling:
         assert code == 0
         _, rows, _ = read_csv_table(out / "summary.csv")
         assert rows[0][0] == 1e-2  # flag wins over file
+
+    @pytest.mark.parametrize("spelling", ["yes", "no", "1", "0", "True", "FALSE", "maybe"])
+    def test_flags_and_files_share_spellings(self, tmp_path, capsys, spelling):
+        cfg_path = tmp_path / "m.cfg"
+        cfg_path.write_text(f"constants-only = {spelling}\nlevels = 9\nc = 1e0\n"
+                            "deltas = 0.5, 0.1\n")
+        from_file = run_cli("modulus", "--config", str(cfg_path), "--out", str(tmp_path / "f"))
+        file_err = capsys.readouterr().err
+        from_flags = run_cli("modulus", "--constants-only", spelling, "--levels", "9",
+                             "--c", "1e0", "--deltas", "0.5, 0.1", "--out", str(tmp_path / "g"))
+        assert (from_flags, capsys.readouterr().err) == (from_file, file_err)
+        if spelling == "maybe":
+            assert from_file == 2
+            assert "bad value for 'constants_only': 'maybe'" in file_err
+        else:
+            assert from_file == 0
+            assert read_bytes_tree(tmp_path / "f") == read_bytes_tree(tmp_path / "g")
 
     def test_unknown_key_exit_2(self, tmp_path):
         cfg_path = tmp_path / "d.cfg"

@@ -169,11 +169,19 @@ class TestBruteforce:
                     assert modulus_bruteforce(lat, delta, prob) == \
                         all_pairs_omega(members, images, [delta])[0]
 
-    def test_pair_guard(self):
+    def test_pair_guard(self, monkeypatch):
+        # the rectangle map is injective: omega stays below the widest range,
+        # so the scan forms all 504,284 window pairs
         spec = CompactumSpec("sup-norm", 1.0)
-        lat = LatticeCompactum(5, tuple(np.linspace(-1, 1, 13)), spec)
-        with pytest.raises(PairBudgetExceededError):
-            modulus_bruteforce(lat, 0.5, ProblemSpec())
+        lat = LatticeCompactum(4, tuple(np.linspace(-1, 1, 8)), spec)
+        prob = ProblemSpec(rectangle_matrix(4))
+        assert modulus_bruteforce(lat, 0.01, prob) == 0.0
+        monkeypatch.setattr(modulus, "PAIR_GUARD", 100_000)
+        with pytest.raises(PairBudgetExceededError, match="give 504284 window pairs"):
+            modulus_bruteforce(lat, 0.01, prob)
+        # under the trapezoid map the lattice has 8,106,729 window pairs at
+        # delta 0.5, but the scan reaches the widest range in its first block
+        assert modulus_bruteforce(lat, 0.5, ProblemSpec()) == 2.0
 
 
 class TestSearch:
@@ -183,8 +191,9 @@ class TestSearch:
         cls = FeasibleClass.for_zero_data(CompactumSpec("sup-norm", 1.0), 0.01 / 2, 1281)
         found = diameter_probe(cls, ("sine",), budget=1)
         pair = sine_pair(1.0, 0.005, n=1281)
-        assert found == pytest.approx(pair.separation, abs=1e-12)
-        assert found == pytest.approx(1.0, abs=1e-12)
+        # the probe mirrors the pair's sinusoid: (-v, v) in place of (0, v)
+        assert found == pytest.approx(2.0 * pair.separation, abs=1e-12)
+        assert found == pytest.approx(2.0, abs=1e-12)
 
     def test_continuum_bump_needs_room(self):
         cls = FeasibleClass.for_zero_data(CompactumSpec("holder-norm", 1.0, a=1.0), 0.01 / 2, 2)

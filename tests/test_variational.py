@@ -1,4 +1,6 @@
 import itertools
+import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from wcreg import (CompactumSpec, GridFunction, InfeasibleProblemError, NoisyDat
                    integration_matrix, minimize, modulus_bruteforce, objective,
                    rectangle_matrix, regularize_variational, sup_norm)
 from wcreg.modulus import LatticeCompactum
-from wcreg.variational import _anchor_candidates, _phi_subgradient
+from wcreg.variational import _tube_step
 
 
 def three_node_instance(delta=0.1, c=2.0):
@@ -113,96 +115,51 @@ class TestMinimize:
         assert res.phi_value <= 1.0
 
 
-def plain_minimize(data, spec, prob, budget):
-    """`minimize` without phi_u and stop_at, with every misfit formed by a
-    dense mat-vec: 50 of them per bisection."""
-    n = data.g_delta.n
-    a_mat = prob.matrix(n)
-    g, delta, c, x = data.g_delta.values, data.delta, spec.c, data.g_delta.x
-
-    def misfit_of(vals):
-        return float(np.max(np.abs(a_mat @ vals - g)))
-
-    def phi_of(vals):
-        return spec.phi_value(GridFunction(vals))
-
-    best_vals, best = None, (np.inf, np.inf, np.inf)
-    for cand, phi in _anchor_candidates(data, spec, prob, a_mat):
-        mis = misfit_of(cand)
-        if mis <= delta and phi <= c and mis + delta * phi < best[0]:
-            best_vals, best = cand.copy(), (mis + delta * phi, mis, phi)
-    if best_vals is None:
-        raise InfeasibleProblemError(
-            "infeasible problem: no data-fit probe satisfies both "
-            f"misfit <= {delta} and phi <= {c}")
-    dx = x[1] - x[0]
-    if spec.phi == "sup-norm":
-        lip_phi = 1.0
-    elif spec.a <= 1.0:
-        lip_phi = 1.0 + 2.0 / dx ** spec.a
-    else:
-        lip_phi = 1.0 + 2.0 / dx + 4.0 / dx ** spec.a
-    lip_mis = float(np.max(np.linalg.norm(a_mat, axis=1)))
-    step0 = c / (10.0 * max(lip_mis + delta * lip_phi, 1e-12))
-    v = best_vals.copy()
-    for it in range(1, budget + 1):
-        residual = a_mat @ v - g
-        j = int(np.argmax(np.abs(residual)))
-        sub = np.sign(residual[j]) * a_mat[j] + delta * _phi_subgradient(v, x, spec)
-        v = v - (step0 / np.sqrt(it)) * sub
-        phi = phi_of(v)
-        if phi > c:
-            v = v * (c / phi) * (1.0 - 1e-12)
-        mis = misfit_of(v)
-        if mis > delta:
-            direction = v - best_vals
-            lo, hi = 0.0, 1.0
-            for _ in range(50):
-                mid = 0.5 * (lo + hi)
-                if misfit_of(best_vals + mid * direction) <= delta:
-                    lo = mid
-                else:
-                    hi = mid
-            v = best_vals + lo * direction
-            mis = misfit_of(v)
-            phi = phi_of(v)
-            if phi > c:
-                v = v * (c / phi) * (1.0 - 1e-12)
-                phi = phi_of(v)
-                mis = misfit_of(v)
-        if mis <= delta and phi <= c and mis + delta * phi < best[0]:
-            best_vals, best = v.copy(), (mis + delta * phi, mis, phi)
-    return best_vals, best[1] + delta * best[2], best[1], best[2]
+def dyadic(arr):
+    """Integers m and a shift e with arr == m / 2**e exactly."""
+    fracs = [Fraction(float(x)) for x in np.ravel(arr)]
+    e = max(f.denominator for f in fracs).bit_length() - 1
+    return [f.numerator << (e - f.denominator.bit_length() + 1) for f in fracs], e
 
 
-BISECTION_SPECS = [CompactumSpec("sup-norm", 2.0)] + [
-    CompactumSpec("holder-norm", 2.0, a=a) for a in (0.5, 1.0, 1.5, 2.0)]
+def exact_operator(a_mat):
+    """vec -> a_mat @ vec in rationals."""
+    a_ints, ea = dyadic(a_mat)
+    n = a_mat.shape[1]
+    rows = [a_ints[k * n:(k + 1) * n] for k in range(a_mat.shape[0])]
+
+    def apply(vec):
+        v_ints, ev = dyadic(vec)
+        return [Fraction(sum(map(operator.mul, row, v_ints)), 1 << (ea + ev)) for row in rows]
+    return apply
 
 
-class TestFilteredBisection:
-    """The residual-model bisection of `minimize` takes every decision of the
-    plain dense scan, so its results are equal bit for bit."""
+class TestTubeStep:
+    """`_tube_step` against the exact exit of each segment, in rationals:
+    12 segments per operator and grid, 48 in all."""
 
     @pytest.mark.parametrize("n", [41, 201])
     @pytest.mark.parametrize("rectangle", [False, True])
-    @pytest.mark.parametrize("spec", BISECTION_SPECS,
-                             ids=lambda s: s.phi if s.a is None else f"a{s.a}")
-    def test_equals_plain_bisection(self, spec, rectangle, n):
-        prob = ProblemSpec(rectangle_matrix(n) if rectangle else None)
-        u = GridFunction.from_callable(lambda x: 0.4 * x, n)
-        g = prob.apply(u).values
-        xi = np.random.default_rng(n).uniform(-1.0, 1.0, n)
-        for delta in (1e-1, 1e-2, 1e-3, 1e-4):
-            data = NoisyData(GridFunction(g + 0.25 * delta * xi), delta)
-            try:
-                expected = plain_minimize(data, spec, prob, budget=25)
-            except InfeasibleProblemError as exc:
-                with pytest.raises(InfeasibleProblemError, match=f"^{exc}$"):
-                    minimize(data, spec, prob, budget=25)
-                continue
-            res = minimize(data, spec, prob, budget=25)
-            assert np.array_equal(res.v_delta.values, expected[0])
-            assert (res.objective_value, res.misfit, res.phi_value) == expected[1:]
+    def test_matches_exact_exit(self, rectangle, n):
+        a_mat = rectangle_matrix(n) if rectangle else integration_matrix(n)
+        base = 0.4 * np.linspace(0.0, 1.0, n)
+        apply_exact = exact_operator(a_mat)
+        rng = np.random.default_rng(n + rectangle)
+        for delta in (1e-1, 1e-2, 1e-3):
+            g = a_mat @ base + 0.25 * delta * rng.uniform(-1.0, 1.0, n)
+            base_res = a_mat @ base - g
+            r0 = [ab - Fraction(gk) for ab, gk in zip(apply_exact(base), g)]
+            for scale in (0.5, 2.0, 8.0, 64.0):
+                direction = rng.normal(size=n)
+                direction *= scale * delta / np.abs(a_mat @ direction).max()
+                r1 = apply_exact(direction)
+                exact = min([Fraction(1)] + [(Fraction(delta) * (1 if r > 0 else -1) - r0k) / r
+                                             for r0k, r in zip(r0, r1) if r != 0])
+                t, v, res = _tube_step(a_mat, g, delta, base, base_res, direction)
+                assert abs(Fraction(t) - exact) <= Fraction(1e-9) * exact
+                assert np.array_equal(v, base + t * direction)
+                assert np.array_equal(res, a_mat @ v - g)
+                assert np.abs(res).max() <= delta
 
 
 class TestRegularizeVariational:
