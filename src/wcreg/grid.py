@@ -136,47 +136,30 @@ def _pair_bands(values: np.ndarray, positions: np.ndarray, power: float,
     row's max - min.  Rounded subtraction and division are monotone, so no
     pair at offset >= d has a larger difference or a smaller distance, and
     the 1e-12 margin covers the rounding of pow: every pair left unscanned is
-    strictly below `best`.
+    strictly below `best`.  At powers other than 1, row maxima and first
+    maximizers thus equal those of the exhaustive scan bit for bit.
 
-    At power 1 the scan also stops before band L + 1, where L is the longest
-    run of marked adjacent pairs (k, k + 1) in the OR over the live rows, a
-    pair marked when its quotient is >= B * (1 - tau), with B the row's
-    largest adjacent quotient and tau = 1e-13 * (x_last - x_first) / g for
-    the smallest gap g (no such stop when g = 0).  By the mediant
-    inequality the exact quotient of a pair i < j is at most the mean of
-    the exact adjacent quotients over its window [i, j), weighted by
-    gap / (x_j - x_i) >= g / (x_last - x_first); so an unmarked pair inside
-    the window puts it below B * (1 - 1e-13).  Each computed quotient, and
-    B * (1 - tau), lies within a few ulps (< 1e-15 relative, away from
-    underflow) of its exact value, so every pair wider than L is strictly
-    below B <= `best`.
-
-    Row maxima and first maximizers thus equal those of the exhaustive scan
-    bit for bit.
+    At power 1 only band 1 is scanned.  By the mediant inequality the exact
+    quotient of a pair i < j is a weighted mean of the exact adjacent
+    quotients over [i, j), so the exact maximum over all pairs is an
+    adjacent one.  Each adjacent quotient takes two roundings, subtraction
+    and division (the gaps of linspace nodes are formed exactly, by
+    Sterbenz's lemma), so away from underflow the result lies within
+    2u + u^2 relative, u = 2^-53, of the exact maximum on either side:
+    within 2 ulps.
 
     Ties: quotients are symmetric in i and j, so the row-major first
-    maximizer over all ordered pairs is the maximizing pair i < j with the
-    smallest i, then the smallest j.
+    maximizer over the ordered pairs scanned is the maximizing pair i < j
+    with the smallest i, then the smallest j.
     """
     span = values.max(axis=0) - values.min(axis=0)
     dead = span == 0.0
     tail = (1,) * (values.ndim - 1)
-    last = values.shape[0] - 1  # widest band that can still hold a winner
-    d = 1
-    while d <= last:
+    for d in range(1, 2 if power == 1 else values.shape[0]):
         scale = (positions[d:] - positions[:-d]) ** power
-        closest = scale.min()
-        if (dead | (span / closest * (1.0 + 1e-12) < best)).all():
+        if (dead | (span / scale.min() * (1.0 + 1e-12) < best)).all():
             return
-        quot = np.abs(values[d:] - values[:-d]) / scale.reshape(scale.shape + tail)
-        if d == 1 and power == 1 and closest > 0.0:
-            tau = 1e-13 * (positions[-1] - positions[0]) / closest
-            near = (quot >= quot.max(axis=0) * (1.0 - tau)) & ~dead
-            near = np.concatenate(([0], near.reshape(len(near), -1).any(axis=1), [0]))
-            edges = np.flatnonzero(np.diff(near))  # run starts and ends, alternating
-            last = int(np.max(edges[1::2] - edges[::2]))
-        yield d, quot
-        d += 1
+        yield d, np.abs(values[d:] - values[:-d]) / scale.reshape(scale.shape + tail)
 
 
 def _max_pair_quotient(values: np.ndarray, positions: np.ndarray, power: float) -> np.ndarray:
@@ -221,9 +204,9 @@ def holder_norm(f: GridFunction, a: float) -> float:
     x_k), and the norm is sup|f| + sup|s| plus the order-(a-1) quotient
     seminorm of the slopes.
 
-    Both classes of the paper, a = 1 (values) and a = 2 (slopes), scan
-    quotients at power 1, which stop at the longest run of near-maximal
-    adjacent quotients: on smooth data after a band or two (see
+    Both classes of the paper, a = 1 (values) and a = 2 (slopes), take
+    quotients at power 1, where the seminorm is the largest adjacent
+    quotient, within 2 ulps of the exact maximum over all pairs (see
     `_pair_bands`).
     """
     if not (0.0 < a <= 2.0):

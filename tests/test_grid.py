@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,18 +53,39 @@ def dense_quotients(values, x, power, rows=slice(None)):
     return np.abs(values[rows, None] - values[None, :]) / np.where(dx == 0, np.inf, dx) ** power
 
 
-def dense_first_max(values, x, power, block=32):
-    """Largest of the `dense_quotients` with its row-major first maximizer,
-    formed `block` rows at a time so that large grids fit in memory.  Rows
-    i >= lo need only the columns j >= lo: the quotients are symmetric, so
-    the first maximizer has i < j."""
-    best, at = -1.0, (0, 0)
-    for lo in range(0, values.size, block):
-        quot = dense_quotients(values[lo:], x[lo:], power, slice(0, block))
-        i, j = np.unravel_index(np.argmax(quot), quot.shape)
-        if quot[i, j] > best:
-            best, at = quot[i, j], (lo + i, lo + j)
-    return (best,) + at
+#: unit roundoff of float64; a power-1 quotient takes two roundings
+U = Fraction(1, 2 ** 53)
+
+
+def exact_power_one_max(values, x, all_pairs=False):
+    """Exact largest quotient |v_j - v_i| / (x_j - x_i) of the float samples
+    over adjacent pairs, in rational arithmetic.  With `all_pairs` the
+    maximum over all pairs i < j is formed too and must be the same: the
+    mediant inequality."""
+    v = [Fraction(t) for t in values]
+    p = [Fraction(t) for t in x]
+    def quot(i, j):
+        return abs(v[j] - v[i]) / (p[j] - p[i])
+    top = max(quot(k, k + 1) for k in range(len(v) - 1))
+    if all_pairs:
+        assert max(quot(i, j) for i, j in itertools.combinations(range(len(v)), 2)) == top
+    return top
+
+
+def within_rounding(got, exact):
+    """`got` lies within 2u + u^2 relative of `exact` (two roundings)."""
+    return abs(Fraction(float(got)) - exact) <= (2 * U + U * U) * exact
+
+
+def assert_power_one_exact(values, x, all_pairs, name):
+    """The power-1 kernel against `exact_power_one_max`: its maximum is within
+    rounding of the exact one, and its first maximizer is the first adjacent
+    pair that reaches it ((0, 0) when every quotient is 0)."""
+    best = float(_max_pair_quotient(values, x, 1.0))
+    assert within_rounding(best, exact_power_one_max(values, x, all_pairs)), name
+    first = int(np.argmax(np.abs(np.diff(values)) / np.diff(x)))
+    pair = (first, first + 1) if best > 0.0 else (0, 0)
+    assert _first_max_pair(values, x, 1.0) == (best,) + pair, name
 
 
 def kernel_cases(n):
@@ -171,7 +193,10 @@ class TestHolderNorm:
     @pytest.mark.parametrize("power", [0.5, 1.0])
     def test_first_max_pair_matches_oracle(self, values, power):
         x = np.linspace(0.0, 1.0, values.size)
-        assert _first_max_pair(values, x, power) == pair_scan_first_max(values, x, power)
+        if power == 1.0:
+            assert_power_one_exact(values, x, True, "")
+        else:
+            assert _first_max_pair(values, x, power) == pair_scan_first_max(values, x, power)
 
     def test_first_max_pair_across_row_blocks(self):
         # 1501 nodes (two row blocks of the former exhaustive scan); the
@@ -180,16 +205,21 @@ class TestHolderNorm:
         x = np.linspace(0.0, 1.0, n)
         for values in (np.where(np.arange(n) % 2 == 0, 1.0, -1.0),
                        np.random.default_rng(8).normal(size=n)):
-            dx = np.abs(x[:, None] - x[None, :])
-            quot = np.abs(values[:, None] - values[None, :]) / np.where(dx == 0, np.inf, dx)
-            i, j = np.unravel_index(np.argmax(quot), quot.shape)
-            assert _first_max_pair(values, x, 1.0) == (quot[i, j], i, j)
+            assert_power_one_exact(values, x, False, "")
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 7, 9, 17, 101, 400, 641, 1501])
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 9, 17, 41, 101, 400, 641, 1501])
     @pytest.mark.parametrize("power", [0.3, 0.5, 1.0])
     def test_band_kernel_matches_dense_oracle(self, n, power):
+        # at power 1 the reference is the exact maximum, over all pairs up to
+        # n = 41 (which pins the mediant claim) and over adjacent pairs above,
+        # for the values and for their forward slopes (the a = 2 path)
         x = np.linspace(0.0, 1.0, n)
         for name, values in (kernel_cases(n) | near_tie_cases(n)).items():
+            if power == 1.0:
+                assert_power_one_exact(values, x, n <= 41, name)
+                slopes = np.diff(values) / (x[1] - x[0])
+                assert_power_one_exact(slopes, x[:-1], n <= 41, name + " slopes")
+                continue
             quot = dense_quotients(values, x, power)
             i, j = np.unravel_index(np.argmax(quot), quot.shape)
             assert _max_pair_quotient(values, x, power) == quot.max(), name
@@ -200,10 +230,15 @@ class TestHolderNorm:
         x = np.linspace(0.0, 1.0, n)
         cases = near_tie_cases(n)
         for name in ("linear +-1e-15", "square slopes", "kink 1e-16 before", "kink 1e-13 after"):
-            values = cases[name]
-            top = dense_first_max(values, x, 1.0)
-            assert _max_pair_quotient(values, x, 1.0) == top[0], name
-            assert _first_max_pair(values, x, 1.0) == top, name
+            assert_power_one_exact(cases[name], x, False, name)
+
+    def test_power_one_scans_one_band(self):
+        # linear data ties every pair at power 1: one band, not n - 1, at the
+        # grid of `adversary --class lip --deltas 1e-8`
+        n = 56_583
+        x = np.linspace(0.0, 1.0, n)
+        assert len(list(_pair_bands(x, x, 1.0, np.zeros(())))) == 1
+        assert holder_norm(GridFunction(x), 1.0) == 2.0
 
     @pytest.mark.parametrize("power", [0.3, 0.5, 1.0])
     def test_band_kernel_rows_match_dense_oracle(self, power):
@@ -212,13 +247,20 @@ class TestHolderNorm:
             np.array(list(itertools.product(np.linspace(-1.0, 1.0, 5), repeat=4))),
             np.random.default_rng(3).normal(size=(50, 4)),
         ])
-        x = np.linspace(0.0, 1.0, 4)
-        expected = [dense_quotients(row, x, power).max() for row in rows]
-        assert np.array_equal(_max_pair_quotient(rows.T, x, power), expected)
-        rows = np.random.default_rng(5).normal(size=(7, 101))
-        x = np.linspace(0.0, 1.0, 101)
-        expected = [dense_quotients(row, x, power).max() for row in rows]
-        assert np.array_equal(_max_pair_quotient(rows.T, x, power), expected)
+        def check(rows, x, name=""):
+            got = _max_pair_quotient(rows.T, x, power)
+            if power == 1.0:
+                # each row within rounding of its exact maximum, and equal
+                # to the same row scanned alone
+                assert all(within_rounding(q, exact_power_one_max(row, x, x.size <= 41))
+                           for q, row in zip(got, rows)), name
+                expected = [_max_pair_quotient(row, x, power) for row in rows]
+            else:
+                expected = [dense_quotients(row, x, power).max() for row in rows]
+            assert np.array_equal(got, expected), name
+
+        check(rows, np.linspace(0.0, 1.0, 4))
+        check(np.random.default_rng(5).normal(size=(7, 101)), np.linspace(0.0, 1.0, 101))
         # one row near a tie beside one that is not, either anywhere or with
         # its one sharp peak inside the tie: the tie sets the bands
         for n in (5, 7, 17, 101):
@@ -229,8 +271,7 @@ class TestHolderNorm:
                 other = np.random.default_rng(n).normal(size=n)
                 for rows in (np.stack([values, peak]), np.stack([values, other]),
                              np.stack([other, values])):
-                    expected = [dense_quotients(row, x, power).max() for row in rows]
-                    assert np.array_equal(_max_pair_quotient(rows.T, x, power), expected), name
+                    check(rows, x, name)
 
     @pytest.mark.parametrize("power", [0.3, 0.5, 1.0])
     def test_band_scan_prunes(self, power):
@@ -252,15 +293,15 @@ class TestHolderNorm:
             bands, best = scan(values)
             assert bands <= max_bands
             assert best == top
-        # smooth data at power 1: the near-maximal adjacent quotients form short
-        # runs, and no wider pair can beat them
+        # smooth data at power 1: band 1 alone holds the exact maximum
         if power == 1.0:
             for values in (np.sin(2.0 * np.pi * x), x ** 2):
                 bands, best = scan(values)
-                assert bands <= 2
-                assert best == dense_quotients(values, x, power).max()
-        # linear data: every pair ties at power 1, and below it the widest wins
-        assert scan(x)[0] == n - 1
+                assert bands == 1
+                assert within_rounding(best, exact_power_one_max(values, x))
+        # linear data: every pair ties at power 1, where only band 1 is
+        # scanned, and below it the widest wins
+        assert scan(x)[0] == (1 if power == 1.0 else n - 1)
 
     @pytest.mark.parametrize("a", [0.0, -1.0, 2.5])
     def test_rejects_bad_exponent(self, a):
