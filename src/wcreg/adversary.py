@@ -367,7 +367,7 @@ def sample_feasible(cls: FeasibleClass, count: int, seed: int | np.random.SeedSe
     return members
 
 
-def sup_error_estimate(reconstruction: GridFunction, cls: FeasibleClass,
+def sup_error_estimate(reconstruction: GridFunction,
                        ensemble: Sequence[GridFunction]) -> float:
     """max over the ensemble of sup|reconstruction - v|.
 

@@ -115,7 +115,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> None:
         h_rule = step_size(delta, params)
         cls = FeasibleClass(CompactumSpec("holder-norm", cfg.m, a=cfg.a), data)
         ensemble = sample_feasible(cls, cfg.count, children[2 * i + 1], start=u)
-        est = sup_error_estimate(result.u_delta, cls, ensemble)
+        est = sup_error_estimate(result.u_delta, ensemble)
         rows.append((delta, h_rule, error_bound(delta, params, h_rule), est))
     meta = {"eta_loglog_slope": _loglog_slope([r[0] for r in rows], [r[2] for r in rows]),
             "err_loglog_slope": _loglog_slope([r[0] for r in rows], [r[3] for r in rows])}

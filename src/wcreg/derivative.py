@@ -2,9 +2,10 @@
 
 Given samples of g(x) = integral of u from 0 to x, observed only within a
 sup-norm radius delta, the reconstruction is a symmetric difference
-quotient with step h in the interior and one-sided quotients within h of
-each endpoint.  The step balances noise amplification delta/h against the
-smoothness penalty m * h**(a-1) of the a-priori Holder class, and
+quotient with step h in the interior and one-sided quotients over 2h within
+h of each endpoint, so every node amplifies the noise by delta/h.  The step
+balances that against the smoothness penalty m * h**(a-1) of the a-priori
+Holder class, and
 
     eta = delta/h + m * h**(a-1)
 
@@ -67,9 +68,11 @@ def step_size(delta: float, params: HolderParams, spacing: float | None = None) 
 def differentiate(data: NoisyData, h: float) -> GridFunction:
     """Difference-quotient derivative of the samples with step h.
 
-    h must be a positive integer multiple of the grid spacing, at most 1/2.
+    h must be a positive integer multiple of the grid spacing, at most 1/3.
     Interior nodes (h <= x <= 1-h) get the symmetric quotient over 2h; the
-    first and last h-zones get forward and backward quotients over h.
+    first and last h-zones get forward and backward quotients over 2h,
+    (g(x+2h) - g(x))/(2h) and its mirror image.  Over 2h the noise term is
+    delta/h, as in the interior, and the truncation term at most m*h.
     The map is linear in the data.
     """
     g = data.g_delta
@@ -81,13 +84,13 @@ def differentiate(data: NoisyData, h: float) -> GridFunction:
             f"step h={h} is not an integer multiple of the grid spacing {g.spacing}")
     if m < 1:
         raise ValueError(f"step h={h} lies below the grid spacing {g.spacing}")
-    if 2 * m > n - 1:
-        raise ValueError(f"step h={h} exceeds half the interval")
+    if 3 * m > n - 1:
+        raise ValueError(f"step h={h} exceeds a third of the interval")
     vals = g.values
     out = np.empty(n)
     out[m:n - m] = (vals[2 * m:] - vals[:n - 2 * m]) / (2.0 * h)
-    out[:m] = (vals[m:2 * m] - vals[:m]) / h
-    out[n - m:] = (vals[n - m:] - vals[n - 2 * m:n - m]) / h
+    out[:m] = (vals[2 * m:3 * m] - vals[:m]) / (2.0 * h)
+    out[n - m:] = (vals[n - m:] - vals[n - 3 * m:n - 2 * m]) / (2.0 * h)
     return GridFunction(out)
 
 
@@ -117,7 +120,7 @@ def regularize(data: NoisyData, params: HolderParams) -> RegularizerOutput:
             f"grid too coarse: spacing {dx} exceeds the maximal step {MAX_STEP}")
     h_ideal = step_size(data.delta, params, spacing=dx)
     m = max(1, int(round(h_ideal / dx)))
-    m = min(m, (n - 1) // 2)
+    m = min(m, (n - 1) // 3)
     h = m / (n - 1)
     u = differentiate(data, h)
     return RegularizerOutput(u, h, error_bound(data.delta, params, h))

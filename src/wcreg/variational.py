@@ -36,7 +36,6 @@ __all__ = [
     "StudyRow",
     "objective",
     "minimize",
-    "regularize_variational",
     "convergence_study",
     "write_convergence_csv",
     "STUDY_HEADER",
@@ -125,7 +124,7 @@ def _anchor_candidates(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
     if prob.operator is None:
         m = 1
         ladder = []
-        while 2 * m <= n - 1 and m <= (n - 1) // 4 + 1:
+        while 3 * m <= n - 1 and m <= (n - 1) // 4 + 1:
             ladder.append(m)
             m *= 2
         top = (n - 1) // 4
@@ -271,18 +270,6 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
     return result()
 
 
-def regularize_variational(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
-                           budget: int = 2000, phi_u: float | None = None,
-                           stop_at: float | None = None) -> VariationalResult:
-    """`minimize` with the output feasibility contract enforced strictly."""
-    res = minimize(data, spec, prob, budget=budget, phi_u=phi_u, stop_at=stop_at)
-    if res.misfit > data.delta or res.phi_value > spec.c:
-        raise InfeasibleProblemError(
-            f"output violates feasibility: misfit {res.misfit} vs delta "
-            f"{data.delta}, phi {res.phi_value} vs c {spec.c}")
-    return res
-
-
 #: noise amplitude of the study data, as a fraction of delta
 NOISE_MARGIN = 0.5
 
@@ -312,12 +299,12 @@ def convergence_study(u_true: GridFunction, deltas: Sequence[float],
     rows = []
     for child, delta in zip(children, sorted(deltas, reverse=True)):
         data = NoisyData(GridFunction(g.values + (NOISE_MARGIN * delta) * xi), delta)
-        res = regularize_variational(data, spec, prob, budget=budget, phi_u=phi_u,
-                                     stop_at=2.0 * (1.0 + phi_u) * delta)
+        res = minimize(data, spec, prob, budget=budget, phi_u=phi_u,
+                       stop_at=2.0 * (1.0 + phi_u) * delta)
         err = sup_norm(GridFunction(res.v_delta.values - u_true.values))
         cls = FeasibleClass(spec, data, prob)
         ensemble = sample_feasible(cls, ensemble_count, child, start=u_true)
-        sup_est = sup_error_estimate(res.v_delta, cls, ensemble)
+        sup_est = sup_error_estimate(res.v_delta, ensemble)
         rows.append(StudyRow(delta, res.misfit, res.phi_value, res.objective_value,
                              err, sup_est))
     return rows

@@ -46,7 +46,7 @@ def test_criterion_1_rate_and_ensemble_bound():
         cls = FeasibleClass(CompactumSpec("holder-norm", 1.0, a=2.0), data)
         ensemble = sample_feasible(cls, 100, 100 + i, start=u)
         assert len(ensemble) >= 100
-        measured = sup_error_estimate(recon.u_delta, cls, ensemble)
+        measured = sup_error_estimate(recon.u_delta, ensemble)
         assert measured <= 2.0 * math.sqrt(delta)
     elapsed = time.time() - start
     assert elapsed < 30.0

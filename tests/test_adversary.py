@@ -90,22 +90,19 @@ class TestSampleFeasible:
 class TestSupErrorEstimate:
     def test_single_member(self):
         u = GridFunction.from_callable(lambda x: 0.4 * x, 101)
-        cls, _ = truth_class(u, 1e-3, 1.0, a=2.0)
         recon = GridFunction(u.values + 0.05)
-        assert sup_error_estimate(recon, cls, [u]) == pytest.approx(0.05, rel=1e-12)
+        assert sup_error_estimate(recon, [u]) == pytest.approx(0.05, rel=1e-12)
 
     def test_includes_reconstruction(self):
         u = GridFunction.from_callable(lambda x: 0.4 * x, 101)
-        cls, _ = truth_class(u, 1e-3, 1.0, a=2.0)
         recon = GridFunction(u.values + 0.05)
-        est = sup_error_estimate(recon, cls, [recon, u])
+        est = sup_error_estimate(recon, [recon, u])
         assert est == pytest.approx(0.05, rel=1e-12)
 
     def test_empty_rejected(self):
         u = GridFunction.from_callable(lambda x: 0.4 * x, 101)
-        cls, _ = truth_class(u, 1e-3, 1.0, a=2.0)
         with pytest.raises(ValueError):
-            sup_error_estimate(u, cls, [])
+            sup_error_estimate(u, [])
 
 
 class TestSinePair:

@@ -13,6 +13,50 @@ def exact_data(func, n, delta=1e-12):
     return NoisyData(GridFunction.from_callable(func, n), delta)
 
 
+def boundary_worst_case(data, recon, c):
+    """Largest |recon_k - v_k| at the end nodes k = 0 and n - 1 over the
+    Holder a = 2 class {phi(v) <= c} intersected with the data tube, by LP.
+
+    Variables: v, y = Av by the trapezoid recurrence, and the three phi
+    terms t1 >= |v_i|, t2 >= |s_k| and t3 >= |s_{k+1} - s_k| / dx over the
+    forward slopes s (adjacent rows suffice at power 1).  The tube is the
+    box |y - g_delta| <= delta.
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    g = data.g_delta.values
+    n = g.size
+    dx = 1.0 / (n - 1)
+    diff = sparse.diags([-1.0, 1.0], [0, 1], shape=(n - 1, n)).tocsr()
+    slopes = diff / dx
+    rows = []
+    for mat, col in ((sparse.eye(n), 0), (slopes, 1), ((slopes[1:] - slopes[:-1]) / dx, 2)):
+        terms = np.zeros((mat.shape[0], 3))
+        terms[:, col] = -1.0
+        for sign in (1.0, -1.0):
+            rows.append(sparse.hstack([sign * mat, sparse.csr_matrix((mat.shape[0], n)), terms]))
+    rows.append(sparse.csr_matrix(np.r_[np.zeros(2 * n), 1.0, 1.0, 1.0]))
+    a_ub = sparse.vstack(rows).tocsr()
+    b_ub = np.r_[np.zeros(a_ub.shape[0] - 1), c]
+    trapezoid = sparse.diags([0.5 * dx, 0.5 * dx], [0, 1], shape=(n - 1, n))
+    a_eq = sparse.vstack([
+        sparse.hstack([-trapezoid, diff, sparse.csr_matrix((n - 1, 3))]),
+        sparse.csr_matrix(np.r_[np.zeros(n), 1.0, np.zeros(n + 2)]),  # y_0 = 0
+    ]).tocsr()
+    bounds = [(None, None)] * n + list(zip(g - data.delta, g + data.delta)) + [(0, None)] * 3
+    worst = 0.0
+    for k in (0, n - 1):
+        for sign in (1.0, -1.0):
+            cost = np.zeros(2 * n + 3)
+            cost[k] = sign
+            lp = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.zeros(n),
+                         bounds=bounds, method="highs")
+            assert lp.status == 0, lp.message
+            worst = max(worst, abs(recon[k] - lp.x[k]))
+    return worst
+
+
 class TestStepSize:
     def test_known_values(self):
         assert step_size(1e-4, HolderParams(2, 1)) == pytest.approx(0.01, rel=1e-12)
@@ -95,6 +139,8 @@ class TestDifferentiate:
         data = exact_data(lambda x: x, 101)
         with pytest.raises(ValueError):
             differentiate(data, 0.51)
+        with pytest.raises(ValueError, match="third"):
+            differentiate(data, 0.34)
 
 
 class TestErrorBound:
@@ -167,7 +213,20 @@ class TestRegularize:
         cls = FeasibleClass(CompactumSpec("holder-norm", 1.0, a=2.0), data)
         ensemble = sample_feasible(cls, 60, 17, start=u)
         assert len(ensemble) == 60
-        assert sup_error_estimate(res.u_delta, cls, ensemble) <= res.eta
+        assert sup_error_estimate(res.u_delta, ensemble) <= res.eta
+
+    def test_boundary_zones_within_eta(self):
+        # uniform noise: neither the truth nor the worst class member in the
+        # tube (an LP maximizer at the end nodes) lies farther than eta
+        n = 161
+        u = GridFunction(0.4 * np.linspace(0, 1, n))
+        g = integrate(u)
+        for seed in range(4):
+            for delta in (1e-2, 1e-3, 1e-4):
+                data = add_noise(g, delta, "uniform-iid", seed)
+                res = regularize(data, HolderParams(2, 1))
+                assert sup_norm(GridFunction(res.u_delta.values - u.values)) <= res.eta
+                assert boundary_worst_case(data, res.u_delta.values, 1.0) <= res.eta
 
     def test_rate_of_measured_error(self):
         # sup error decays at least as fast as eta; the eta exponent is 1-1/a

@@ -8,7 +8,7 @@ import pytest
 from wcreg import (CompactumSpec, GridFunction, InfeasibleProblemError, NoisyData,
                    ProblemSpec, add_noise, convergence_study, integrate,
                    integration_matrix, minimize, modulus_bruteforce, objective,
-                   rectangle_matrix, regularize_variational, sup_norm)
+                   rectangle_matrix, sup_norm)
 from wcreg.modulus import LatticeCompactum
 from wcreg.variational import _tube_step
 
@@ -162,7 +162,7 @@ class TestTubeStep:
                 assert np.abs(res).max() <= delta
 
 
-class TestRegularizeVariational:
+class TestMinimizeOnNoisyData:
     def test_error_decreases_over_sweep(self):
         u = GridFunction(np.ones(101))
         spec = CompactumSpec("sup-norm", 2.0)
@@ -171,8 +171,8 @@ class TestRegularizeVariational:
         for delta in (0.1, 0.03, 0.01):
             data = add_noise(integrate(u), 0.5 * delta, "uniform-iid", 21)
             wrapped = NoisyData(data.g_delta, delta)
-            res = regularize_variational(wrapped, spec, prob, phi_u=1.0,
-                                         stop_at=2 * (1 + 1.0) * delta)
+            res = minimize(wrapped, spec, prob, phi_u=1.0,
+                           stop_at=2 * (1 + 1.0) * delta)
             errs.append(sup_norm(GridFunction(res.v_delta.values - u.values)))
         assert errs[2] < errs[1] < errs[0]
 
@@ -181,7 +181,7 @@ class TestRegularizeVariational:
         noisy = add_noise(integrate(u), 0.025, "alternating-worst-case", 0)
         data = NoisyData(noisy.g_delta, 0.05)
         spec = CompactumSpec("sup-norm", 2.0)
-        res = regularize_variational(data, spec, ProblemSpec(), budget=400)
+        res = minimize(data, spec, ProblemSpec(), budget=400)
         assert res.misfit <= 0.05
         assert res.phi_value <= 2.0
 
@@ -192,7 +192,7 @@ class TestRegularizeVariational:
         data = add_noise(integrate(u), 0.05, "alternating-worst-case", 0)
         spec = CompactumSpec("sup-norm", 2.0)
         with pytest.raises(InfeasibleProblemError):
-            regularize_variational(data, spec, ProblemSpec(), budget=400)
+            minimize(data, spec, ProblemSpec(), budget=400)
 
 
 class TestConvergenceStudy:
@@ -234,8 +234,8 @@ class TestModulusBridge:
         delta = 0.15
         data = add_noise(prob.apply(u), delta, "alternating-worst-case", 0)
         spec = CompactumSpec("sup-norm", 2.0)
-        res = regularize_variational(data, spec, prob, phi_u=1.0,
-                                     stop_at=2 * (1 + 1.0) * delta)
+        res = minimize(data, spec, prob, phi_u=1.0,
+                       stop_at=2 * (1 + 1.0) * delta)
         err = sup_norm(GridFunction(res.v_delta.values - u.values))
         lattice = LatticeCompactum(3, tuple(np.linspace(-2, 2, 9)), spec)
         omega = modulus_bruteforce(lattice, 2 * delta, prob)
