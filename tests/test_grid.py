@@ -237,7 +237,7 @@ class TestHolderNorm:
         # grid of `adversary --class lip --deltas 1e-8`
         n = 56_583
         x = np.linspace(0.0, 1.0, n)
-        assert len(list(_pair_bands(x, x, 1.0, np.zeros(())))) == 1
+        assert sum(1 for _ in _pair_bands(x, x, 1.0, np.zeros(()))) == 1
         assert holder_norm(GridFunction(x), 1.0) == 2.0
 
     @pytest.mark.parametrize("power", [0.3, 0.5, 1.0])
