@@ -36,7 +36,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import GridTooCoarseError, InfeasibleProblemError
-from .grid import GridFunction, NoisyData, _read_grid_table, format_float, sup_norm
+from .grid import GridFunction, NoisyData, _csv_rows, _read_grid_table, format_float, sup_norm
 # holder_norm stays bound here because bench/selftest.py checks that the
 # tracer rebinds wcreg.adversary.holder_norm
 from .grid import holder_norm  # noqa: F401
@@ -490,12 +490,9 @@ _PAIR_KEYS = ("delta", "bound", "separation", "misfit1", "norm1", "misfit2", "no
 def write_pair_csv(pair: AdversarialPair, path: str | Path) -> None:
     """Pair export: certificate as `# key=value` comments, then x,v1,v2 rows."""
     meta = {"separation": pair.separation, **pair.certificate._asdict()}
-    lines = [f"# {key}={format_float(meta[key])}" for key in _PAIR_KEYS] + ["x,v1,v2"]
-    x = pair.v1.x
-    for k in range(pair.v1.n):
-        lines.append(",".join(format_float(val)
-                              for val in (x[k], pair.v1.values[k], pair.v2.values[k])))
-    Path(path).write_text("\n".join(lines) + "\n")
+    head = "".join(f"# {key}={format_float(meta[key])}\n" for key in _PAIR_KEYS)
+    rows = _csv_rows(np.column_stack((pair.v1.x, pair.v1.values, pair.v2.values)))
+    Path(path).write_text(head + "x,v1,v2\n" + rows)
 
 
 def read_pair_csv(path: str | Path) -> AdversarialPair:

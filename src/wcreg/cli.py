@@ -235,16 +235,15 @@ def _flag(field: str) -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """One flag per config field, named by its config-file key.  Values stay
-    strings, so `ExperimentConfig.updated` parses them as it parses a file."""
+    """The command and one flag per config field (its config-file key), in any
+    order.  Values stay strings, so `ExperimentConfig.updated` parses them as
+    it parses a file."""
     parser = argparse.ArgumentParser(prog="wcreg",
                                      description="worst-case regularization toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="key=value config file")
-        for field in _FLAG_FIELDS:
-            p.add_argument(_flag(field), dest=field, default=None, help=_FLAG_HELP.get(field))
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", default=None, help="key=value config file")
+    for field in _FLAG_FIELDS:
+        parser.add_argument(_flag(field), dest=field, default=None, help=_FLAG_HELP.get(field))
     return parser
 
 

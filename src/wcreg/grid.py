@@ -268,20 +268,24 @@ def add_noise(g: GridFunction, delta: float, model: str = "uniform-iid",
     return NoisyData(GridFunction(noisy), delta)
 
 
+def _csv_rows(rows) -> str:
+    """CSV lines of a float64 table, each value as `format_float` writes it:
+    one `%` on a repeated line template, and '' for zero rows."""
+    table = np.array(rows, dtype=np.float64)
+    line = ",".join(["%.17g"] * table.shape[-1]) + "\n"
+    return line * len(table) % tuple(table.ravel().tolist())
+
+
 def _write_table(path: str | Path, header: str, rows,
                  meta: dict[str, float] | None = None) -> None:
     """Write a header line, rows of full-precision floats, then `# key=value` lines."""
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
-    for key, value in (meta or {}).items():
-        lines.append(f"# {key}={format_float(value)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    tail = "".join(f"# {key}={format_float(value)}\n" for key, value in (meta or {}).items())
+    Path(path).write_text(header + "\n" + _csv_rows(rows) + tail)
 
 
 def write_grid_csv(f: GridFunction, path: str | Path) -> None:
     """Write `x,value` rows at full double precision."""
-    _write_table(path, "x,value", zip(f.x, f.values))
+    _write_table(path, "x,value", np.column_stack((f.x, f.values)))
 
 
 def _scan_table(path: str | Path) -> tuple[list[str], list[tuple[int, str]], dict[str, float]]:
