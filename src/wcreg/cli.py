@@ -1,12 +1,12 @@
 """Command-line experiment runner.
 
-Subcommands: differentiate, sweep, adversary, variational, modulus.  Each
-writes plot-ready CSV files into --out; all floats carry 17 significant
-digits and no output contains timestamps, so a rerun with the same config
-and seed is byte-identical.  A flag the subcommand does not read is named
-in a warning on stderr and otherwise ignored.  Exit codes: 0 success, 2
-configuration or validation error, 3 runtime error (infeasibility, coarse
-grids, guards).
+Commands: differentiate, sweep, adversary, variational, modulus.  All take
+the same flags, before or after the command.  Each writes plot-ready CSV
+files into --out; all floats carry 17 significant digits and no output
+contains timestamps, so a rerun with the same config and seed is
+byte-identical.  A flag the command does not read is named in a warning on
+stderr and otherwise ignored.  Exit codes: 0 success, 2 configuration or
+validation error, 3 runtime error (infeasibility, coarse grids, guards).
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def _validate(cfg: ExperimentConfig) -> None:
 # argument plumbing
 
 
-#: config fields set by a flag: every field but the subcommand itself
+#: config fields set by a flag: every field but the command itself
 _FLAG_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "command")
 _FLAG_HELP = {"out": "output directory", "deltas": "comma-separated list"}
 

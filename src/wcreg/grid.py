@@ -317,10 +317,28 @@ def _scan_table(path: str | Path) -> tuple[list[str], list[tuple[int, str]], dic
     return header, lines, meta
 
 
+def _parse_rows(path: str | Path, lines: list[tuple[int, str]]) -> list[list[float]]:
+    """Float cells of the numbered data lines of `_scan_table`.  Every line
+    must have as many cells as the first and every cell must be a float; the
+    error for the first line that breaks a rule names the file and the line."""
+    rows: list[list[float]] = []
+    for number, ln in lines:
+        cells = ln.split(",")
+        if rows and len(cells) != len(rows[0]):
+            raise ValueError(f"{path}: line {number} has {len(cells)} cells, "
+                             f"line {lines[0][0]} has {len(rows[0])}")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from None
+    return rows
+
+
 def read_csv_table(path: str | Path) -> tuple[list[str], list[list[float]], dict[str, float]]:
-    """Header, float rows and metadata of any emitted table (see `_scan_table`)."""
+    """Header, float rows and metadata of any emitted table (see `_scan_table`
+    and `_parse_rows`)."""
     header, lines, meta = _scan_table(path)
-    return header, [[float(c) for c in ln.split(",")] for _, ln in lines], meta
+    return header, _parse_rows(path, lines), meta
 
 
 def _read_grid_table(path: str | Path, columns: str) -> tuple[np.ndarray, dict[str, float]]:
@@ -329,12 +347,7 @@ def _read_grid_table(path: str | Path, columns: str) -> tuple[np.ndarray, dict[s
     header, lines, meta = _scan_table(path)
     if header != columns.split(","):
         raise ValueError(f"{path}: expected header '{columns}'")
-    rows = [ln.split(",") for _, ln in lines]
-    for (number, _), row in zip(lines, rows):
-        if len(row) != len(rows[0]):
-            raise ValueError(f"{path}: line {number} has {len(row)} cells, "
-                             f"line {lines[0][0]} has {len(rows[0])}")
-    data = np.array([[float(c) for c in row] for row in rows])
+    data = np.array(_parse_rows(path, lines))
     if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] != len(header):
         count = {2: "two", 3: "three"}[len(header)]
         raise ValueError(f"{path}: expected {count} columns and at least two rows")

@@ -5,7 +5,7 @@ import pytest
 
 from wcreg import (AdversarialPair, CompactumSpec, FeasibleClass, GridFunction,
                    GridTooCoarseError, InfeasibleProblemError, NoisyData, ProblemSpec,
-                   add_noise, bump_pair, diameter_probe, holder_norm, integrate,
+                   add_noise, bump_pair, diameter_probe, format_float, holder_norm, integrate,
                    is_feasible, read_pair_csv, rectangle_matrix, sample_feasible,
                    sine_pair, sup_error_estimate, sup_norm, write_pair_csv)
 
@@ -228,6 +228,29 @@ class TestPairCsv:
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
         with pytest.raises(ValueError, match=match):
             read_pair_csv(path)
+
+    def test_rejects_non_numeric_cell(self, tmp_path):
+        path = tmp_path / "pair.csv"
+        write_pair_csv(bump_pair(2.0, 0.01, n=401), path)
+        lines = path.read_text().splitlines()
+        lines[10] = lines[10].split(",")[0] + ",0,-"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_pair_csv(path)
+        assert str(info.value) == f"{path}: line 11: could not convert string to float: '-'"
+
+    def test_bytes_match_per_value_writer(self, tmp_path):
+        # the former writer, value by value, on the largest lip-probe grid
+        pair = bump_pair(1.0, 1e-6, n=17_897)
+        meta = {"separation": pair.separation, **pair.certificate._asdict()}
+        keys = ("delta", "bound", "separation", "misfit1", "norm1", "misfit2", "norm2")
+        lines = [f"# {key}={format_float(meta[key])}" for key in keys] + ["x,v1,v2"]
+        for k in range(pair.v1.n):
+            lines.append(",".join(format_float(val) for val in
+                                  (pair.v1.x[k], pair.v1.values[k], pair.v2.values[k])))
+        path = tmp_path / "pair.csv"
+        write_pair_csv(pair, path)
+        assert path.read_text() == "\n".join(lines) + "\n"
 
     def test_lenient_header_and_comments(self, tmp_path):
         pair = bump_pair(2.0, 0.01, n=401)

@@ -1,9 +1,11 @@
+import argparse
+import re
 import time
 
 import numpy as np
 import pytest
 
-from wcreg.cli import builtin_truth, main, read_csv_table
+from wcreg.cli import COMMANDS, builtin_truth, main, read_csv_table
 from wcreg.config import ExperimentConfig
 from wcreg.grid import read_grid_csv, write_grid_csv
 from wcreg import GridFunction, integrate, read_pair_csv
@@ -268,6 +270,65 @@ class TestConfigHandling:
         cfg_path.write_text("sigma = 3\n")
         assert run_cli("differentiate", "--config", str(cfg_path),
                        "--out", str(tmp_path / "o")) == 2
+
+
+def config_keys(tmp_path):
+    """Every config-file key, as a config file with every field set lists them."""
+    cfg = ExperimentConfig(command="sweep", out="o", grid=5, input="i", delta=1.0)
+    cfg.to_file(tmp_path / "all.cfg")
+    keys = [ln.split("=")[0].strip() for ln in (tmp_path / "all.cfg").read_text().splitlines()]
+    return [key for key in keys if key != "command"]
+
+
+def subparser_parser(keys):
+    """The former parser, one identical subparser per command: the reference
+    for the final line argparse prints when it rejects a command line."""
+    parser = argparse.ArgumentParser(prog="wcreg", description="worst-case regularization toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--config")
+        for key in keys:
+            p.add_argument("--" + key)
+    return parser
+
+
+class TestParser:
+    def test_help_lists_each_flag_once(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--help")
+        assert exc.value.code == 0
+        usage, _, options = capsys.readouterr().out.partition("options:")
+        keys = config_keys(tmp_path)
+        assert len(keys) == 19
+        for flag in ["--config"] + ["--" + key for key in keys]:
+            pattern = rf"(?<![\w-]){re.escape(flag)}(?![\w-])"
+            assert len(re.findall(pattern, usage)) == 1, flag
+            assert len(re.findall(pattern, options)) == 1, flag
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["sweep", "--deltas", "1e-2,1e-3", "--bogus", "1"],
+    ], ids=["missing-command", "unknown-command", "unknown-flag"])
+    def test_rejections_keep_final_error_line(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            subparser_parser(config_keys(tmp_path)).parse_args(argv)
+        assert exc.value.code == 2
+        expected = capsys.readouterr().err.splitlines()[-1]
+        assert expected.startswith("wcreg: error: ")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == expected
+
+    def test_flags_before_command(self, tmp_path):
+        flags = ["--truth", "sine(1)", "--delta", "1e-3", "--grid", "41", "--seed", "3"]
+        runs = {"after": ["differentiate", *flags],
+                "before": [*flags, "differentiate"],
+                "around": [*flags[:4], "differentiate", *flags[4:]]}
+        for name, argv in runs.items():
+            assert run_cli("--out", str(tmp_path / name), *argv) == 0
+        trees = [read_bytes_tree(tmp_path / name) for name in runs]
+        assert trees[0] == trees[1] == trees[2]
 
 
 @pytest.mark.parametrize("args", [

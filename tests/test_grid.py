@@ -5,10 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wcreg import (GridFunction, HolderParams, NoisyData, add_noise, holder_norm,
-                   integrate, integration_matrix, read_grid_csv, sup_norm,
+from wcreg import (GridFunction, HolderParams, NoisyData, StudyRow, add_noise, format_float,
+                   holder_norm, integrate, integration_matrix, read_grid_csv, sup_norm,
                    write_grid_csv)
-from wcreg.grid import _first_max_pair, _max_pair_quotient, _pair_bands, read_csv_table
+from wcreg.grid import (_csv_rows, _first_max_pair, _max_pair_quotient, _pair_bands,
+                        _write_table, read_csv_table)
 
 
 def grid_fn(func, n):
@@ -470,6 +471,13 @@ class TestCsv:
         path.write_text("# plain note\n X , Value \n# g = x^2/2\n0,1\n0.5,2\n1,3\n")
         assert np.array_equal(read_grid_csv(path).values, [1.0, 2.0, 3.0])
 
+    def test_rejects_non_numeric_cell(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,value\n0,0\n# note\n0.5,abc\n1,0.5\n")
+        with pytest.raises(ValueError) as info:
+            read_grid_csv(path)
+        assert str(info.value) == f"{path}: line 4: could not convert string to float: 'abc'"
+
     def test_table_reader_rules(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("# plain note\nDelta, H\n1,2\n\n  3,4\n# slope=-0.5\n"
@@ -478,3 +486,60 @@ class TestCsv:
         assert header == ["delta", "h"]
         assert rows == [[1.0, 2.0], [3.0, 4.0]]
         assert meta == {"slope": -0.5}
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n3\n4,5,6\n", "line 3 has 1 cells, line 2 has 2"),
+        ("a,b\n1,2\n\n3,4,5\n", "line 4 has 3 cells, line 2 has 2"),
+        ("a,b\n1,2\n3,abc\n", "line 3: could not convert string to float: 'abc'"),
+    ], ids=["short-then-long", "long-after-blank", "non-numeric"])
+    def test_table_reader_rejects_bad_rows(self, tmp_path, text, message):
+        # the same row rules as the grid readers, with the file and the line
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_csv_table(path)
+        assert str(info.value) == f"{path}: {message}"
+
+
+def old_csv_lines(rows):
+    """The writers' former per-value formatting, the reference for `_csv_rows`."""
+    return "".join(",".join(format_float(v) for v in row) + "\n" for row in rows)
+
+
+def old_table_text(header, rows, meta):
+    """The text the former `_write_table` wrote, line by line."""
+    lines = [header] + [",".join(format_float(v) for v in row) for row in rows]
+    lines += [f"# {key}={format_float(value)}" for key, value in meta.items()]
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = (-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3)
+
+
+class TestCsvRows:
+    @pytest.mark.parametrize("rows", [
+        [(v, -v, v / 3) for v in EDGE_FLOATS] + [(math.inf, -math.inf, math.nan)],
+        [(1, -2, 2**60 + 1), (np.float64(0.1), np.int64(7), np.int64(-(2**53) - 1)),
+         (np.float64(-0.0), 0, np.float64(1 / 3))],
+        [StudyRow(0.1, 0.05, 1 / 3, 0.1 + 0.2, 5e-324, -0.0),
+         StudyRow(1e-2, 2, np.float64(2.5), np.int64(3), 1.7976931348623157e308, 0.0)],
+        np.random.default_rng(5).normal(size=(200, 3)) * 10.0 ** np.arange(-8, 10, 6),
+    ], ids=["edge-floats", "ints-and-numpy-scalars", "study-rows", "random-table"])
+    def test_matches_per_value_formatting(self, rows):
+        assert _csv_rows(rows) == old_csv_lines(rows)
+
+    @pytest.mark.parametrize("header, rows, meta", [
+        ("omega", [(0.5,), (1 / 3,), (-0.0,)], {"slope": -0.5}),
+        ("delta,omega", [], {"slope": 0.5, "tiny": 5e-324}),
+        ("delta,omega", [], {}),
+    ], ids=["one-column", "zero-rows-with-meta", "zero-rows"])
+    def test_write_table_bytes(self, tmp_path, header, rows, meta):
+        path = tmp_path / "t.csv"
+        _write_table(path, header, rows, meta)
+        assert path.read_text() == old_table_text(header, rows, meta)
+
+    def test_grid_file_bytes(self, tmp_path):
+        f = GridFunction(np.random.default_rng(6).normal(size=101) * math.pi)
+        path = tmp_path / "f.csv"
+        write_grid_csv(f, path)
+        assert path.read_text() == old_table_text("x,value", zip(f.x, f.values), {})

@@ -38,6 +38,7 @@ FILES = {
     "one-row.csv": "x,value\n" + _grid_file([0.0]),
     "uneven.csv": "x,value\n" + _grid_file([0.0, 0.25, 1.0]),
     "ragged.csv": "x,value\n0,0\n0.5,0.125,1\n1,0.5\n",
+    "cell.csv": "x,value\n0,0\n0.5,abc\n1,0.5\n",
     "config.txt": "seed = 4\ndeltas = 1e-2,1e-3\na = 1.5\nm = 2\ncount = 12\ngrid = 201\n",
 }
 
@@ -96,6 +97,7 @@ COMMANDS = (
     ("bad-input-rows", "differentiate --delta 1e-3 --input one-row.csv"),
     ("bad-input-uneven", "differentiate --delta 1e-3 --input uneven.csv"),
     ("bad-input-ragged", "differentiate --delta 1e-3 --input ragged.csv"),
+    ("bad-input-cell", "differentiate --delta 1e-3 --input cell.csv"),
     ("bad-sweep-one-delta", "sweep --deltas 1e-2"),
     ("bad-sweep-a", "sweep --deltas 1e-2,1e-3 --a 0.5"),
     ("bad-sweep-m", "sweep --deltas 1e-2,1e-3 --m -1"),
@@ -122,6 +124,9 @@ COMMANDS = (
     ("bad-mod-guard", "modulus --levels 41 --lattice-nodes 4 --deltas 0.5"),
     ("bad-delta", "modulus --deltas 0.5,-1"),
     ("bad-flag-type", "sweep --deltas 1e-2,1e-3 --grid many"),
+    # rejected by the argument parser itself: exit 2 after a usage line
+    ("bad-command", "bogus"),
+    ("bad-unknown-flag", "sweep --deltas 1e-2,1e-3 --bogus 1"),
     # several broken rules: the first one each command checks is reported
     ("bad-diff-many", "differentiate --delta 1e-3 --a 1 --m 0 --input missing.csv"),
     ("bad-sweep-many", "sweep --deltas 1e-2,1e-3 --a 1 --m 0 --count 0"),
