@@ -92,11 +92,19 @@ class FeasibleClass:
     def n(self) -> int:
         return self.data.g_delta.n
 
-    def image(self, v: GridFunction) -> np.ndarray:
-        return self.prob.apply(v).values
+    def residuals(self, rows: np.ndarray, target: np.ndarray | float | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """(misfit, norm) of each row of a 2-D array: sup|A row - target|,
+        with target the data g_delta unless given, and phi(row).
 
-    def misfit(self, v: GridFunction) -> float:
-        return float(np.max(np.abs(self.image(v) - self.data.g_delta.values)))
+        The one membership kernel.  Each row takes the floats it takes on
+        its own (see `ProblemSpec.apply_rows` and `CompactumSpec.phi_rows`),
+        so a row's verdict does not depend on the rows checked with it.
+        """
+        if target is None:
+            target = self.data.g_delta.values
+        misfit = np.max(np.abs(self.prob.apply_rows(rows) - target), axis=1)
+        return misfit, self.spec.phi_rows(rows)
 
 
 class FeasibilityCheck(NamedTuple):
@@ -128,8 +136,7 @@ def is_feasible(v: GridFunction, cls: FeasibleClass) -> FeasibilityCheck:
     """Both residuals (data misfit, class norm) plus their conjunction."""
     if v.n != cls.n:
         raise ValueError(f"grid mismatch: candidate has {v.n} nodes, class data {cls.n}")
-    mis = cls.misfit(v)
-    norm = cls.spec.phi_value(v)
+    mis, norm = (float(r[0]) for r in cls.residuals(v.values[None]))
     return FeasibilityCheck(mis <= cls.delta and norm <= cls.spec.c, mis, norm)
 
 
@@ -267,15 +274,19 @@ def bump_pair(bound: float, delta: float, n: int | None = None) -> AdversarialPa
 # ensembles
 
 
-def _draw_shape(rng: np.random.Generator, n: int) -> tuple[np.ndarray, str | None]:
-    """One perturbation profile from the fixed dictionary.
+#: most candidate rows that one round of `sample_feasible` checks together;
+#: it keeps a round's transient arrays at O(ROW_BLOCK * n) whatever the count
+ROW_BLOCK = 64
+
+
+def _draw_shape(rng: np.random.Generator, x: np.ndarray) -> tuple[np.ndarray, str | None]:
+    """One perturbation profile on the nodes `x` from the fixed dictionary.
 
     The draws (kind, parameters, sign, scale fraction) happen in a fixed
     order on every attempt, so the ensemble is a pure function of the seed.
-    Parameter-free shapes return a cache key so their norms are computed
+    Parameter-free shapes return a cache key so their gains are computed
     once per run.
     """
-    x = np.linspace(0.0, 1.0, n)
     kind = int(rng.integers(0, 5))
     if kind == 0:
         k = int(rng.integers(1, 9))
@@ -289,32 +300,41 @@ def _draw_shape(rng: np.random.Generator, n: int) -> tuple[np.ndarray, str | Non
         return np.maximum(0.0, 1.0 - np.abs(x - c) / w), None
     if kind == 3:
         # node-alternating profile: invisible to the trapezoid integral
-        return np.where(np.arange(n) % 2 == 0, 1.0, -1.0), "alternating"
-    return np.ones(n), "constant"
+        return np.where(np.arange(x.size) % 2 == 0, 1.0, -1.0), "alternating"
+    return np.ones(x.size), "constant"
 
 
-def _scaled_step(cls: FeasibleClass, shape: np.ndarray, key: str | None,
-                 slack: tuple[float, float], frac: float,
-                 gains: dict[str, tuple[float, float]]) -> float | None:
-    """Step t along `shape` that the triangle inequality keeps inside S.
+def _shape_gains(cls: FeasibleClass, draws: Sequence[tuple[np.ndarray, str | None]],
+                 misfit_slack: float, cache: dict[str, tuple[float, float]]
+                 ) -> list[tuple[float, float]]:
+    """(image gain, norm gain), sup|A shape| and phi(shape), of each drawn
+    (shape, key).
+
+    The shapes not in `cache` are measured together in one kernel call, and
+    the gains of those with a key are added to `cache`.  A shape with no
+    misfit room gets an infinite norm gain, which stands for "not scanned"
+    and gives t_norm = 0.
+    """
+    fresh: dict[str | int, np.ndarray] = {}
+    for i, (shape, key) in enumerate(draws):
+        if key not in cache:
+            fresh.setdefault(i if key is None else key, shape)
+    found: dict[str | int, tuple[float, float]] = {}
+    if fresh:
+        image, norm = cls.residuals(np.array(list(fresh.values())), 0.0)
+        for name, im, nm in zip(fresh, image.tolist(), norm.tolist()):
+            found[name] = (im, nm if _ratio(misfit_slack, im) > 0.0 else math.inf)
+        cache.update((name, gain) for name, gain in found.items() if isinstance(name, str))
+    return [found[i] if key is None else cache[key] for i, (_, key) in enumerate(draws)]
+
+
+def _step(gain: tuple[float, float], slack: tuple[float, float], frac: float) -> float | None:
+    """Step t along a shape that the triangle inequality keeps inside S.
 
     t = 0.9 * min(misfit slack / image gain, norm slack / norm gain) * frac,
-    or None when that is not positive and finite.  A shape with no misfit
-    room is dropped before the norm scan.  The gains of shapes with a cache
-    `key` are computed once per `gains` dict.
+    or None when that is not positive and finite.
     """
-    misfit_slack, norm_slack = slack
-    if key in gains:
-        image_gain, norm_gain = gains[key]
-    else:
-        image_gain = float(np.max(np.abs(cls.image(GridFunction(shape)))))
-        # an infinite norm gain stands for "not scanned" and gives t_norm = 0
-        norm_gain = math.inf
-        if _ratio(misfit_slack, image_gain) > 0.0:
-            norm_gain = cls.spec.phi_value(GridFunction(shape))
-        if key is not None:
-            gains[key] = (image_gain, norm_gain)
-    t = 0.9 * min(_ratio(misfit_slack, image_gain), _ratio(norm_slack, norm_gain))
+    t = 0.9 * min(_ratio(slack[0], gain[0]), _ratio(slack[1], gain[1]))
     if not (t > 0.0 and math.isfinite(t)):
         return None
     return t * frac
@@ -324,15 +344,46 @@ def _ratio(slack: float, gain: float) -> float:
     return math.inf if gain == 0.0 else slack / gain
 
 
+def _accepted_rows(cls: FeasibleClass, base: np.ndarray, shapes: np.ndarray,
+                   steps: np.ndarray) -> list[GridFunction]:
+    """The candidates base + steps[k] * shapes[k] that pass the membership
+    test, in row order.  All pending rows are checked in one kernel call; a
+    rejected row halves its step and is checked again, 40 checks at most."""
+    accepted = np.zeros(len(shapes), dtype=bool)
+    out = np.empty(shapes.shape)
+    todo = np.arange(len(shapes))
+    for _ in range(40):
+        rows = base + steps[todo, None] * shapes[todo]
+        misfit, norm = cls.residuals(rows)
+        ok = (misfit <= cls.delta) & (norm <= cls.spec.c)
+        out[todo[ok]] = rows[ok]
+        accepted[todo[ok]] = True
+        todo = todo[~ok]
+        if todo.size == 0:
+            break
+        steps[todo] *= 0.5
+    return [GridFunction(row) for row in out[accepted]]
+
+
 def sample_feasible(cls: FeasibleClass, count: int, seed: int | np.random.SeedSequence = 0,
                     start: GridFunction | None = None) -> list[GridFunction]:
     """Up to `count` certified members of S around a feasible start element.
 
     The start element (default: the zero function) must itself pass the
-    membership test, else InfeasibleProblemError.  Perturbation amplitudes
-    are capped through the triangle inequality by the remaining misfit and
-    norm slack, then the candidate is re-verified exactly before being
-    accepted; the first returned member is the start element itself.
+    membership test, else InfeasibleProblemError; the first returned member
+    is the start element itself.  Each attempt draws a shape, a sign and a
+    scale fraction; the step along the shape is capped through the triangle
+    inequality by the remaining misfit and norm slack.
+
+    Attempts run in rounds.  A round draws the next count - len(members)
+    attempts, at most ROW_BLOCK and at most the attempts left of
+    30 * count + 100, measures the gains of its new shapes together, and
+    checks all its candidates with one row-wise membership test
+    (`FeasibleClass.residuals`); a rejected candidate halves its step and is
+    checked again, up to 40 times.  The accepted candidates join in attempt
+    order.  Every member thus passes the full membership test, no draw
+    depends on an outcome, and each row takes the floats it takes alone, so
+    a seed gives exactly the members of checking one attempt at a time.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -347,23 +398,26 @@ def sample_feasible(cls: FeasibleClass, count: int, seed: int | np.random.SeedSe
         return []
     members = [base]
     rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 1.0, cls.n)
     slack = (cls.delta - chk.misfit, cls.spec.c - chk.class_norm)
-    gains: dict[str, tuple[float, float]] = {}
+    cache: dict[str, tuple[float, float]] = {}
     attempts = 0
     max_attempts = 30 * count + 100
     while len(members) < count and attempts < max_attempts:
-        attempts += 1
-        shape, key = _draw_shape(rng, cls.n)
-        sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        t = _scaled_step(cls, shape, key, slack, rng.uniform(0.2, 1.0), gains)
-        if t is None:
-            continue
-        for _ in range(40):
-            candidate = GridFunction(base.values + (sign * t) * shape)
-            if is_feasible(candidate, cls).feasible:
-                members.append(candidate)
-                break
-            t *= 0.5
+        size = min(count - len(members), max_attempts - attempts, ROW_BLOCK)
+        attempts += size
+        draws, signs, fracs = [], [], []
+        for _ in range(size):
+            draws.append(_draw_shape(rng, x))
+            signs.append(1.0 if rng.uniform() < 0.5 else -1.0)
+            fracs.append(rng.uniform(0.2, 1.0))
+        gains = _shape_gains(cls, draws, slack[0], cache)
+        steps = [_step(gain, slack, frac) for gain, frac in zip(gains, fracs)]
+        live = [i for i, t in enumerate(steps) if t is not None]
+        if live:
+            members += _accepted_rows(cls, base.values,
+                                      np.array([draws[i][0] for i in live]),
+                                      np.array([signs[i] * steps[i] for i in live]))
     return members
 
 
@@ -420,11 +474,13 @@ def _random_candidates(cls: FeasibleClass, seed, base: GridFunction
     if not chk.feasible:
         return
     rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 1.0, cls.n)
     slack = (cls.delta - chk.misfit, cls.spec.c - chk.class_norm)
-    gains: dict[str, tuple[float, float]] = {}
+    cache: dict[str, tuple[float, float]] = {}
     while True:
-        shape, key = _draw_shape(rng, cls.n)
-        t = _scaled_step(cls, shape, key, slack, rng.uniform(0.2, 1.0), gains)
+        shape, key = _draw_shape(rng, x)
+        gain = _shape_gains(cls, [(shape, key)], slack[0], cache)[0]
+        t = _step(gain, slack, rng.uniform(0.2, 1.0))
         if t is None:
             yield base, base
             continue

@@ -258,8 +258,10 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's rejections (2) and --help (0)
+        return exc.code
     for field in _FLAG_FIELDS:
         if (getattr(args, field) is not None and field != "out"
                 and field not in _READS[args.command]):

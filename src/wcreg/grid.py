@@ -216,18 +216,29 @@ def holder_norm(f: GridFunction, a: float) -> float:
     return float(_holder_norms(f.values, a))
 
 
+def _integrate_rows(rows: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid integral of each row of a 2-D array, by the
+    recurrence y_0 = 0, y_{k+1} = y_k + dx/2 * (v_k + v_{k+1}) along the row.
+
+    Each row takes the same floating-point operations in the same order
+    (`cumsum` accumulates sequentially), so row k equals
+    `integrate(GridFunction(rows[k]))` bit for bit.
+    """
+    increments = (rows[:, :-1] + rows[:, 1:]) * (0.5 * (1.0 / (rows.shape[1] - 1)))
+    out = np.empty(rows.shape)
+    out[:, 0] = 0.0
+    np.cumsum(increments, axis=1, out=out[:, 1:])
+    return out
+
+
 def integrate(v: GridFunction) -> GridFunction:
-    """Cumulative trapezoid integral from 0 to each node.
+    """Cumulative trapezoid integral from 0 to each node: the one-row case
+    of `_integrate_rows`.
 
     Exact for the piecewise-linear reading of the samples, so this is the
     model's integration operator with no internal quadrature error.
     """
-    vals = v.values
-    increments = (vals[:-1] + vals[1:]) * (0.5 * v.spacing)
-    out = np.empty(v.n)
-    out[0] = 0.0
-    np.cumsum(increments, out=out[1:])
-    return GridFunction(out)
+    return GridFunction(_integrate_rows(v.values[None])[0])
 
 
 def noise_pattern(model: str, n: int, seed: int | np.random.SeedSequence = 0,
@@ -336,9 +347,13 @@ def _parse_rows(path: str | Path, lines: list[tuple[int, str]]) -> list[list[flo
 
 def read_csv_table(path: str | Path) -> tuple[list[str], list[list[float]], dict[str, float]]:
     """Header, float rows and metadata of any emitted table (see `_scan_table`
-    and `_parse_rows`)."""
+    and `_parse_rows`); the rows must have as many cells as the header."""
     header, lines, meta = _scan_table(path)
-    return header, _parse_rows(path, lines), meta
+    rows = _parse_rows(path, lines)
+    if rows and len(rows[0]) != len(header):
+        raise ValueError(f"{path}: line {lines[0][0]} has {len(rows[0])} cells, "
+                         f"the header has {len(header)}")
+    return header, rows, meta
 
 
 def _read_grid_table(path: str | Path, columns: str) -> tuple[np.ndarray, dict[str, float]]:

@@ -4,7 +4,9 @@ omega(delta) = sup{ sup|v - w| : sup|Av - Aw| <= delta, v, w in K }.
 
 Its decay to zero as delta -> 0 is exactly what makes uniform-over-the-class
 reconstruction possible on K.  This module computes it exactly, by pair
-enumeration on small lattice compacta.  Continuum lower bounds come from
+enumeration on small lattice compacta; the lattice filter takes phi of all
+members at once with `CompactumSpec.phi_rows`, the row-wise phi that the
+membership test of `adversary` shares.  Continuum lower bounds come from
 `adversary.diameter_probe`, whose docstring states the relation.
 """
 
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PairBudgetExceededError
-from .grid import _holder_norms
 from .operators import CompactumSpec, ProblemSpec
 
 __all__ = ["LatticeCompactum", "modulus_bruteforce"]
@@ -32,13 +33,6 @@ def _node_max_abs_diff(table: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.nd
     for row in table[1:]:
         np.maximum(out, np.abs(row[j] - row[i]), out=out)
     return out
-
-
-def _batch_phi(members: np.ndarray, spec: CompactumSpec) -> np.ndarray:
-    """phi of each row of a small-n member array."""
-    if spec.phi == "sup-norm":
-        return np.max(np.abs(members), axis=1)
-    return _holder_norms(members, spec.a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +73,7 @@ class LatticeCompactum:
             # every level combination, in itertools.product order
             index = np.indices((len(self.levels),) * self.nodes).reshape(self.nodes, -1).T
             grid = np.asarray(self.levels)[index]
-        keep = _batch_phi(grid, self.spec) <= self.spec.c
+        keep = self.spec.phi_rows(grid) <= self.spec.c
         return grid[keep]
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, holder_norm, integrate, sup_norm
+from .grid import GridFunction, _holder_norms, _integrate_rows, holder_norm, sup_norm
 
 __all__ = [
     "CompactumSpec",
@@ -83,6 +83,17 @@ class CompactumSpec:
             return sup_norm(f)
         return holder_norm(f, self.a)
 
+    def phi_rows(self, rows: np.ndarray) -> np.ndarray:
+        """phi of each row of a 2-D array, the one row-wise phi.
+
+        Row k equals `phi_value(GridFunction(rows[k]))` bit for bit: maxima
+        are exact, and the Holder kernel gives each row the quotients and
+        maximum it gives that row alone (see `grid._pair_bands`).
+        """
+        if self.phi == "sup-norm":
+            return np.max(np.abs(rows), axis=1)
+        return _holder_norms(rows, self.a)
+
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
@@ -115,7 +126,21 @@ class ProblemSpec:
                 f"but the grid has {n} nodes")
         return self.operator
 
-    def apply(self, f: GridFunction) -> GridFunction:
+    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
+        """A applied to each row of a 2-D array, the one forward map.
+
+        The built-in map runs the trapezoid recurrence along the rows; an
+        explicit matrix multiplies each row on its own, so that every row
+        takes the bits of a single matrix-vector product.
+        """
         if self.operator is None:
-            return integrate(f)
-        return GridFunction(self.matrix(f.n) @ f.values)
+            return _integrate_rows(rows)
+        mat = self.matrix(rows.shape[1])
+        out = np.empty(rows.shape)
+        for k, row in enumerate(rows):
+            out[k] = mat @ row
+        return out
+
+    def apply(self, f: GridFunction) -> GridFunction:
+        """Af: the one-row case of `apply_rows`."""
+        return GridFunction(self.apply_rows(f.values[None])[0])

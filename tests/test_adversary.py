@@ -8,6 +8,7 @@ from wcreg import (AdversarialPair, CompactumSpec, FeasibleClass, GridFunction,
                    add_noise, bump_pair, diameter_probe, format_float, holder_norm, integrate,
                    is_feasible, read_pair_csv, rectangle_matrix, sample_feasible,
                    sine_pair, sup_error_estimate, sup_norm, write_pair_csv)
+from wcreg.adversary import ROW_BLOCK
 
 
 def truth_class(u, delta, bound, a=None, phi="holder-norm", noise="uniform-iid", seed=0):
@@ -85,6 +86,164 @@ class TestSampleFeasible:
         cls, _ = truth_class(u, 1e-3, 1.0, a=2.0)
         with pytest.raises(InfeasibleProblemError):
             sample_feasible(cls, 5, 0, start=GridFunction(10 + u.values))
+
+
+def one_at_a_time(cls, count, seed, start):
+    """The former sampler, one attempt and one `is_feasible` call at a time:
+    the reference for `sample_feasible`.  Returns the members and the number
+    of rejected membership checks."""
+    def ratio(slack, gain):
+        return math.inf if gain == 0.0 else slack / gain
+
+    def draw_shape(rng, n):
+        x = np.linspace(0.0, 1.0, n)
+        kind = int(rng.integers(0, 5))
+        if kind == 0:
+            k = int(rng.integers(1, 9))
+            return np.sin(2.0 * math.pi * k * x), f"sin{k}"
+        if kind == 1:
+            k = int(rng.integers(1, 9))
+            return np.cos(2.0 * math.pi * k * x), f"cos{k}"
+        if kind == 2:
+            c = rng.uniform(0.25, 0.75)
+            w = rng.uniform(0.05, 0.25)
+            return np.maximum(0.0, 1.0 - np.abs(x - c) / w), None
+        if kind == 3:
+            return np.where(np.arange(n) % 2 == 0, 1.0, -1.0), "alternating"
+        return np.ones(n), "constant"
+
+    chk = is_feasible(start, cls)
+    members, rejected = [start], 0
+    rng = np.random.default_rng(seed)
+    slack = (cls.delta - chk.misfit, cls.spec.c - chk.class_norm)
+    gains = {}
+    attempts = 0
+    while len(members) < count and attempts < 30 * count + 100:
+        attempts += 1
+        shape, key = draw_shape(rng, cls.n)
+        sign = 1.0 if rng.uniform() < 0.5 else -1.0
+        frac = rng.uniform(0.2, 1.0)
+        if key in gains:
+            image_gain, norm_gain = gains[key]
+        else:
+            image_gain = float(np.max(np.abs(cls.prob.apply(GridFunction(shape)).values)))
+            norm_gain = math.inf
+            if ratio(slack[0], image_gain) > 0.0:
+                norm_gain = cls.spec.phi_value(GridFunction(shape))
+            if key is not None:
+                gains[key] = (image_gain, norm_gain)
+        t = 0.9 * min(ratio(slack[0], image_gain), ratio(slack[1], norm_gain))
+        if not (t > 0.0 and math.isfinite(t)):
+            continue
+        t *= frac
+        for _ in range(40):
+            candidate = GridFunction(start.values + (sign * t) * shape)
+            if is_feasible(candidate, cls).feasible:
+                members.append(candidate)
+                break
+            rejected += 1
+            t *= 0.5
+    return members, rejected
+
+
+def assert_same_members(got, want):
+    assert len(got) == len(want)
+    for v, w in zip(got, want):
+        assert np.array_equal(v.values, w.values)
+
+
+CLASSES = [("sup-norm", None), ("holder-norm", 0.5), ("holder-norm", 1.0),
+           ("holder-norm", 2.0)]
+
+
+class TestSamplerMatchesOneAtATime:
+    @pytest.mark.parametrize("matrix", [False, True], ids=["trapezoid", "rectangle"])
+    @pytest.mark.parametrize("phi, a", CLASSES, ids=["sup", "a0.5", "a1", "a2"])
+    def test_noisy_data(self, phi, a, matrix):
+        n = 101
+        u = GridFunction.from_callable(lambda x: 0.4 * x, n)
+        prob = ProblemSpec(rectangle_matrix(n) if matrix else None)
+        data = add_noise(prob.apply(u), 1e-3, "uniform-iid", 5)
+        cls = FeasibleClass(CompactumSpec(phi, 1.0, a=a), data, prob)
+        for count in (1, 20, 100):
+            got = sample_feasible(cls, count, 40 + count, start=u)
+            assert_same_members(got, one_at_a_time(cls, count, 40 + count, u)[0])
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_rounding_limited(self, seed):
+        # steep data and a tube of 1e-14: rounding in the image rejects some
+        # candidates, so their steps are halved and checked again
+        n = 41
+        u = GridFunction.from_callable(lambda x: 400.0 * x, n)
+        cls = FeasibleClass(CompactumSpec("sup-norm", 800.0), NoisyData(integrate(u), 1e-14))
+        want, rejected = one_at_a_time(cls, 20, seed, u)
+        assert rejected >= 1
+        assert_same_members(sample_feasible(cls, 20, seed, start=u), want)
+
+    @pytest.mark.parametrize("matrix", [False, True], ids=["trapezoid", "rectangle"])
+    def test_zero_misfit_slack(self, matrix):
+        # the start's misfit is exactly delta: only shapes the operator
+        # cannot see (the alternating one under the trapezoid map) can move
+        n = 61
+        prob = ProblemSpec(rectangle_matrix(n) if matrix else None)
+        data = NoisyData(GridFunction(np.full(n, 1e-3)), 1e-3)
+        cls = FeasibleClass(CompactumSpec("holder-norm", 1.0, a=2.0), data, prob)
+        start = GridFunction.zeros(n)
+        assert is_feasible(start, cls).misfit == cls.delta
+        want = one_at_a_time(cls, 30, 2, start)[0]
+        assert_same_members(sample_feasible(cls, 30, 2, start=start), want)
+        if matrix:
+            # every attempt is spent: max_attempts ends the loop
+            assert len(want) == 1
+
+    def test_count_above_row_block(self):
+        n = 81
+        u = GridFunction.from_callable(lambda x: 0.4 * x, n)
+        cls, _ = truth_class(u, 1e-3, 1.0, a=2.0)
+        count = 2 * ROW_BLOCK + 7
+        got = sample_feasible(cls, count, 8, start=u)
+        assert len(got) == count
+        assert_same_members(got, one_at_a_time(cls, count, 8, u)[0])
+
+
+class TestMembershipKernel:
+    @pytest.mark.parametrize("matrix", [False, True], ids=["trapezoid", "rectangle"])
+    def test_forward_rows_match_apply(self, matrix):
+        n = 57
+        prob = ProblemSpec(rectangle_matrix(n) if matrix else None)
+        rows = np.random.default_rng(3).normal(size=(9, n))
+        image = prob.apply_rows(rows)
+        for row, got in zip(rows, image):
+            assert np.array_equal(got, prob.apply(GridFunction(row)).values)
+        if not matrix:
+            for row, got in zip(rows, image):
+                assert np.array_equal(got, integrate(GridFunction(row)).values)
+
+    @pytest.mark.parametrize("phi, a", CLASSES + [("holder-norm", 1.5)],
+                             ids=["sup", "a0.5", "a1", "a2", "a1.5"])
+    def test_phi_rows_match_phi_value(self, phi, a):
+        spec = CompactumSpec(phi, 1.0, a=a)
+        rng = np.random.default_rng(4)
+        # rough rows, smooth rows and a constant row
+        rows = np.vstack([rng.uniform(-1.0, 1.0, size=(6, 57)),
+                          np.cumsum(rng.normal(size=(6, 57)), axis=1) / 57.0,
+                          np.full((1, 57), 0.25)])
+        for row, got in zip(rows, spec.phi_rows(rows)):
+            assert got == spec.phi_value(GridFunction(row))
+
+    @pytest.mark.parametrize("matrix", [False, True], ids=["trapezoid", "rectangle"])
+    @pytest.mark.parametrize("phi, a", CLASSES, ids=["sup", "a0.5", "a1", "a2"])
+    def test_residuals_match_is_feasible(self, phi, a, matrix):
+        n = 41
+        prob = ProblemSpec(rectangle_matrix(n) if matrix else None)
+        rng = np.random.default_rng(5)
+        data = NoisyData(GridFunction(rng.uniform(-0.1, 0.1, n)), 0.05)
+        cls = FeasibleClass(CompactumSpec(phi, 1.0, a=a), data, prob)
+        rows = rng.uniform(-0.3, 0.3, size=(7, n))
+        misfit, norm = cls.residuals(rows)
+        for row, mis, nm in zip(rows, misfit, norm):
+            chk = is_feasible(GridFunction(row), cls)
+            assert (mis, nm) == (chk.misfit, chk.class_norm)
 
 
 class TestSupErrorEstimate:

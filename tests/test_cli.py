@@ -295,9 +295,7 @@ def subparser_parser(keys):
 
 class TestParser:
     def test_help_lists_each_flag_once(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("--help")
-        assert exc.value.code == 0
+        assert run_cli("--help") == 0
         usage, _, options = capsys.readouterr().out.partition("options:")
         keys = config_keys(tmp_path)
         assert len(keys) == 19
@@ -315,9 +313,7 @@ class TestParser:
         assert exc.value.code == 2
         expected = capsys.readouterr().err.splitlines()[-1]
         assert expected.startswith("wcreg: error: ")
-        with pytest.raises(SystemExit) as exc:
-            run_cli(*argv)
-        assert exc.value.code == 2
+        assert run_cli(*argv) == 2
         assert capsys.readouterr().err.splitlines()[-1] == expected
 
     def test_flags_before_command(self, tmp_path):

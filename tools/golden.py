@@ -57,6 +57,8 @@ COMMANDS = (
     ("sweep-none", "sweep --deltas 1e-1,1e-2 --noise none --truth constant --grid 101 --count 10"),
     ("sweep-config", "sweep --config config.txt --noise uniform"),
     ("sweep-grid3x", "sweep --deltas 1e-2,1e-3,1e-4 --count 20 --grid 1923"),
+    # the default ensemble count (100): candidates checked in more than one round
+    ("sweep-count-default", "sweep --deltas 1e-2,1e-3"),
     # adversary: sup (sine pairs) and lip (bump pairs), default and fixed grids
     ("adv-sup", "adversary --class sup --m 1 --deltas 1e-1,2e-2"),
     ("adv-sup-grid", "adversary --class sup --m 2 --deltas 1e-1 --grid 801"),
