@@ -133,7 +133,8 @@ class AdversarialPair:
 
 
 def is_feasible(v: GridFunction, cls: FeasibleClass) -> FeasibilityCheck:
-    """Both residuals (data misfit, class norm) plus their conjunction."""
+    """Both residuals (data misfit, class norm) plus their conjunction: the
+    one-row case of `FeasibleClass.residuals`."""
     if v.n != cls.n:
         raise ValueError(f"grid mismatch: candidate has {v.n} nodes, class data {cls.n}")
     mis, norm = (float(r[0]) for r in cls.residuals(v.values[None]))
@@ -279,65 +280,41 @@ def bump_pair(bound: float, delta: float, n: int | None = None) -> AdversarialPa
 ROW_BLOCK = 64
 
 
-def _draw_shape(rng: np.random.Generator, x: np.ndarray) -> tuple[np.ndarray, str | None]:
+def _draw_shape(rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
     """One perturbation profile on the nodes `x` from the fixed dictionary.
 
     The draws (kind, parameters, sign, scale fraction) happen in a fixed
     order on every attempt, so the ensemble is a pure function of the seed.
-    Parameter-free shapes return a cache key so their gains are computed
-    once per run.
     """
     kind = int(rng.integers(0, 5))
     if kind == 0:
-        k = int(rng.integers(1, 9))
-        return np.sin(2.0 * math.pi * k * x), f"sin{k}"
+        return np.sin(2.0 * math.pi * int(rng.integers(1, 9)) * x)
     if kind == 1:
-        k = int(rng.integers(1, 9))
-        return np.cos(2.0 * math.pi * k * x), f"cos{k}"
+        return np.cos(2.0 * math.pi * int(rng.integers(1, 9)) * x)
     if kind == 2:
         c = rng.uniform(0.25, 0.75)
         w = rng.uniform(0.05, 0.25)
-        return np.maximum(0.0, 1.0 - np.abs(x - c) / w), None
+        return np.maximum(0.0, 1.0 - np.abs(x - c) / w)
     if kind == 3:
         # node-alternating profile: invisible to the trapezoid integral
-        return np.where(np.arange(x.size) % 2 == 0, 1.0, -1.0), "alternating"
-    return np.ones(x.size), "constant"
+        return np.where(np.arange(x.size) % 2 == 0, 1.0, -1.0)
+    return np.ones(x.size)
 
 
-def _shape_gains(cls: FeasibleClass, draws: Sequence[tuple[np.ndarray, str | None]],
-                 misfit_slack: float, cache: dict[str, tuple[float, float]]
-                 ) -> list[tuple[float, float]]:
-    """(image gain, norm gain), sup|A shape| and phi(shape), of each drawn
-    (shape, key).
+def _steps(cls: FeasibleClass, shapes: np.ndarray, slack: tuple[float, float],
+           fracs: Sequence[float]) -> list[float | None]:
+    """Step t along each row of `shapes` that the triangle inequality keeps
+    inside S, all shapes measured in one kernel call.
 
-    The shapes not in `cache` are measured together in one kernel call, and
-    the gains of those with a key are added to `cache`.  A shape with no
-    misfit room gets an infinite norm gain, which stands for "not scanned"
-    and gives t_norm = 0.
-    """
-    fresh: dict[str | int, np.ndarray] = {}
-    for i, (shape, key) in enumerate(draws):
-        if key not in cache:
-            fresh.setdefault(i if key is None else key, shape)
-    found: dict[str | int, tuple[float, float]] = {}
-    if fresh:
-        image, norm = cls.residuals(np.array(list(fresh.values())), 0.0)
-        for name, im, nm in zip(fresh, image.tolist(), norm.tolist()):
-            found[name] = (im, nm if _ratio(misfit_slack, im) > 0.0 else math.inf)
-        cache.update((name, gain) for name, gain in found.items() if isinstance(name, str))
-    return [found[i] if key is None else cache[key] for i, (_, key) in enumerate(draws)]
-
-
-def _step(gain: tuple[float, float], slack: tuple[float, float], frac: float) -> float | None:
-    """Step t along a shape that the triangle inequality keeps inside S.
-
-    t = 0.9 * min(misfit slack / image gain, norm slack / norm gain) * frac,
+    t = 0.9 * min(misfit slack / sup|A shape|, norm slack / phi(shape)) * frac,
     or None when that is not positive and finite.
     """
-    t = 0.9 * min(_ratio(slack[0], gain[0]), _ratio(slack[1], gain[1]))
-    if not (t > 0.0 and math.isfinite(t)):
-        return None
-    return t * frac
+    image, norm = cls.residuals(shapes, 0.0)
+    steps = []
+    for image_gain, norm_gain, frac in zip(image.tolist(), norm.tolist(), fracs):
+        t = 0.9 * min(_ratio(slack[0], image_gain), _ratio(slack[1], norm_gain))
+        steps.append(t * frac if t > 0.0 and math.isfinite(t) else None)
+    return steps
 
 
 def _ratio(slack: float, gain: float) -> float:
@@ -377,8 +354,8 @@ def sample_feasible(cls: FeasibleClass, count: int, seed: int | np.random.SeedSe
 
     Attempts run in rounds.  A round draws the next count - len(members)
     attempts, at most ROW_BLOCK and at most the attempts left of
-    30 * count + 100, measures the gains of its new shapes together, and
-    checks all its candidates with one row-wise membership test
+    30 * count + 100, measures all its shapes together, and checks all its
+    candidates with one row-wise membership test
     (`FeasibleClass.residuals`); a rejected candidate halves its step and is
     checked again, up to 40 times.  The accepted candidates join in attempt
     order.  Every member thus passes the full membership test, no draw
@@ -400,23 +377,20 @@ def sample_feasible(cls: FeasibleClass, count: int, seed: int | np.random.SeedSe
     rng = np.random.default_rng(seed)
     x = np.linspace(0.0, 1.0, cls.n)
     slack = (cls.delta - chk.misfit, cls.spec.c - chk.class_norm)
-    cache: dict[str, tuple[float, float]] = {}
     attempts = 0
     max_attempts = 30 * count + 100
     while len(members) < count and attempts < max_attempts:
         size = min(count - len(members), max_attempts - attempts, ROW_BLOCK)
         attempts += size
-        draws, signs, fracs = [], [], []
+        shapes, signs, fracs = [], [], []
         for _ in range(size):
-            draws.append(_draw_shape(rng, x))
+            shapes.append(_draw_shape(rng, x))
             signs.append(1.0 if rng.uniform() < 0.5 else -1.0)
             fracs.append(rng.uniform(0.2, 1.0))
-        gains = _shape_gains(cls, draws, slack[0], cache)
-        steps = [_step(gain, slack, frac) for gain, frac in zip(gains, fracs)]
+        steps = _steps(cls, np.array(shapes), slack, fracs)
         live = [i for i, t in enumerate(steps) if t is not None]
         if live:
-            members += _accepted_rows(cls, base.values,
-                                      np.array([draws[i][0] for i in live]),
+            members += _accepted_rows(cls, base.values, np.array([shapes[i] for i in live]),
                                       np.array([signs[i] * steps[i] for i in live]))
     return members
 
@@ -476,11 +450,9 @@ def _random_candidates(cls: FeasibleClass, seed, base: GridFunction
     rng = np.random.default_rng(seed)
     x = np.linspace(0.0, 1.0, cls.n)
     slack = (cls.delta - chk.misfit, cls.spec.c - chk.class_norm)
-    cache: dict[str, tuple[float, float]] = {}
     while True:
-        shape, key = _draw_shape(rng, x)
-        gain = _shape_gains(cls, [(shape, key)], slack[0], cache)[0]
-        t = _step(gain, slack, rng.uniform(0.2, 1.0))
+        shape = _draw_shape(rng, x)
+        t = _steps(cls, shape[None], slack, [rng.uniform(0.2, 1.0)])[0]
         if t is None:
             yield base, base
             continue

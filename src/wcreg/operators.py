@@ -136,10 +136,7 @@ class ProblemSpec:
         if self.operator is None:
             return _integrate_rows(rows)
         mat = self.matrix(rows.shape[1])
-        out = np.empty(rows.shape)
-        for k, row in enumerate(rows):
-            out[k] = mat @ row
-        return out
+        return np.array([mat @ row for row in rows]).reshape(rows.shape)
 
     def apply(self, f: GridFunction) -> GridFunction:
         """Af: the one-row case of `apply_rows`."""
