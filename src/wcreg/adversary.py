@@ -101,6 +101,9 @@ class FeasibleClass:
         its own (see `ProblemSpec.apply_rows` and `CompactumSpec.phi_rows`),
         so a row's verdict does not depend on the rows checked with it.
         """
+        if self.spec.phi == "holder-norm" and self.n < 3:
+            # the Holder norm is undefined there (see `holder_norm`)
+            raise ValueError("holder_norm needs at least 3 nodes")
         if target is None:
             target = self.data.g_delta.values
         misfit = np.max(np.abs(self.prob.apply_rows(rows) - target), axis=1)
@@ -280,38 +283,70 @@ def bump_pair(bound: float, delta: float, n: int | None = None) -> AdversarialPa
 ROW_BLOCK = 64
 
 
-def _draw_shape(rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
+def _draw_shape(rng: np.random.Generator, x: np.ndarray) -> tuple[np.ndarray, str | None]:
     """One perturbation profile on the nodes `x` from the fixed dictionary.
 
     The draws (kind, parameters, sign, scale fraction) happen in a fixed
     order on every attempt, so the ensemble is a pure function of the seed.
+    Parameter-free shapes return a cache key so their gains are measured
+    once per run.
     """
     kind = int(rng.integers(0, 5))
     if kind == 0:
-        return np.sin(2.0 * math.pi * int(rng.integers(1, 9)) * x)
+        k = int(rng.integers(1, 9))
+        return np.sin(2.0 * math.pi * k * x), f"sin{k}"
     if kind == 1:
-        return np.cos(2.0 * math.pi * int(rng.integers(1, 9)) * x)
+        k = int(rng.integers(1, 9))
+        return np.cos(2.0 * math.pi * k * x), f"cos{k}"
     if kind == 2:
         c = rng.uniform(0.25, 0.75)
         w = rng.uniform(0.05, 0.25)
-        return np.maximum(0.0, 1.0 - np.abs(x - c) / w)
+        return np.maximum(0.0, 1.0 - np.abs(x - c) / w), None
     if kind == 3:
         # node-alternating profile: invisible to the trapezoid integral
-        return np.where(np.arange(x.size) % 2 == 0, 1.0, -1.0)
-    return np.ones(x.size)
+        return np.where(np.arange(x.size) % 2 == 0, 1.0, -1.0), "alternating"
+    return np.ones(x.size), "constant"
 
 
-def _steps(cls: FeasibleClass, shapes: np.ndarray, slack: tuple[float, float],
-           fracs: Sequence[float]) -> list[float | None]:
+def _gains(cls: FeasibleClass, shapes: np.ndarray, misfit_slack: float
+           ) -> list[tuple[float, float]]:
+    """(sup|A shape|, phi(shape)) of each row of `shapes`, measured together.
+
+    A row without misfit room gets no step whatever its norm, so its norm is
+    not scanned: an infinite norm gain stands for "not scanned" and gives a
+    step of 0.
+    """
+    image = np.max(np.abs(cls.prob.apply_rows(shapes)), axis=1).tolist()
+    room = [_ratio(misfit_slack, gain) > 0.0 for gain in image]
+    norm = np.full(len(image), math.inf)
+    if any(room):
+        norm[room] = cls.spec.phi_rows(shapes[room])
+    return list(zip(image, norm.tolist()))
+
+
+def _steps(cls: FeasibleClass, shapes: np.ndarray, keys: Sequence[str | None],
+           slack: tuple[float, float], fracs: Sequence[float],
+           gains: dict[str, tuple[float, float]]) -> list[float | None]:
     """Step t along each row of `shapes` that the triangle inequality keeps
-    inside S, all shapes measured in one kernel call.
+    inside S.
 
     t = 0.9 * min(misfit slack / sup|A shape|, norm slack / phi(shape)) * frac,
-    or None when that is not positive and finite.
+    or None when that is not positive and finite.  The rows whose key is
+    None or not yet in `gains` are measured in one `_gains` call, each key
+    once; the gains of keyed rows are kept in `gains` for later calls.
     """
-    image, norm = cls.residuals(shapes, 0.0)
+    todo, seen = [], set(gains)
+    for i, key in enumerate(keys):
+        if key is None or key not in seen:
+            todo.append(i)
+            seen.add(key)
+    fresh = dict(zip(todo, _gains(cls, shapes[todo], slack[0]))) if todo else {}
+    for i in todo:
+        if keys[i] is not None:
+            gains[keys[i]] = fresh[i]
     steps = []
-    for image_gain, norm_gain, frac in zip(image.tolist(), norm.tolist(), fracs):
+    for i, (key, frac) in enumerate(zip(keys, fracs)):
+        image_gain, norm_gain = fresh[i] if key is None else gains[key]
         t = 0.9 * min(_ratio(slack[0], image_gain), _ratio(slack[1], norm_gain))
         steps.append(t * frac if t > 0.0 and math.isfinite(t) else None)
     return steps
@@ -354,8 +389,9 @@ def sample_feasible(cls: FeasibleClass, count: int, seed: int | np.random.SeedSe
 
     Attempts run in rounds.  A round draws the next count - len(members)
     attempts, at most ROW_BLOCK and at most the attempts left of
-    30 * count + 100, measures all its shapes together, and checks all its
-    candidates with one row-wise membership test
+    30 * count + 100, measures together those of its shapes not measured
+    before (a parameter-free shape is measured once per call), and checks
+    all its candidates with one row-wise membership test
     (`FeasibleClass.residuals`); a rejected candidate halves its step and is
     checked again, up to 40 times.  The accepted candidates join in attempt
     order.  Every member thus passes the full membership test, no draw
@@ -377,17 +413,20 @@ def sample_feasible(cls: FeasibleClass, count: int, seed: int | np.random.SeedSe
     rng = np.random.default_rng(seed)
     x = np.linspace(0.0, 1.0, cls.n)
     slack = (cls.delta - chk.misfit, cls.spec.c - chk.class_norm)
+    gains: dict[str, tuple[float, float]] = {}
     attempts = 0
     max_attempts = 30 * count + 100
     while len(members) < count and attempts < max_attempts:
         size = min(count - len(members), max_attempts - attempts, ROW_BLOCK)
         attempts += size
-        shapes, signs, fracs = [], [], []
+        shapes, keys, signs, fracs = [], [], [], []
         for _ in range(size):
-            shapes.append(_draw_shape(rng, x))
+            shape, key = _draw_shape(rng, x)
+            shapes.append(shape)
+            keys.append(key)
             signs.append(1.0 if rng.uniform() < 0.5 else -1.0)
             fracs.append(rng.uniform(0.2, 1.0))
-        steps = _steps(cls, np.array(shapes), slack, fracs)
+        steps = _steps(cls, np.array(shapes), keys, slack, fracs, gains)
         live = [i for i, t in enumerate(steps) if t is not None]
         if live:
             members += _accepted_rows(cls, base.values, np.array([shapes[i] for i in live]),
@@ -450,9 +489,10 @@ def _random_candidates(cls: FeasibleClass, seed, base: GridFunction
     rng = np.random.default_rng(seed)
     x = np.linspace(0.0, 1.0, cls.n)
     slack = (cls.delta - chk.misfit, cls.spec.c - chk.class_norm)
+    gains: dict[str, tuple[float, float]] = {}
     while True:
-        shape = _draw_shape(rng, x)
-        t = _steps(cls, shape[None], slack, [rng.uniform(0.2, 1.0)])[0]
+        shape, key = _draw_shape(rng, x)
+        t = _steps(cls, shape[None], [key], slack, [rng.uniform(0.2, 1.0)], gains)[0]
         if t is None:
             yield base, base
             continue

@@ -328,16 +328,21 @@ def _scan_table(path: str | Path) -> tuple[list[str], list[tuple[int, str]], dic
     return header, lines, meta
 
 
-def _parse_rows(path: str | Path, lines: list[tuple[int, str]]) -> list[list[float]]:
-    """Float cells of the numbered data lines of `_scan_table`.  Every line
-    must have as many cells as the first and every cell must be a float; the
-    error for the first line that breaks a rule names the file and the line."""
+def _parse_rows(path: str | Path, lines: list[tuple[int, str]],
+                header: list[str] | None = None) -> list[list[float]]:
+    """Float cells of the numbered data lines of `_scan_table`.  The first
+    line must have as many cells as the `header`, when given, every later
+    line as many as the first, and every cell must be a float; the error for
+    the first line that breaks a rule names the file and the line."""
     rows: list[list[float]] = []
     for number, ln in lines:
         cells = ln.split(",")
         if rows and len(cells) != len(rows[0]):
             raise ValueError(f"{path}: line {number} has {len(cells)} cells, "
                              f"line {lines[0][0]} has {len(rows[0])}")
+        if not rows and header is not None and len(cells) != len(header):
+            raise ValueError(f"{path}: line {number} has {len(cells)} cells, "
+                             f"the header has {len(header)}")
         try:
             rows.append([float(c) for c in cells])
         except ValueError as exc:
@@ -349,11 +354,7 @@ def read_csv_table(path: str | Path) -> tuple[list[str], list[list[float]], dict
     """Header, float rows and metadata of any emitted table (see `_scan_table`
     and `_parse_rows`); the rows must have as many cells as the header."""
     header, lines, meta = _scan_table(path)
-    rows = _parse_rows(path, lines)
-    if rows and len(rows[0]) != len(header):
-        raise ValueError(f"{path}: line {lines[0][0]} has {len(rows[0])} cells, "
-                         f"the header has {len(header)}")
-    return header, rows, meta
+    return header, _parse_rows(path, lines, header), meta
 
 
 def _read_grid_table(path: str | Path, columns: str) -> tuple[np.ndarray, dict[str, float]]:

@@ -86,9 +86,10 @@ class CompactumSpec:
     def phi_rows(self, rows: np.ndarray) -> np.ndarray:
         """phi of each row of a 2-D array, the one row-wise phi.
 
-        Row k equals `phi_value(GridFunction(rows[k]))` bit for bit: maxima
-        are exact, and the Holder kernel gives each row the quotients and
-        maximum it gives that row alone (see `grid._pair_bands`).
+        On rows of at least 3 nodes, where `phi_value` is defined, row k
+        equals `phi_value(GridFunction(rows[k]))` bit for bit: maxima are
+        exact, and the Holder kernel gives each row the quotients and maximum
+        it gives that row alone (see `grid._pair_bands`).
         """
         if self.phi == "sup-norm":
             return np.max(np.abs(rows), axis=1)

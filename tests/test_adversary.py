@@ -56,6 +56,15 @@ class TestIsFeasible:
         cls = FeasibleClass(spec, data, ProblemSpec(rectangle_matrix(11)))
         assert is_feasible(GridFunction.zeros(11), cls).feasible
 
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_holder_class_needs_three_nodes(self, a):
+        # the class norm is undefined on fewer nodes, as for holder_norm
+        cls = FeasibleClass.for_zero_data(CompactumSpec("holder-norm", 1.0, a=a), 0.1, 2)
+        with pytest.raises(ValueError, match="at least 3 nodes"):
+            is_feasible(GridFunction.zeros(2), cls)
+        cls = FeasibleClass.for_zero_data(CompactumSpec("sup-norm", 1.0), 0.1, 2)
+        assert is_feasible(GridFunction.zeros(2), cls).feasible
+
 
 class TestSampleFeasible:
     def test_count_zero(self):

@@ -493,8 +493,10 @@ class TestCsv:
         ("a,b\n1,2\n3,abc\n", "line 3: could not convert string to float: 'abc'"),
         ("a,b\n1,2,3\n4,5,6\n", "line 2 has 3 cells, the header has 2"),
         ("# note\na,b,c\n\n1,2\n3,4\n", "line 4 has 2 cells, the header has 3"),
+        ("a,b\n1,2,3\n4,5\n", "line 2 has 3 cells, the header has 2"),
+        ("a,b\n1,2,3\n4,5,x\n", "line 2 has 3 cells, the header has 2"),
     ], ids=["short-then-long", "long-after-blank", "non-numeric", "wider-than-header",
-            "narrower-than-header"])
+            "narrower-than-header", "wide-then-header-width", "wide-then-non-numeric"])
     def test_table_reader_rejects_bad_rows(self, tmp_path, text, message):
         # the same row rules as the grid readers, with the file and the line
         path = tmp_path / "t.csv"
