@@ -335,15 +335,10 @@ def _steps(cls: FeasibleClass, shapes: np.ndarray, keys: Sequence[str | None],
     None or not yet in `gains` are measured in one `_gains` call, each key
     once; the gains of keyed rows are kept in `gains` for later calls.
     """
-    todo, seen = [], set(gains)
-    for i, key in enumerate(keys):
-        if key is None or key not in seen:
-            todo.append(i)
-            seen.add(key)
-    fresh = dict(zip(todo, _gains(cls, shapes[todo], slack[0]))) if todo else {}
-    for i in todo:
-        if keys[i] is not None:
-            gains[keys[i]] = fresh[i]
+    todo = [i for i, key in enumerate(keys)
+            if key is None or (key not in gains and keys.index(key) == i)]
+    fresh = dict(zip(todo, _gains(cls, shapes[todo], slack[0])))
+    gains.update((keys[i], fresh[i]) for i in todo if keys[i] is not None)
     steps = []
     for i, (key, frac) in enumerate(zip(keys, fracs)):
         image_gain, norm_gain = fresh[i] if key is None else gains[key]
