@@ -101,9 +101,7 @@ class FeasibleClass:
         its own (see `ProblemSpec.apply_rows` and `CompactumSpec.phi_rows`),
         so a row's verdict does not depend on the rows checked with it.
         """
-        if self.spec.phi == "holder-norm" and self.n < 3:
-            # the Holder norm is undefined there (see `holder_norm`)
-            raise ValueError("holder_norm needs at least 3 nodes")
+        self.spec.require_nodes(self.n)
         if target is None:
             target = self.data.g_delta.values
         misfit = np.max(np.abs(self.prob.apply_rows(rows) - target), axis=1)

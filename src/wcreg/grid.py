@@ -10,6 +10,7 @@ CSV serialization used by the command-line tools.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -139,7 +140,8 @@ def _pair_bands(values: np.ndarray, positions: np.ndarray, power: float,
     strictly below `best`.  At powers other than 1, row maxima and first
     maximizers thus equal those of the exhaustive scan bit for bit.
 
-    At power 1 only band 1 is scanned.  By the mediant inequality the exact
+    At power 1 only band 1 is scanned.  A single node has no band at any
+    power, so its seminorm is 0.  By the mediant inequality the exact
     quotient of a pair i < j is a weighted mean of the exact adjacent
     quotients over [i, j), so the exact maximum over all pairs is an
     adjacent one.  Each adjacent quotient takes two roundings, subtraction
@@ -152,10 +154,11 @@ def _pair_bands(values: np.ndarray, positions: np.ndarray, power: float,
     maximizer over the ordered pairs scanned is the maximizing pair i < j
     with the smallest i, then the smallest j.
     """
+    n = values.shape[0]
     span = values.max(axis=0) - values.min(axis=0)
     dead = span == 0.0
     tail = (1,) * (values.ndim - 1)
-    for d in range(1, 2 if power == 1 else values.shape[0]):
+    for d in range(1, min(2, n) if power == 1 else n):
         scale = (positions[d:] - positions[:-d]) ** power
         if (dead | (span / scale.min() * (1.0 + 1e-12) < best)).all():
             return
@@ -182,11 +185,20 @@ def _first_max_pair(values: np.ndarray, positions: np.ndarray,
     return float(best), i, j
 
 
+@lru_cache(maxsize=8)
+def _nodes(n: int) -> np.ndarray:
+    """The n grid nodes `linspace(0, 1, n)`, read-only and cached per n."""
+    x = np.linspace(0.0, 1.0, n)
+    x.flags.writeable = False
+    return x
+
+
 def _holder_norms(values: np.ndarray, a: float) -> np.ndarray:
-    """Discrete Holder norm (see `holder_norm`) of each row of `values`."""
+    """Discrete Holder norm (see `holder_norm`) of each row of `values`, a
+    1-D row or a 2-D array of rows."""
     # node-major, so each reduction runs along the long axis of many rows
-    vals = np.ascontiguousarray(np.moveaxis(values, -1, 0))
-    x = np.linspace(0.0, 1.0, vals.shape[0])
+    vals = values if values.ndim == 1 else np.ascontiguousarray(np.moveaxis(values, -1, 0))
+    x = _nodes(vals.shape[0])
     sup = np.max(np.abs(vals), axis=0)
     if a <= 1.0:
         return sup + _max_pair_quotient(vals, x, a)
@@ -359,14 +371,16 @@ def read_csv_table(path: str | Path) -> tuple[list[str], list[list[float]], dict
 
 def _read_grid_table(path: str | Path, columns: str) -> tuple[np.ndarray, dict[str, float]]:
     """Rows and metadata of a grid file with header `columns`, at least two
-    rows and the uniform grid on [0, 1] as its x column."""
+    rows as wide as the header (see `_parse_rows`) and the uniform grid on
+    [0, 1] as its x column."""
     header, lines, meta = _scan_table(path)
     if header != columns.split(","):
         raise ValueError(f"{path}: expected header '{columns}'")
-    data = np.array(_parse_rows(path, lines))
-    if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] != len(header):
+    rows = _parse_rows(path, lines, header)
+    if len(rows) < 2:
         count = {2: "two", 3: "three"}[len(header)]
         raise ValueError(f"{path}: expected {count} columns and at least two rows")
+    data = np.array(rows)
     if np.max(np.abs(data[:, 0] - np.linspace(0.0, 1.0, data.shape[0]))) > 1e-12:
         raise ValueError(f"{path}: x column is not the uniform grid on [0, 1]")
     return data, meta

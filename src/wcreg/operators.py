@@ -13,6 +13,7 @@ an explicit matrix, e.g. `rectangle_matrix`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,16 +33,26 @@ def integration_matrix(n: int) -> np.ndarray:
     """Dense matrix of the cumulative trapezoid integral on n nodes.
 
     Row k carries weights dx * (1/2, 1, ..., 1, 1/2) over nodes 0..k; row 0
-    is zero.  Matches `grid.integrate` exactly.
+    is zero.  Matches `grid.integrate` exactly.  The matrix is shared and
+    read-only, memoized for the last n asked for: copy it before writing
+    to it.
     """
     if n < 2:
         raise ValueError("integration matrix needs at least 2 nodes")
+    return _trapezoid_matrix(n)
+
+
+@lru_cache(maxsize=1)
+def _trapezoid_matrix(n: int) -> np.ndarray:
+    """The `integration_matrix` build, with one n-by-n temporary."""
     dx = 1.0 / (n - 1)
-    a = np.tril(np.full((n, n), dx), 0)
+    a = np.tri(n)
+    a *= dx
     idx = np.arange(n)
     a[idx, idx] = 0.5 * dx
     a[:, 0] = 0.5 * dx
     a[0, :] = 0.0
+    a.flags.writeable = False
     return a
 
 
@@ -84,16 +95,25 @@ class CompactumSpec:
         return holder_norm(f, self.a)
 
     def phi_rows(self, rows: np.ndarray) -> np.ndarray:
-        """phi of each row of a 2-D array, the one row-wise phi.
+        """phi of one 1-D row, or of each row of a 2-D array: the one
+        row-wise phi.
 
         On rows of at least 3 nodes, where `phi_value` is defined, row k
         equals `phi_value(GridFunction(rows[k]))` bit for bit: maxima are
         exact, and the Holder kernel gives each row the quotients and maximum
-        it gives that row alone (see `grid._pair_bands`).
+        it gives that row alone (see `grid._pair_bands`).  Unlike `phi_value`
+        it checks neither the node count (see `require_nodes`) nor that the
+        values are finite.
         """
         if self.phi == "sup-norm":
-            return np.max(np.abs(rows), axis=1)
+            return np.max(np.abs(rows), axis=-1)
         return _holder_norms(rows, self.a)
+
+    def require_nodes(self, n: int) -> None:
+        """Reject a Holder class on fewer than 3 nodes, where `holder_norm`
+        is undefined."""
+        if self.phi == "holder-norm" and n < 3:
+            raise ValueError("holder_norm needs at least 3 nodes")
 
 
 @dataclass(frozen=True, eq=False)

@@ -73,6 +73,16 @@ def objective(v: GridFunction, data: NoisyData, spec: CompactumSpec,
     return mis + data.delta * spec.phi_value(v)
 
 
+def _phi(spec: CompactumSpec, vals: np.ndarray) -> float:
+    """phi of a raw row: `spec.phi_value(GridFunction(vals))` without the
+    wrap, through `spec.phi_rows`.  Non-finite values always give a
+    non-finite phi, so the wrap's finiteness check runs only then."""
+    phi = float(spec.phi_rows(vals))
+    if not math.isfinite(phi) and not np.isfinite(vals).all():
+        raise ValueError("GridFunction values must all be finite")
+    return phi
+
+
 def _phi_subgradient(vals: np.ndarray, x: np.ndarray, spec: CompactumSpec) -> np.ndarray:
     """A subgradient of phi at vals (sum of subgradients of the max terms)."""
     n = vals.size
@@ -141,9 +151,9 @@ def _anchor_candidates(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
         if deg <= n - 2:
             poly = np.polynomial.Polynomial.fit(x, grad, deg)
             out.append(poly(x))
-    raw = [(vals, spec.phi_value(GridFunction(vals))) for vals in out]
+    raw = [(vals, _phi(spec, vals)) for vals in out]
     scaled = [vals * (spec.c / phi) * (1.0 - 1e-12) for vals, phi in raw[1:] if phi > spec.c]
-    return raw + [(vals, spec.phi_value(GridFunction(vals))) for vals in scaled]
+    return raw + [(vals, _phi(spec, vals)) for vals in scaled]
 
 
 def _tube_step(a_mat: np.ndarray, g: np.ndarray, delta: float, base: np.ndarray,
@@ -194,6 +204,7 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
         raise ValueError("budget must be nonnegative")
     n = data.g_delta.n
     a_mat = prob.matrix(n)
+    spec.require_nodes(n)
     g = data.g_delta.values
     delta = data.delta
     c = spec.c
@@ -201,9 +212,6 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
 
     def sup(vec: np.ndarray) -> float:
         return float(np.abs(vec).max())
-
-    def phi_of(vals: np.ndarray) -> float:
-        return spec.phi_value(GridFunction(vals))
 
     best_vals = best_res = None
     best = (math.inf, math.inf, math.inf)  # (objective, misfit, phi)
@@ -228,8 +236,9 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
     if stop_at is not None and best[0] <= stop_at:
         return result()
 
-    row_norms = np.linalg.norm(a_mat, axis=1)
-    lip_mis = float(np.max(row_norms))
+    # the row norms as `np.linalg.norm(a_mat, axis=1)` forms them, without
+    # its copy of the matrix
+    lip_mis = float(np.sqrt(np.add.reduce(a_mat * a_mat, axis=1)).max())
     dx = x[1] - x[0]
     if spec.phi == "sup-norm":
         lip_phi = 1.0
@@ -244,7 +253,7 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
         j = int(np.argmax(np.abs(res)))
         sub = np.sign(res[j]) * a_mat[j] + delta * _phi_subgradient(v, x, spec)
         v = v - (step0 / math.sqrt(it)) * sub
-        phi = phi_of(v)
+        phi = _phi(spec, v)
         if phi > c:
             v = v * (c / phi) * (1.0 - 1e-12)
         res = a_mat @ v - g
@@ -254,10 +263,10 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
             # incumbent, so its exit point stays admissible
             _, v, res = _tube_step(a_mat, g, delta, best_vals, best_res, v - best_vals)
             mis = sup(res)
-            phi = phi_of(v)
+            phi = _phi(spec, v)
             if phi > c:
                 v = v * (c / phi) * (1.0 - 1e-12)
-                phi = phi_of(v)
+                phi = _phi(spec, v)
                 res = a_mat @ v - g
                 mis = sup(res)
         if mis <= delta and phi <= c:

@@ -5,11 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wcreg import (GridFunction, HolderParams, NoisyData, StudyRow, add_noise, format_float,
-                   holder_norm, integrate, integration_matrix, read_grid_csv, sup_norm,
-                   write_grid_csv)
-from wcreg.grid import (_csv_rows, _first_max_pair, _max_pair_quotient, _pair_bands,
-                        _write_table, read_csv_table)
+from wcreg import (CompactumSpec, GridFunction, HolderParams, NoisyData, ProblemSpec,
+                   StudyRow, add_noise, format_float, holder_norm, integrate,
+                   integration_matrix, read_grid_csv, sup_norm, write_grid_csv)
+from wcreg.grid import (_csv_rows, _first_max_pair, _holder_norms, _max_pair_quotient,
+                        _pair_bands, _write_table, read_csv_table)
 
 
 def grid_fn(func, n):
@@ -313,6 +313,18 @@ class TestHolderNorm:
         with pytest.raises(ValueError):
             holder_norm(GridFunction(np.zeros(2)), 1.0)
 
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.0])
+    def test_two_node_rows(self, a):
+        # the row-wise kernel takes 2-node rows (modulus lattices): at a > 1
+        # the one slope has no partner, so its seminorm is 0 at every power
+        rows = np.array([[0.0, 1.0], [0.5, -0.5]])
+        assert np.array_equal(_holder_norms(rows, a), [2.0, 1.5])
+        assert _holder_norms(rows[0], a) == 2.0
+
+    @pytest.mark.parametrize("power", [0.5, 1.0])
+    def test_single_node_has_no_band(self, power):
+        assert list(_pair_bands(np.array([3.0]), np.array([0.0]), power, np.zeros(()))) == []
+
     @pytest.mark.parametrize("a", [0.5, 1.0, 1.7])
     def test_norm_axioms(self, a):
         rng = np.random.default_rng(7)
@@ -326,6 +338,21 @@ class TestHolderNorm:
             assert nsum <= nv + nw + 1e-12 * (nv + nw)
             scaled = holder_norm(GridFunction(alpha * v), a)
             assert scaled == pytest.approx(abs(alpha) * nv, rel=1e-12, abs=1e-15)
+
+
+class TestPhiRows:
+    @pytest.mark.parametrize("phi, a", [("sup-norm", None), ("holder-norm", 0.5),
+                                        ("holder-norm", 1.0), ("holder-norm", 1.5),
+                                        ("holder-norm", 2.0)],
+                             ids=["sup", "a0.5", "a1", "a1.5", "a2"])
+    def test_one_row_matches_phi_value(self, phi, a):
+        spec = CompactumSpec(phi, 1.0, a=a)
+        for n in (3, 7, 401):
+            for name, values in near_tie_cases(n).items():
+                got = spec.phi_rows(values)
+                assert np.ndim(got) == 0, name
+                assert got == spec.phi_value(GridFunction(values)), name
+                assert got == spec.phi_rows(np.stack([values, -values]))[0], name
 
 
 class TestHolderParams:
@@ -388,6 +415,20 @@ class TestIntegrate:
         v = rng.normal(size=101)
         a = integration_matrix(101)
         assert np.max(np.abs(a @ v - integrate(GridFunction(v)).values)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 401])
+    def test_matrix_build(self, n):
+        # the former build: the lower triangle of a full matrix of dx
+        dx = 1.0 / (n - 1)
+        want = np.tril(np.full((n, n), dx), 0)
+        idx = np.arange(n)
+        want[idx, idx] = 0.5 * dx
+        want[:, 0] = 0.5 * dx
+        want[0, :] = 0.0
+        a = integration_matrix(n)
+        assert np.array_equal(a, want)
+        assert not a.flags.writeable
+        assert ProblemSpec().matrix(n) is a
 
 
 class TestAddNoise:
@@ -455,7 +496,7 @@ class TestCsv:
     @pytest.mark.parametrize("text, match", [
         ("x,value\n0,1\n", "at least two rows"),
         ("x,value\n0,1\n0.25,2\n1,3\n", "uniform grid"),
-        ("x,value\n0,1,2\n1,2,3\n", "two columns"),
+        ("x,value\n0,1,2\n1,2,3\n", "line 2 has 3 cells, the header has 2"),
         ("x,value\n# note\n0,0\n0.5,0.125,1\n1,0.5\n", "line 4 has 3 cells, line 3 has 2"),
     ])
     def test_rejects_malformed_rows(self, tmp_path, text, match):

@@ -101,6 +101,14 @@ class TestBruteforce:
         lat = LatticeCompactum(3, (-1.0, 0.0, 1.0), spec)
         assert modulus_bruteforce(lat, 1e-6, ProblemSpec()) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("a", [1.0, 1.5, 2.0])
+    def test_two_node_holder_lattice(self, a):
+        # the lattice of `modulus --lattice-nodes 2 --phi holder-norm --c 2
+        # --levels 5`: at a = 2 the one slope of each member has no partner
+        lat = LatticeCompactum(2, tuple(np.linspace(-2.0, 2.0, 5)),
+                               CompactumSpec("holder-norm", 2.0, a=a))
+        assert modulus_bruteforce(lat, 0.5, ProblemSpec()) == 1.0
+
     def test_matches_all_pairs_oracle(self):
         rng = np.random.default_rng(3)
         dominant = rng.normal(size=(3, 3))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from wcreg import (CompactumSpec, GridFunction, InfeasibleProblemError, NoisyDat
                    integration_matrix, minimize, modulus_bruteforce, objective,
                    rectangle_matrix, sup_norm)
 from wcreg.modulus import LatticeCompactum
-from wcreg.variational import _tube_step
+from wcreg.variational import _phi, _tube_step
 
 
 def three_node_instance(delta=0.1, c=2.0):
@@ -105,6 +106,22 @@ class TestMinimize:
         u, data, _, prob = three_node_instance(delta=0.01)
         with pytest.raises(InfeasibleProblemError):
             minimize(data, CompactumSpec("sup-norm", 0.5), prob, budget=100)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_holder_class_needs_three_nodes(self, a):
+        data = NoisyData(GridFunction(np.array([0.0, 0.01])), 0.1)
+        with pytest.raises(ValueError, match="holder_norm needs at least 3 nodes"):
+            minimize(data, CompactumSpec("holder-norm", 1.0, a=a), ProblemSpec(), budget=5)
+
+    def test_raw_phi_keeps_the_finiteness_check(self):
+        spec = CompactumSpec("holder-norm", 1.0, a=1.0)
+        with np.errstate(all="ignore"):
+            for bad in (np.inf, np.nan):
+                with pytest.raises(ValueError, match="must all be finite"):
+                    _phi(spec, np.array([0.0, bad, 0.0]))
+            # finite values whose quotient overflows give phi = inf, as phi_value does
+            values = np.array([0.0, 1.7e308, -1.7e308])
+            assert _phi(spec, values) == spec.phi_value(GridFunction(values)) == math.inf
 
     def test_holder_phi_instance(self):
         u = GridFunction.from_callable(lambda x: 0.4 * x, 21)

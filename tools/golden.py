@@ -38,6 +38,7 @@ FILES = {
     "one-row.csv": "x,value\n" + _grid_file([0.0]),
     "uneven.csv": "x,value\n" + _grid_file([0.0, 0.25, 1.0]),
     "ragged.csv": "x,value\n0,0\n0.5,0.125,1\n1,0.5\n",
+    "wide.csv": "x,value\n0,0,1\n0.5,0.125,1\n1,0.5,1\n",
     "cell.csv": "x,value\n0,0\n0.5,abc\n1,0.5\n",
     "config.txt": "seed = 4\ndeltas = 1e-2,1e-3\na = 1.5\nm = 2\ncount = 12\ngrid = 201\n",
 }
@@ -83,6 +84,9 @@ COMMANDS = (
     ("mod-holder-a1", "modulus --phi holder-norm --a 1 --c 2 --levels 7 --lattice-nodes 4 "
                       "--deltas 0.5,0.1"),
     ("mod-holder-a2", "modulus --phi holder-norm --a 2 --c 3 --levels 9 --deltas 0.5"),
+    # a 2-node Holder lattice at a = 2: one slope per member, seminorm 0
+    ("mod-holder-a2-2nodes", "modulus --lattice-nodes 2 --phi holder-norm --a 2 --c 2 "
+                             "--levels 5 --deltas 0.5"),
     # narrow sort-key windows: the benchmark's lattice shape, and a Holder lattice
     ("mod-sup-narrow", "modulus --phi sup-norm --c 1 --lattice-nodes 4 --levels 8 "
                        "--deltas 1e-2,1e-3"),
@@ -99,6 +103,7 @@ COMMANDS = (
     ("bad-input-rows", "differentiate --delta 1e-3 --input one-row.csv"),
     ("bad-input-uneven", "differentiate --delta 1e-3 --input uneven.csv"),
     ("bad-input-ragged", "differentiate --delta 1e-3 --input ragged.csv"),
+    ("bad-input-wide", "differentiate --delta 1e-3 --input wide.csv"),
     ("bad-input-cell", "differentiate --delta 1e-3 --input cell.csv"),
     ("bad-sweep-one-delta", "sweep --deltas 1e-2"),
     ("bad-sweep-a", "sweep --deltas 1e-2,1e-3 --a 0.5"),
