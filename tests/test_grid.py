@@ -496,7 +496,8 @@ class TestCsv:
     @pytest.mark.parametrize("text, match", [
         ("x,value\n0,1\n", "at least two rows"),
         ("x,value\n0,1\n0.25,2\n1,3\n", "uniform grid"),
-        ("x,value\n0,1,2\n1,2,3\n", "line 2 has 3 cells, the header has 2"),
+        pytest.param("x,value\n0,1,2\n1,2,3\n", "line 2 has 3 cells, the header has 2",
+                     id="x,value\n0,1,2\n1,2,3\n-two columns"),
         ("x,value\n# note\n0,0\n0.5,0.125,1\n1,0.5\n", "line 4 has 3 cells, line 3 has 2"),
     ])
     def test_rejects_malformed_rows(self, tmp_path, text, match):
