@@ -25,9 +25,9 @@ from .derivative import (RegularizerOutput, differentiate, error_bound,
                          regularize, step_size, stencil_worst_noise)
 from .errors import (ConfigError, GridTooCoarseError, InfeasibleProblemError,
                      PairBudgetExceededError)
-from .grid import (NOISE_MODELS, GridFunction, HolderParams, NoisyData,
-                   add_noise, format_float, holder_norm, integrate,
-                   read_grid_csv, sup_norm, write_grid_csv)
+from .grid import (NOISE_MODELS, GridFunction, NoisyData, add_noise,
+                   format_float, holder_norm, integrate, read_grid_csv,
+                   sup_norm, write_grid_csv)
 from .modulus import LatticeCompactum, modulus_bruteforce
 from .operators import (CompactumSpec, ProblemSpec, integration_matrix,
                         rectangle_matrix)

@@ -24,9 +24,8 @@ from .adversary import FeasibleClass, bump_pair, sample_feasible, sine_pair, \
 from .config import _FIELD_TO_KEY, ExperimentConfig, parse_key_values
 from .derivative import error_bound, regularize, step_size
 from .errors import ConfigError
-from .grid import (GridFunction, HolderParams, NoisyData, _write_table, add_noise,
-                   holder_norm, integrate, noise_pattern, read_csv_table, read_grid_csv,
-                   write_grid_csv)
+from .grid import (GridFunction, NoisyData, _write_table, add_noise, holder_norm, integrate,
+                   noise_pattern, read_csv_table, read_grid_csv, write_grid_csv)
 from .modulus import LatticeCompactum, modulus_bruteforce
 from .operators import PHI_KINDS, CompactumSpec, ProblemSpec
 from .variational import convergence_study, write_convergence_csv
@@ -84,18 +83,18 @@ def cmd_differentiate(cfg: ExperimentConfig, out: Path) -> None:
     else:
         u = builtin_truth(cfg.truth, n)
         data = add_noise(integrate(u), cfg.delta, cfg.noise, cfg.seed)
-    result = regularize(data, HolderParams(cfg.a, cfg.m))
+    result = regularize(data, CompactumSpec("holder-norm", cfg.m, a=cfg.a))
     write_grid_csv(result.u_delta, out / "reconstruction.csv")
     _write_table(out / "summary.csv", "delta,h,eta",
                  [(cfg.delta, result.h_used, result.eta)])
 
 
-def _scaled_truth(cfg: ExperimentConfig, n: int, params: HolderParams) -> GridFunction:
+def _scaled_truth(cfg: ExperimentConfig, n: int, spec: CompactumSpec) -> GridFunction:
     """Builtin truth rescaled into the interior of the a-priori class, so the
     ensemble class actually contains the data-generating element."""
     u = builtin_truth(cfg.truth, n)
-    norm = holder_norm(u, params.a)
-    cap = 0.8 * params.m
+    norm = holder_norm(u, spec.a)
+    cap = 0.8 * spec.c
     if norm > cap:
         u = GridFunction(u.values * (cap / norm))
     return u
@@ -103,20 +102,20 @@ def _scaled_truth(cfg: ExperimentConfig, n: int, params: HolderParams) -> GridFu
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path) -> None:
     n = cfg.grid or 641
-    params = HolderParams(cfg.a, cfg.m)
-    u = _scaled_truth(cfg, n, params)
+    spec = CompactumSpec("holder-norm", cfg.m, a=cfg.a)
+    u = _scaled_truth(cfg, n, spec)
     g = integrate(u)
     deltas = sorted(cfg.deltas, reverse=True)
     children = np.random.SeedSequence(cfg.seed).spawn(2 * len(deltas))
     rows = []
     for i, delta in enumerate(deltas):
         data = add_noise(g, delta, cfg.noise, children[2 * i])
-        result = regularize(data, params)
-        h_rule = step_size(delta, params)
-        cls = FeasibleClass(CompactumSpec("holder-norm", cfg.m, a=cfg.a), data)
+        result = regularize(data, spec)
+        h_rule = step_size(delta, spec)
+        cls = FeasibleClass(spec, data)
         ensemble = sample_feasible(cls, cfg.count, children[2 * i + 1], start=u)
         est = sup_error_estimate(result.u_delta, ensemble)
-        rows.append((delta, h_rule, error_bound(delta, params, h_rule), est))
+        rows.append((delta, h_rule, error_bound(delta, spec, h_rule), est))
     meta = {"eta_loglog_slope": _loglog_slope([r[0] for r in rows], [r[2] for r in rows]),
             "err_loglog_slope": _loglog_slope([r[0] for r in rows], [r[3] for r in rows])}
     _write_table(out / "sweep.csv", "delta,h,eta,sup_err_est", rows, meta)
@@ -207,6 +206,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         _require(cfg.c > 0, "compactum bound c must be positive")
     if cmd in ("differentiate", "sweep"):
         _require(cfg.a > 1.0, "the step rule requires a > 1")
+    if "a" in reads and ("phi" not in reads or cfg.phi == "holder-norm"):
+        _require(0.0 < cfg.a <= 2.0, f"Holder exponent a must lie in (0, 2], got {cfg.a}")
     if cmd in ("differentiate", "sweep", "adversary"):
         _require(cfg.m > 0, "class bound m must be positive")
     if cmd == "differentiate" and cfg.input is not None:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooCoarseError
-from .grid import GridFunction, HolderParams, NoisyData
+from .grid import GridFunction, NoisyData
+from .operators import CompactumSpec
 
 __all__ = [
     "RegularizerOutput",
@@ -44,8 +45,9 @@ class RegularizerOutput:
     eta: float
 
 
-def step_size(delta: float, params: HolderParams, spacing: float | None = None) -> float:
-    """Step choice h = (delta / ((a-1) m))**(1/a), clamped to [spacing, 1/4].
+def step_size(delta: float, spec: CompactumSpec, spacing: float | None = None) -> float:
+    """Step choice h = (delta / ((a-1) m))**(1/a), clamped to [spacing, 1/4],
+    for the Holder class `spec` = {holder_norm_a <= m}.
 
     The unclipped value is the exact minimizer of delta/h + m*h**(a-1) over
     h > 0.  Defined only for a > 1; the a <= 1 regime admits no convergent
@@ -53,9 +55,9 @@ def step_size(delta: float, params: HolderParams, spacing: float | None = None) 
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if not params.a > 1.0:
-        raise ValueError(f"step rule requires a > 1, got a={params.a}")
-    h = (delta / ((params.a - 1.0) * params.m)) ** (1.0 / params.a)
+    if spec.phi != "holder-norm" or not spec.a > 1.0:
+        raise ValueError(f"step rule requires a > 1, got a={spec.a}")
+    h = (delta / ((spec.a - 1.0) * spec.c)) ** (1.0 / spec.a)
     h = min(h, MAX_STEP)
     if spacing is not None:
         if spacing > MAX_STEP:
@@ -94,18 +96,19 @@ def differentiate(data: NoisyData, h: float) -> GridFunction:
     return GridFunction(out)
 
 
-def error_bound(delta: float, params: HolderParams, h: float) -> float:
-    """Certified worst-case sup error eta = delta/h + m * h**(a-1)."""
+def error_bound(delta: float, spec: CompactumSpec, h: float) -> float:
+    """Certified worst-case sup error eta = delta/h + m * h**(a-1) over the
+    Holder class `spec` = {holder_norm_a <= m}."""
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     if not h > 0.0:
         raise ValueError(f"step h must be positive, got {h}")
-    if not params.a > 1.0:
-        raise ValueError(f"error bound requires a > 1, got a={params.a}")
-    return delta / h + params.m * h ** (params.a - 1.0)
+    if spec.phi != "holder-norm" or not spec.a > 1.0:
+        raise ValueError(f"error bound requires a > 1, got a={spec.a}")
+    return delta / h + spec.c * h ** (spec.a - 1.0)
 
 
-def regularize(data: NoisyData, params: HolderParams) -> RegularizerOutput:
+def regularize(data: NoisyData, spec: CompactumSpec) -> RegularizerOutput:
     """Full reconstruction: step rule, snapped to the grid, plus certificate.
 
     The ideal step is snapped to the nearest positive multiple of the grid
@@ -118,12 +121,12 @@ def regularize(data: NoisyData, params: HolderParams) -> RegularizerOutput:
     if dx > MAX_STEP:
         raise GridTooCoarseError(
             f"grid too coarse: spacing {dx} exceeds the maximal step {MAX_STEP}")
-    h_ideal = step_size(data.delta, params, spacing=dx)
+    h_ideal = step_size(data.delta, spec, spacing=dx)
     m = max(1, int(round(h_ideal / dx)))
     m = min(m, (n - 1) // 3)
     h = m / (n - 1)
     u = differentiate(data, h)
-    return RegularizerOutput(u, h, error_bound(data.delta, params, h))
+    return RegularizerOutput(u, h, error_bound(data.delta, spec, h))
 
 
 def stencil_worst_noise(n: int, step_multiple: int, delta: float) -> GridFunction:

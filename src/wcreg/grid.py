@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "GridFunction",
-    "HolderParams",
     "NoisyData",
     "NOISE_MODELS",
     "sup_norm",
@@ -89,20 +88,6 @@ class GridFunction:
     @classmethod
     def zeros(cls, n: int) -> "GridFunction":
         return cls(np.zeros(n))
-
-
-@dataclass(frozen=True)
-class HolderParams:
-    """A-priori smoothness class: exponent a in (0, 2] and norm budget m > 0."""
-
-    a: float
-    m: float
-
-    def __post_init__(self):
-        if not (0.0 < self.a <= 2.0):
-            raise ValueError(f"Holder exponent a must lie in (0, 2], got {self.a}")
-        if not self.m > 0.0:
-            raise ValueError(f"norm budget m must be positive, got {self.m}")
 
 
 @dataclass(frozen=True, eq=False)

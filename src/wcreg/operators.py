@@ -33,9 +33,9 @@ def integration_matrix(n: int) -> np.ndarray:
     """Dense matrix of the cumulative trapezoid integral on n nodes.
 
     Row k carries weights dx * (1/2, 1, ..., 1, 1/2) over nodes 0..k; row 0
-    is zero.  Matches `grid.integrate` exactly.  The matrix is shared and
-    read-only, memoized for the last n asked for: copy it before writing
-    to it.
+    is zero.  Equals `grid.integrate` in exact arithmetic, not bit for bit.
+    The matrix is shared and read-only, memoized for the last n asked for:
+    copy it before writing to it.
     """
     if n < 2:
         raise ValueError("integration matrix needs at least 2 nodes")

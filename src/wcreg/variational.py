@@ -115,9 +115,16 @@ def _phi_subgradient(vals: np.ndarray, x: np.ndarray, spec: CompactumSpec) -> np
     return grad
 
 
+def _rescaled(spec: CompactumSpec, vals: np.ndarray, phi: float) -> tuple[np.ndarray, float]:
+    """vals, with phi(vals) = phi > c, pulled radially just inside {phi <= c},
+    together with its recomputed phi."""
+    vals = vals * (spec.c / phi) * (1.0 - 1e-12)
+    return vals, _phi(spec, vals)
+
+
 def _anchor_candidates(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
-                       a_mat: np.ndarray) -> list[tuple[np.ndarray, float]]:
-    """Deterministic data-fit probes, each with its phi: zero, smoothed
+                       a_mat: np.ndarray) -> np.ndarray:
+    """Deterministic data-fit probes, one per row: zero, smoothed
     derivatives, least squares.
 
     Each raw candidate is also offered rescaled onto {phi <= c}; candidates
@@ -151,12 +158,12 @@ def _anchor_candidates(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
         if deg <= n - 2:
             poly = np.polynomial.Polynomial.fit(x, grad, deg)
             out.append(poly(x))
-    raw = [(vals, _phi(spec, vals)) for vals in out]
-    scaled = [vals * (spec.c / phi) * (1.0 - 1e-12) for vals, phi in raw[1:] if phi > spec.c]
-    return raw + [(vals, _phi(spec, vals)) for vals in scaled]
+    out += [_rescaled(spec, vals, phi)[0] for vals in out[1:]
+            if (phi := _phi(spec, vals)) > spec.c]
+    return np.array(out)
 
 
-def _tube_step(a_mat: np.ndarray, g: np.ndarray, delta: float, base: np.ndarray,
+def _tube_step(prob: ProblemSpec, g: np.ndarray, delta: float, base: np.ndarray,
                base_res: np.ndarray, direction: np.ndarray
                ) -> tuple[float, np.ndarray, np.ndarray]:
     """(t, b + t d, its residual) for the t where the segment from the
@@ -166,9 +173,9 @@ def _tube_step(a_mat: np.ndarray, g: np.ndarray, delta: float, base: np.ndarray,
     r1 = Ad, so the exit is t = min(1, min over r1_k != 0 of
     (sign(r1_k) delta - r0_k) / r1_k).  When rounding puts the misfit formed
     at t above delta, t is trimmed by the shave ladder; the last resort,
-    t = 0, is the incumbent itself.
+    t = 0, is the incumbent itself.  A is applied by `prob.apply_rows`.
     """
-    r1 = a_mat @ direction
+    r1 = prob.apply_rows(direction[None])[0]
     moving = r1 != 0.0
     t = 1.0
     if moving.any():
@@ -177,7 +184,7 @@ def _tube_step(a_mat: np.ndarray, g: np.ndarray, delta: float, base: np.ndarray,
     for shave in _SHAVE_LADDER:
         step = t * (1.0 - shave)
         v = base + step * direction
-        res = a_mat @ v - g
+        res = prob.apply_rows(v[None])[0] - g
         if np.abs(res).max() <= delta:
             return step, v, res
     return 0.0, base, base_res
@@ -196,9 +203,11 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
     is known, fixes the reported certificate at 2*(1+phi_u)*delta.  The
     whole run is deterministic.
 
-    Each residual Av - g is formed once: the iterate's and the incumbent's
-    are kept, not recomputed.  An iterate outside the data tube is pulled
-    back along the segment toward the incumbent by `_tube_step`.
+    Each residual Av - g is formed once, by `is_feasible`'s forward map
+    `prob.apply_rows`: the iterate's and the incumbent's are kept, not
+    recomputed.  An iterate outside the data tube is pulled back along the
+    segment toward the incumbent by `_tube_step`.  The dense matrix serves
+    only the subgradient row, the step size and the least-squares probe.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -210,23 +219,22 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
     c = spec.c
     x = data.g_delta.x
 
+    def residual(vec: np.ndarray) -> np.ndarray:
+        return prob.apply_rows(vec[None])[0] - g
+
     def sup(vec: np.ndarray) -> float:
         return float(np.abs(vec).max())
 
-    best_vals = best_res = None
-    best = (math.inf, math.inf, math.inf)  # (objective, misfit, phi)
-    for cand, phi in _anchor_candidates(data, spec, prob, a_mat):
-        res = a_mat @ cand - g
-        mis = sup(res)
-        if mis <= delta and phi <= c:
-            f_val = mis + delta * phi
-            if f_val < best[0]:
-                best_vals, best_res = cand.copy(), res
-                best = (f_val, mis, phi)
-    if best_vals is None:
+    cands = _anchor_candidates(data, spec, prob, a_mat)
+    misfits, phis = FeasibleClass(spec, data, prob).residuals(cands)
+    f_vals = np.where((misfits <= delta) & (phis <= c), misfits + delta * phis, math.inf)
+    k = int(np.argmin(f_vals))  # the first best probe
+    if f_vals[k] == math.inf:
         raise InfeasibleProblemError(
             "infeasible problem: no data-fit probe satisfies both "
             f"misfit <= {delta} and phi <= {c}")
+    best_vals, best_res = cands[k], residual(cands[k])
+    best = (float(f_vals[k]), float(misfits[k]), float(phis[k]))  # (objective, misfit, phi)
 
     def result() -> VariationalResult:
         cert = best[0] if phi_u is None else 2.0 * (1.0 + phi_u) * delta
@@ -248,31 +256,28 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
         lip_phi = 1.0 + 2.0 / dx + 4.0 / dx ** spec.a
     step0 = c / (10.0 * max(lip_mis + delta * lip_phi, 1e-12))
 
-    v, res = best_vals.copy(), best_res
+    v, res = best_vals, best_res
     for it in range(1, budget + 1):
         j = int(np.argmax(np.abs(res)))
         sub = np.sign(res[j]) * a_mat[j] + delta * _phi_subgradient(v, x, spec)
         v = v - (step0 / math.sqrt(it)) * sub
         phi = _phi(spec, v)
         if phi > c:
-            v = v * (c / phi) * (1.0 - 1e-12)
-        res = a_mat @ v - g
-        mis = sup(res)
-        if mis > delta:
+            v, phi = _rescaled(spec, v, phi)
+        res = residual(v)
+        if sup(res) > delta:
             # both constraints are convex along the segment to the feasible
             # incumbent, so its exit point stays admissible
-            _, v, res = _tube_step(a_mat, g, delta, best_vals, best_res, v - best_vals)
-            mis = sup(res)
+            _, v, res = _tube_step(prob, g, delta, best_vals, best_res, v - best_vals)
             phi = _phi(spec, v)
             if phi > c:
-                v = v * (c / phi) * (1.0 - 1e-12)
-                phi = _phi(spec, v)
-                res = a_mat @ v - g
-                mis = sup(res)
+                v, phi = _rescaled(spec, v, phi)
+                res = residual(v)
+        mis = sup(res)
         if mis <= delta and phi <= c:
             f_val = mis + delta * phi
             if f_val < best[0]:
-                best_vals, best_res = v.copy(), res
+                best_vals, best_res = v, res
                 best = (f_val, mis, phi)
                 if stop_at is not None and best[0] <= stop_at:
                     break

@@ -11,11 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from wcreg import (CompactumSpec, FeasibleClass, GridFunction, HolderParams,
-                   LatticeCompactum, NoisyData, ProblemSpec, add_noise, bump_pair,
-                   convergence_study, error_bound, integrate, is_feasible, minimize,
-                   modulus_bruteforce, regularize, sample_feasible, sine_pair,
-                   step_size, stencil_worst_noise, sup_error_estimate)
+from wcreg import (CompactumSpec, FeasibleClass, GridFunction, LatticeCompactum, NoisyData,
+                   ProblemSpec, add_noise, bump_pair, convergence_study, error_bound,
+                   integrate, is_feasible, minimize, modulus_bruteforce, regularize,
+                   sample_feasible, sine_pair, step_size, stencil_worst_noise,
+                   sup_error_estimate)
 from wcreg.cli import main
 
 
@@ -28,7 +28,7 @@ def test_criterion_1_rate_and_ensemble_bound():
     # error over a 100-member certified ensemble stays below eta at every
     # delta; runtime < 30 s
     start = time.time()
-    params = HolderParams(2.0, 1.0)
+    params = CompactumSpec("holder-norm", 1.0, a=2.0)
     deltas = np.array([1e-2, 1e-3, 1e-4, 1e-5])
     etas = np.array([error_bound(d, params, step_size(d, params)) for d in deltas])
     for d, eta in zip(deltas, etas):
@@ -43,8 +43,7 @@ def test_criterion_1_rate_and_ensemble_bound():
     for i, delta in enumerate(deltas):
         data = add_noise(g, delta, "alternating-worst-case", 0)
         recon = regularize(data, params)
-        cls = FeasibleClass(CompactumSpec("holder-norm", 1.0, a=2.0), data)
-        ensemble = sample_feasible(cls, 100, 100 + i, start=u)
+        ensemble = sample_feasible(FeasibleClass(params, data), 100, 100 + i, start=u)
         assert len(ensemble) >= 100
         measured = sup_error_estimate(recon.u_delta, ensemble)
         assert measured <= 2.0 * math.sqrt(delta)
@@ -59,7 +58,7 @@ def test_criterion_2_exactness():
     n = 1001
     x = np.linspace(0.0, 1.0, n)
     data = NoisyData(GridFunction(x ** 2 / 2.0), 1e-6)
-    res = regularize(data, HolderParams(2.0, 1.0))
+    res = regularize(data, CompactumSpec("holder-norm", 1.0, a=2.0))
     worst = np.max(np.abs(res.u_delta.values[1:-1] - x[1:-1]))
     assert worst <= 1e-12
     report(2, f"interior reconstruction error {worst:.3g} <= 1e-12")
@@ -70,7 +69,7 @@ def test_criterion_3_noise_term_tightness():
     # interior magnitudes of exactly delta/h
     n = 641
     delta = 1e-4
-    params = HolderParams(2.0, 1.0)
+    params = CompactumSpec("holder-norm", 1.0, a=2.0)
     m = round(step_size(delta, params, spacing=1.0 / (n - 1)) * (n - 1))
     data = NoisyData(stencil_worst_noise(n, m, delta), delta)
     res = regularize(data, params)

@@ -229,6 +229,41 @@ class TestModulusCommand:
         assert "mode must be 'bruteforce', got 'search'" in capsys.readouterr().err
 
 
+class TestHolderExponentRange:
+    """An exponent a outside (0, 2] is a configuration error wherever a
+    Holder class reads it."""
+
+    @pytest.mark.parametrize("args", [
+        ["differentiate", "--delta", "1e-3", "--a", "3"],
+        ["sweep", "--deltas", "1e-2,1e-3", "--a", "2.5"],
+        ["variational", "--phi", "holder-norm", "--a", "3", "--deltas", "1e-2"],
+        ["modulus", "--phi", "holder-norm", "--a", "0", "--deltas", "0.5"],
+    ], ids=["differentiate", "sweep", "variational", "modulus"])
+    def test_out_of_range_exit_2(self, tmp_path, capsys, args):
+        assert run_cli(*args, "--out", str(tmp_path / "o")) == 2
+        assert "config error: Holder exponent a must lie in (0, 2]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["differentiate", "--delta", "1e-3", "--a", "0"],
+        ["sweep", "--deltas", "1e-2,1e-3", "--a", "-1"],
+    ], ids=["differentiate", "sweep"])
+    def test_step_rule_reported_first(self, tmp_path, capsys, args):
+        assert run_cli(*args, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == "wcreg: config error: the step rule requires a > 1\n"
+
+    @pytest.mark.parametrize("args", [
+        ["variational", "--phi", "sup-norm", "--c", "2", "--deltas", "1e-1", "--budget", "20",
+         "--count", "4", "--grid", "41"],
+        ["modulus", "--phi", "sup-norm", "--levels", "3", "--deltas", "0.5"],
+    ], ids=["variational", "modulus"])
+    def test_sup_norm_ignores_a(self, tmp_path, capsys, args):
+        assert run_cli(*args, "--a", "3", "--out", str(tmp_path / "a3")) == 0
+        assert run_cli(*args, "--out", str(tmp_path / "plain")) == 0
+        assert read_bytes_tree(tmp_path / "a3") == read_bytes_tree(tmp_path / "plain")
+        assert capsys.readouterr().err == ""
+
+
 class TestConfigHandling:
     def test_round_trip_identity(self, tmp_path):
         cfg = ExperimentConfig(command="sweep", out="results", seed=5,

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from wcreg import (CompactumSpec, FeasibleClass, GridFunction, GridTooCoarseError,
-                   HolderParams, NoisyData, add_noise, differentiate, error_bound,
+                   NoisyData, add_noise, differentiate, error_bound,
                    integrate, regularize, sample_feasible, step_size,
                    stencil_worst_noise, sup_error_estimate, sup_norm)
+
+
+def holder(a, m):
+    """The Holder class {holder_norm_a <= m}."""
+    return CompactumSpec("holder-norm", m, a=a)
 
 
 def exact_data(func, n, delta=1e-12):
@@ -59,19 +64,19 @@ def boundary_worst_case(data, recon, c):
 
 class TestStepSize:
     def test_known_values(self):
-        assert step_size(1e-4, HolderParams(2, 1)) == pytest.approx(0.01, rel=1e-12)
-        assert step_size(4e-4, HolderParams(2, 4)) == pytest.approx(0.01, rel=1e-12)
+        assert step_size(1e-4, holder(2, 1)) == pytest.approx(0.01, rel=1e-12)
+        assert step_size(4e-4, holder(2, 4)) == pytest.approx(0.01, rel=1e-12)
 
     def test_clips_to_quarter(self):
         # raw value (0.1/0.0005)**(2/3) ~ 34.2
-        assert step_size(0.1, HolderParams(1.5, 1e-3)) == 0.25
+        assert step_size(0.1, holder(1.5, 1e-3)) == 0.25
 
     def test_clips_to_spacing(self):
-        assert step_size(1e-12, HolderParams(2, 1), spacing=0.01) == 0.01
+        assert step_size(1e-12, holder(2, 1), spacing=0.01) == 0.01
 
     def test_minimizes_bound(self):
         # scanning oracle: the returned h beats a fine grid of alternatives
-        params = HolderParams(1.7, 2.0)
+        params = holder(1.7, 2.0)
         delta = 3e-4
         h = step_size(delta, params)
         value = error_bound(delta, params, h)
@@ -79,7 +84,7 @@ class TestStepSize:
             assert value <= error_bound(delta, params, trial) + 1e-12
 
     def test_stationarity(self):
-        params = HolderParams(2, 1)
+        params = holder(2, 1)
         delta = 1e-4
         h = step_size(delta, params)
         base = error_bound(delta, params, h)
@@ -88,9 +93,21 @@ class TestStepSize:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            step_size(0.0, HolderParams(2, 1))
+            step_size(0.0, holder(2, 1))
         with pytest.raises(ValueError):
-            step_size(1e-3, HolderParams(1.0, 1))
+            step_size(1e-3, holder(1.0, 1))
+
+    @pytest.mark.parametrize("spec", [CompactumSpec("sup-norm", 1.0),
+                                      CompactumSpec("sup-norm", 1.0, a=2.0),
+                                      holder(1.0, 1), holder(0.5, 1)],
+                             ids=["sup", "sup-with-a", "holder-a1", "holder-a05"])
+    def test_needs_holder_class_above_one(self, spec):
+        with pytest.raises(ValueError, match="step rule requires a > 1"):
+            step_size(1e-3, spec)
+        with pytest.raises(ValueError, match="error bound requires a > 1"):
+            error_bound(1e-3, spec, 0.1)
+        with pytest.raises(ValueError, match="step rule requires a > 1"):
+            regularize(exact_data(lambda x: x, 101), spec)
 
 
 class TestDifferentiate:
@@ -145,18 +162,18 @@ class TestDifferentiate:
 
 class TestErrorBound:
     def test_known_values(self):
-        assert error_bound(1e-4, HolderParams(2, 1), 0.01) == pytest.approx(0.02, rel=1e-12)
-        assert error_bound(1e-2, HolderParams(2, 1), 0.1) == pytest.approx(0.2, rel=1e-12)
+        assert error_bound(1e-4, holder(2, 1), 0.01) == pytest.approx(0.02, rel=1e-12)
+        assert error_bound(1e-2, holder(2, 1), 0.1) == pytest.approx(0.2, rel=1e-12)
 
     def test_small_m_limit(self):
-        eta = error_bound(1e-3, HolderParams(2, 1e-12), 0.05)
+        eta = error_bound(1e-3, holder(2, 1e-12), 0.05)
         assert eta == pytest.approx(1e-3 / 0.05, rel=1e-9)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            error_bound(0.0, HolderParams(2, 1), 0.1)
+            error_bound(0.0, holder(2, 1), 0.1)
         with pytest.raises(ValueError):
-            error_bound(1e-3, HolderParams(2, 1), 0.0)
+            error_bound(1e-3, holder(2, 1), 0.0)
 
 
 class TestRegularize:
@@ -164,7 +181,7 @@ class TestRegularize:
         n = 1001
         x = np.linspace(0, 1, n)
         data = NoisyData(GridFunction(x ** 2 / 2), 1e-6)
-        res = regularize(data, HolderParams(2, 1))
+        res = regularize(data, holder(2, 1))
         assert res.h_used == pytest.approx(1e-3, rel=1e-12)
         assert np.max(np.abs(res.u_delta.values[1:-1] - x[1:-1])) <= 1e-12
 
@@ -173,7 +190,7 @@ class TestRegularize:
         # quotient to exactly delta/h
         n = 641
         delta = 1e-4
-        params = HolderParams(2, 1)
+        params = holder(2, 1)
         m = round(step_size(delta, params, spacing=1 / (n - 1)) * (n - 1))
         noise = stencil_worst_noise(n, m, delta)
         res = regularize(NoisyData(noise, delta), params)
@@ -187,19 +204,19 @@ class TestRegularize:
         n = 641
         delta = 1e-4
         data = add_noise(GridFunction(np.zeros(n)), delta, "alternating-worst-case", 0)
-        res = regularize(data, HolderParams(2, 1))
+        res = regularize(data, holder(2, 1))
         m = round(res.h_used * (n - 1))
         assert np.max(np.abs(res.u_delta.values[m:n - m])) == 0.0
 
     def test_step_is_grid_multiple_and_bound_holds(self):
-        res = regularize(exact_data(lambda x: x ** 2 / 2, 101, delta=3e-4), HolderParams(2, 1))
+        res = regularize(exact_data(lambda x: x ** 2 / 2, 101, delta=3e-4), holder(2, 1))
         m = res.h_used * 100
         assert abs(m - round(m)) <= 1e-9
         assert res.eta >= 3e-4 / res.h_used
 
     def test_grid_too_coarse(self):
         with pytest.raises(GridTooCoarseError):
-            regularize(exact_data(lambda x: x, 4, delta=1e-3), HolderParams(2, 1))
+            regularize(exact_data(lambda x: x, 4, delta=1e-3), holder(2, 1))
 
     def test_certified_bound_over_ensemble(self):
         # every certified class member stays within eta of the reconstruction
@@ -209,8 +226,8 @@ class TestRegularize:
         g = integrate(u)
         delta = 1e-3
         data = add_noise(g, delta, "alternating-worst-case", 0)
-        res = regularize(data, HolderParams(2, 1))
-        cls = FeasibleClass(CompactumSpec("holder-norm", 1.0, a=2.0), data)
+        res = regularize(data, holder(2, 1))
+        cls = FeasibleClass(holder(2, 1), data)
         ensemble = sample_feasible(cls, 60, 17, start=u)
         assert len(ensemble) == 60
         assert sup_error_estimate(res.u_delta, ensemble) <= res.eta
@@ -224,7 +241,7 @@ class TestRegularize:
         for seed in range(4):
             for delta in (1e-2, 1e-3, 1e-4):
                 data = add_noise(g, delta, "uniform-iid", seed)
-                res = regularize(data, HolderParams(2, 1))
+                res = regularize(data, holder(2, 1))
                 assert sup_norm(GridFunction(res.u_delta.values - u.values)) <= res.eta
                 assert boundary_worst_case(data, res.u_delta.values, 1.0) <= res.eta
 
@@ -234,7 +251,7 @@ class TestRegularize:
         x = np.linspace(0, 1, n)
         u = GridFunction(0.4 * x)
         g = integrate(u)
-        params = HolderParams(2, 1)
+        params = holder(2, 1)
         deltas = np.array([1e-2, 1e-3, 1e-4, 1e-5])
         errs = []
         etas = []

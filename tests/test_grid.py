@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wcreg import (CompactumSpec, GridFunction, HolderParams, NoisyData, ProblemSpec,
+from wcreg import (CompactumSpec, GridFunction, NoisyData, ProblemSpec,
                    StudyRow, add_noise, format_float, holder_norm, integrate,
                    integration_matrix, read_grid_csv, sup_norm, write_grid_csv)
 from wcreg.grid import (_csv_rows, _first_max_pair, _holder_norms, _max_pair_quotient,
@@ -355,15 +355,15 @@ class TestPhiRows:
                 assert got == spec.phi_rows(np.stack([values, -values]))[0], name
 
 
-class TestHolderParams:
-    def test_validation(self):
-        HolderParams(2.0, 1.0)
+class TestCompactumSpec:
+    def test_holder_validation(self):
+        CompactumSpec("holder-norm", 1.0, a=2.0)
         with pytest.raises(ValueError):
-            HolderParams(0.0, 1.0)
+            CompactumSpec("holder-norm", 1.0, a=0.0)
         with pytest.raises(ValueError):
-            HolderParams(2.5, 1.0)
+            CompactumSpec("holder-norm", 1.0, a=2.5)
         with pytest.raises(ValueError):
-            HolderParams(1.5, 0.0)
+            CompactumSpec("holder-norm", 0.0, a=1.5)
 
 
 class TestIntegrate:

@@ -77,6 +77,9 @@ COMMANDS = (
     # the benchmark's solve size: 401 nodes, Holder a = 2
     ("var-holder-a2-401", "variational --phi holder-norm --a 2 --c 3 --deltas 1e-2 "
                           "--budget 60 --count 8 --grid 401"),
+    # a sup-norm class ignores --a, even one out of range
+    ("var-sup-a-ignored", "variational --phi sup-norm --a 3 --c 2 --deltas 1e-1 --budget 20 "
+                          "--count 4 --grid 41"),
     # modulus: brute force over sup and Holder lattices
     ("mod-sup", "modulus --phi sup-norm --c 1 --levels 7 --deltas 0.5,0.1"),
     ("mod-sup-const", "modulus --phi sup-norm --c 1 --levels 21 --lattice-nodes 5 "
@@ -97,6 +100,7 @@ COMMANDS = (
     # rejected command lines: exit 2 (configuration) and 3 (runtime)
     ("bad-no-delta", "differentiate"),
     ("bad-diff-a", "differentiate --delta 1e-3 --a 1"),
+    ("bad-diff-a-range", "differentiate --delta 1e-3 --a 3"),
     ("bad-diff-m", "differentiate --delta 1e-3 --m 0"),
     ("bad-input-missing", "differentiate --delta 1e-3 --input missing.csv"),
     ("bad-input-header", "differentiate --delta 1e-3 --input config.txt"),
@@ -119,6 +123,7 @@ COMMANDS = (
     ("bad-var-budget", "variational --budget -1 --deltas 1e-2"),
     ("bad-var-count", "variational --count 0 --deltas 1e-2"),
     ("bad-var-class", "variational --c 0.5 --deltas 1e-2"),
+    ("bad-var-a-range", "variational --phi holder-norm --a 3 --deltas 1e-2"),
     ("bad-mod-phi", "modulus --phi l2 --deltas 0.5"),
     ("bad-mod-c", "modulus --c -1 --deltas 0.5"),
     ("bad-mod-mode", "modulus --mode exact --deltas 0.5"),
