@@ -76,7 +76,7 @@ class FeasibleClass:
     prob: ProblemSpec = ProblemSpec()
 
     def __post_init__(self):
-        if self.prob.size() not in (None, self.n):
+        if self.prob.operator is not None and self.prob.operator.shape[0] != self.n:
             raise ValueError(f"operator matrix must be {self.n}x{self.n}, "
                              f"got {self.prob.operator.shape}")
 

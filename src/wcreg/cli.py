@@ -12,6 +12,7 @@ validation error, 3 runtime error (infeasibility, coarse grids, guards).
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from dataclasses import fields
@@ -66,7 +67,7 @@ def builtin_truth(name: str, n: int) -> GridFunction:
 def _loglog_slope(xs, ys) -> float:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if len(xs) < 2 or np.any(xs <= 0.0) or np.any(ys <= 0.0):
+    if len(set(xs.tolist())) < 2 or np.any(xs <= 0.0) or np.any(ys <= 0.0):
         return float("nan")
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
@@ -153,8 +154,7 @@ def cmd_modulus(cfg: ExperimentConfig, out: Path) -> None:
     lattice = LatticeCompactum(cfg.lattice_nodes,
                                tuple(np.linspace(-cfg.c, cfg.c, cfg.levels)),
                                spec, constants_only=cfg.constants_only)
-    prob = ProblemSpec()
-    rows = [(delta, modulus_bruteforce(lattice, delta, prob))
+    rows = [(delta, modulus_bruteforce(lattice, delta, ProblemSpec()))
             for delta in sorted(cfg.deltas, reverse=True)]
     _write_table(out / "modulus.csv", "delta,omega", rows)
 
@@ -220,6 +220,12 @@ def _validate(cfg: ExperimentConfig) -> None:
         _require(cfg.mode == "bruteforce", f"mode must be 'bruteforce', got {cfg.mode!r}")
         _require(cfg.levels >= 1, "levels must be at least 1")
         _require(cfg.lattice_nodes >= 2, "lattice needs at least 2 nodes")
+    # an infinite bound passes the sign rules above; checked last, so a line
+    # that breaks those rules too keeps their message
+    for field, values in (("delta", [cfg.delta]), ("deltas", cfg.deltas), ("m", [cfg.m]),
+                          ("c", [cfg.c])):
+        if field in reads:
+            _require(all(map(math.isfinite, values)), f"{_flag(field)} must be finite")
 
 
 # ---------------------------------------------------------------------------

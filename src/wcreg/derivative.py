@@ -118,9 +118,6 @@ def regularize(data: NoisyData, spec: CompactumSpec) -> RegularizerOutput:
     g = data.g_delta
     n = g.n
     dx = g.spacing
-    if dx > MAX_STEP:
-        raise GridTooCoarseError(
-            f"grid too coarse: spacing {dx} exceeds the maximal step {MAX_STEP}")
     h_ideal = step_size(data.delta, spec, spacing=dx)
     m = max(1, int(round(h_ideal / dx)))
     m = min(m, (n - 1) // 3)

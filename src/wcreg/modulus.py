@@ -4,10 +4,10 @@ omega(delta) = sup{ sup|v - w| : sup|Av - Aw| <= delta, v, w in K }.
 
 Its decay to zero as delta -> 0 is exactly what makes uniform-over-the-class
 reconstruction possible on K.  This module computes it exactly, by pair
-enumeration on small lattice compacta; the lattice filter takes phi of all
-members at once with `CompactumSpec.phi_rows`, the row-wise phi that the
-membership test of `adversary` shares.  Continuum lower bounds come from
-`adversary.diameter_probe`, whose docstring states the relation.
+enumeration on small lattice compacta judged as `adversary` judges
+membership: all members at once, phi by `CompactumSpec.phi_rows` and images
+by the one forward map `ProblemSpec.apply_rows`.  Continuum lower bounds
+come from `adversary.diameter_probe`, whose docstring states the relation.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def modulus_bruteforce(compactum: LatticeCompactum, delta: float, prob: ProblemS
     m = members.shape[0]
     if m < 2:
         return 0.0
-    images = members @ prob.matrix(compactum.nodes).T
+    images = prob.apply_rows(members)
     k = np.argmax(np.ptp(images, axis=0))
     order = np.argsort(images[:, k], kind="stable")
     # node-major copies: one contiguous row per node

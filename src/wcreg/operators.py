@@ -13,7 +13,6 @@ an explicit matrix, e.g. `rectangle_matrix`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,17 +33,11 @@ def integration_matrix(n: int) -> np.ndarray:
 
     Row k carries weights dx * (1/2, 1, ..., 1, 1/2) over nodes 0..k; row 0
     is zero.  Equals `grid.integrate` in exact arithmetic, not bit for bit.
-    The matrix is shared and read-only, memoized for the last n asked for:
-    copy it before writing to it.
+    Each call builds a fresh array, the exact reference of the forward map
+    `ProblemSpec.apply_rows` and of the adjoint's rows `ProblemSpec.row`.
     """
     if n < 2:
         raise ValueError("integration matrix needs at least 2 nodes")
-    return _trapezoid_matrix(n)
-
-
-@lru_cache(maxsize=1)
-def _trapezoid_matrix(n: int) -> np.ndarray:
-    """The `integration_matrix` build, with one n-by-n temporary."""
     dx = 1.0 / (n - 1)
     a = np.tri(n)
     a *= dx
@@ -52,7 +45,6 @@ def _trapezoid_matrix(n: int) -> np.ndarray:
     a[idx, idx] = 0.5 * dx
     a[:, 0] = 0.5 * dx
     a[0, :] = 0.0
-    a.flags.writeable = False
     return a
 
 
@@ -134,10 +126,6 @@ class ProblemSpec:
                 raise ValueError("explicit operator must be a square matrix, n >= 2")
             object.__setattr__(self, "operator", mat)
 
-    def size(self) -> int | None:
-        """Grid size pinned by an explicit matrix, None for the built-in map."""
-        return None if self.operator is None else int(self.operator.shape[0])
-
     def matrix(self, n: int) -> np.ndarray:
         if self.operator is None:
             return integration_matrix(n)
@@ -146,6 +134,18 @@ class ProblemSpec:
                 f"operator matrix is {self.operator.shape[0]}x{self.operator.shape[0]}, "
                 f"but the grid has {n} nodes")
         return self.operator
+
+    def row(self, k: int, n: int) -> np.ndarray:
+        """Row k of A on n nodes, the one adjoint primitive: for the built-in
+        map `integration_matrix(n)[k]`, without forming the matrix."""
+        if self.operator is not None:
+            return self.matrix(n)[k]
+        dx = 1.0 / (n - 1)
+        out = np.zeros(n)
+        out[1:k] = dx
+        if k > 0:
+            out[[0, k]] = 0.5 * dx
+        return out
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """A applied to each row of a 2-D array, the one forward map.

@@ -122,8 +122,7 @@ def _rescaled(spec: CompactumSpec, vals: np.ndarray, phi: float) -> tuple[np.nda
     return vals, _phi(spec, vals)
 
 
-def _anchor_candidates(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
-                       a_mat: np.ndarray) -> np.ndarray:
+def _anchor_candidates(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec) -> np.ndarray:
     """Deterministic data-fit probes, one per row: zero, smoothed
     derivatives, least squares.
 
@@ -150,7 +149,7 @@ def _anchor_candidates(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
         for m in ladder:
             out.append(differentiate(data, m / (n - 1)).values)
     else:
-        out.append(np.linalg.lstsq(a_mat, g.values, rcond=None)[0])
+        out.append(np.linalg.lstsq(prob.matrix(n), g.values, rcond=None)[0])
     # smooth polynomial fits of the crude derivative: the only probes with a
     # small Holder seminorm, since the others carry node-scale kinks
     x = g.x
@@ -206,13 +205,12 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
     Each residual Av - g is formed once, by `is_feasible`'s forward map
     `prob.apply_rows`: the iterate's and the incumbent's are kept, not
     recomputed.  An iterate outside the data tube is pulled back along the
-    segment toward the incumbent by `_tube_step`.  The dense matrix serves
-    only the subgradient row, the step size and the least-squares probe.
+    segment toward the incumbent by `_tube_step`.  The adjoint is read by
+    rows, `prob.row`; the built-in map's matrix is never formed.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     n = data.g_delta.n
-    a_mat = prob.matrix(n)
     spec.require_nodes(n)
     g = data.g_delta.values
     delta = data.delta
@@ -222,10 +220,7 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
     def residual(vec: np.ndarray) -> np.ndarray:
         return prob.apply_rows(vec[None])[0] - g
 
-    def sup(vec: np.ndarray) -> float:
-        return float(np.abs(vec).max())
-
-    cands = _anchor_candidates(data, spec, prob, a_mat)
+    cands = _anchor_candidates(data, spec, prob)
     misfits, phis = FeasibleClass(spec, data, prob).residuals(cands)
     f_vals = np.where((misfits <= delta) & (phis <= c), misfits + delta * phis, math.inf)
     k = int(np.argmin(f_vals))  # the first best probe
@@ -244,9 +239,10 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
     if stop_at is not None and best[0] <= stop_at:
         return result()
 
-    # the row norms as `np.linalg.norm(a_mat, axis=1)` forms them, without
-    # its copy of the matrix
-    lip_mis = float(np.sqrt(np.add.reduce(a_mat * a_mat, axis=1)).max())
+    # the largest row norm as `np.linalg.norm(a_mat, axis=1)` forms it; the
+    # built-in rows are nested prefixes with positive weights, the last largest
+    rows = prob.row(n - 1, n)[None] if prob.operator is None else prob.operator
+    lip_mis = float(np.sqrt(np.add.reduce(rows * rows, axis=1)).max())
     dx = x[1] - x[0]
     if spec.phi == "sup-norm":
         lip_phi = 1.0
@@ -259,13 +255,13 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
     v, res = best_vals, best_res
     for it in range(1, budget + 1):
         j = int(np.argmax(np.abs(res)))
-        sub = np.sign(res[j]) * a_mat[j] + delta * _phi_subgradient(v, x, spec)
+        sub = np.sign(res[j]) * prob.row(j, n) + delta * _phi_subgradient(v, x, spec)
         v = v - (step0 / math.sqrt(it)) * sub
         phi = _phi(spec, v)
         if phi > c:
             v, phi = _rescaled(spec, v, phi)
         res = residual(v)
-        if sup(res) > delta:
+        if np.abs(res).max() > delta:
             # both constraints are convex along the segment to the feasible
             # incumbent, so its exit point stays admissible
             _, v, res = _tube_step(prob, g, delta, best_vals, best_res, v - best_vals)
@@ -273,7 +269,7 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
             if phi > c:
                 v, phi = _rescaled(spec, v, phi)
                 res = residual(v)
-        mis = sup(res)
+        mis = float(np.abs(res).max())
         if mis <= delta and phi <= c:
             f_val = mis + delta * phi
             if f_val < best[0]:

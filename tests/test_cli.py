@@ -1,6 +1,8 @@
 import argparse
+import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +72,17 @@ class TestDifferentiateCommand:
         assert code == 3
         assert f"{src}: line 3 has 3 cells" in capsys.readouterr().err
 
+    def test_four_node_input_exit_3(self, tmp_path, capsys):
+        # spacing 1/3 exceeds the longest admissible step
+        src = tmp_path / "four.csv"
+        write_grid_csv(integrate(GridFunction(np.linspace(0, 1, 4))), src)
+        code = run_cli("differentiate", "--input", str(src), "--delta", "1e-3",
+                       "--out", str(tmp_path / "o"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("wcreg: error: grid spacing 0.333")
+        assert err.endswith("exceeds the maximal step 0.25\n")
+
     def test_a_not_above_one_exit_2(self, tmp_path, capsys):
         code = run_cli("differentiate", "--truth", "quadratic", "--delta", "1e-4",
                        "--a", "1", "--out", str(tmp_path / "o"))
@@ -90,6 +103,19 @@ class TestSweepCommand:
         for delta, h, eta, est in rows:
             assert eta == pytest.approx(2 * np.sqrt(delta), rel=1e-12)
             assert est <= eta
+
+    def test_repeated_delta_slopes_nan(self, tmp_path, capsys):
+        # one distinct delta fits no line, as one delta does not
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("sweep", "--deltas", "1e-2,1e-2", "--grid", "21", "--count", "3",
+                           "--out", str(out))
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        _, rows, meta = read_csv_table(out / "sweep.csv")
+        assert len(rows) == 2
+        assert math.isnan(meta["eta_loglog_slope"]) and math.isnan(meta["err_loglog_slope"])
 
     def test_single_delta_exit_2(self, tmp_path):
         assert run_cli("sweep", "--deltas", "1e-2", "--a", "2",
@@ -262,6 +288,29 @@ class TestHolderExponentRange:
         assert run_cli(*args, "--out", str(tmp_path / "plain")) == 0
         assert read_bytes_tree(tmp_path / "a3") == read_bytes_tree(tmp_path / "plain")
         assert capsys.readouterr().err == ""
+
+
+class TestNonFiniteBounds:
+    """An infinite bound is a configuration error wherever a command reads it."""
+
+    @pytest.mark.parametrize("args, flag", [
+        (["differentiate", "--delta", "inf"], "--delta"),
+        (["sweep", "--deltas", "inf,1e-2"], "--deltas"),
+        (["adversary", "--m", "inf", "--deltas", "1e-2"], "--m"),
+        (["sweep", "--deltas", "1e-2,1e-3", "--m", "inf"], "--m"),
+        (["variational", "--c", "inf", "--deltas", "1e-2"], "--c"),
+        (["differentiate", "--delta", "1e-3", "--m", "inf"], "--m"),
+        (["modulus", "--deltas", "0.5,inf"], "--deltas"),
+    ], ids=["diff-delta", "sweep-deltas", "adv-m", "sweep-m", "var-c", "diff-m", "mod-deltas"])
+    def test_exit_2(self, tmp_path, capsys, args, flag):
+        assert run_cli(*args, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"wcreg: config error: {flag} must be finite\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_sign_rules_reported_first(self, tmp_path, capsys):
+        assert run_cli("differentiate", "--delta", "inf", "--m", "0",
+                       "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == "wcreg: config error: class bound m must be positive\n"
 
 
 class TestConfigHandling:

@@ -425,10 +425,38 @@ class TestIntegrate:
         want[idx, idx] = 0.5 * dx
         want[:, 0] = 0.5 * dx
         want[0, :] = 0.0
+        assert np.array_equal(integration_matrix(n), want)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 401])
+    def test_row_is_matrix_row(self, n):
         a = integration_matrix(n)
-        assert np.array_equal(a, want)
-        assert not a.flags.writeable
-        assert ProblemSpec().matrix(n) is a
+        prob = ProblemSpec()
+        for k in range(n):
+            assert np.array_equal(prob.row(k, n), a[k])
+
+    def test_row_of_explicit_operator(self):
+        mat = np.random.default_rng(4).normal(size=(6, 6))
+        prob = ProblemSpec(mat)
+        for k in range(6):
+            assert np.array_equal(prob.row(k, 6), mat[k])
+        with pytest.raises(ValueError, match="but the grid has 5 nodes"):
+            prob.row(0, 5)
+
+    def test_last_row_norm_is_the_largest(self):
+        # minimize's step size reads the norm of the last row alone; it
+        # equals the largest row norm of the matrix bit for bit
+        prob = ProblemSpec()
+
+        def lip(rows):
+            return float(np.sqrt(np.add.reduce(rows * rows, axis=1)).max())
+
+        for n in range(2, 300):
+            assert lip(prob.row(n - 1, n)[None]) == lip(integration_matrix(n)), n
+        # larger grids: rows in blocks, each reduced as in the full matrix
+        for n in (401, 641, 1001, 1923, 2561, 4001, 5001):
+            want = max(lip(np.array([prob.row(k, n) for k in range(lo, min(lo + 256, n))]))
+                       for lo in range(0, n, 256))
+            assert lip(prob.row(n - 1, n)[None]) == want, n
 
 
 class TestAddNoise:

@@ -126,10 +126,11 @@ class TestBruteforce:
             (constants_lattice(), ProblemSpec()),
         ]
         deltas = (1e-6, 1e-3, 1e-2, 0.1, 0.5, 10.0)
+        # images by the forward map that judges the data tube everywhere
         widest_keys = []
         for lat, prob in cases:
             members = lat.members()
-            images = members @ prob.matrix(lat.nodes).T
+            images = prob.apply_rows(members)
             widest_keys.append(int(np.argmax(np.ptp(images, axis=0))))
             expected = all_pairs_omega(members, images, deltas)
             assert [modulus_bruteforce(lat, d, prob) for d in deltas] == expected
@@ -171,7 +172,7 @@ class TestBruteforce:
             lat = LatticeCompactum(2, tuple(rng.uniform(-1, 1, 2)), spec)
             members = lat.members()
             for prob in (ProblemSpec(rng.normal(size=(2, 2))), ProblemSpec()):
-                images = members @ prob.matrix(2).T
+                images = prob.apply_rows(members)
                 for i, j in itertools.combinations(range(len(members)), 2):
                     delta = max(float(np.max(np.abs(images[i] - images[j]))), tiny)
                     assert modulus_bruteforce(lat, delta, prob) == \

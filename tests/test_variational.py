@@ -9,7 +9,8 @@ import pytest
 from wcreg import (CompactumSpec, FeasibleClass, GridFunction, InfeasibleProblemError,
                    NoisyData, ProblemSpec, add_noise, convergence_study, integrate,
                    integration_matrix, is_feasible, minimize, modulus_bruteforce,
-                   objective, rectangle_matrix, sup_norm)
+                   objective, rectangle_matrix, sample_feasible, sup_norm)
+from wcreg import operators
 from wcreg.modulus import LatticeCompactum
 from wcreg.variational import _phi, _tube_step
 
@@ -302,3 +303,24 @@ class TestIntegrationMatrixConsistency:
         v = rng.normal(size=33)
         a = integration_matrix(33)
         assert np.max(np.abs(a @ v - integrate(GridFunction(v)).values)) <= 1e-13
+
+    def test_builtin_map_never_builds_the_matrix(self, monkeypatch):
+        # the forward map is the recurrence and the adjoint is read by rows:
+        # no computation on the built-in map forms the n-by-n matrix
+        def refuse(n):
+            raise AssertionError(f"integration_matrix({n}) was built")
+
+        monkeypatch.setattr(operators, "integration_matrix", refuse)
+        n = 401
+        u = GridFunction(0.4 * np.linspace(0.0, 1.0, n))
+        spec = CompactumSpec("holder-norm", 3.0, a=2.0)
+        prob = ProblemSpec()
+        data = NoisyData(add_noise(integrate(u), 2.5e-3, "uniform-iid", 5).g_delta, 1e-2)
+        cls = FeasibleClass(spec, data, prob)
+        res = minimize(data, spec, prob, budget=30)
+        assert is_feasible(res.v_delta, cls).feasible
+        assert len(sample_feasible(cls, 8, 3, start=u)) == 8
+        lattice = LatticeCompactum(4, tuple(np.linspace(-1, 1, 8)), CompactumSpec("sup-norm", 1.0))
+        assert modulus_bruteforce(lattice, 1e-2, prob) > 0.0
+        rows = convergence_study(u, [1e-1, 1e-2], spec, prob, budget=30, ensemble_count=4)
+        assert len(rows) == 2

@@ -37,6 +37,8 @@ FILES = {
                  + _grid_file(k / 10 for k in range(11)),
     "one-row.csv": "x,value\n" + _grid_file([0.0]),
     "uneven.csv": "x,value\n" + _grid_file([0.0, 0.25, 1.0]),
+    # spacing 1/3, above the longest admissible step 1/4
+    "four.csv": "x,value\n" + _grid_file(k / 3 for k in range(4)),
     "ragged.csv": "x,value\n0,0\n0.5,0.125,1\n1,0.5\n",
     "wide.csv": "x,value\n0,0,1\n0.5,0.125,1\n1,0.5,1\n",
     "cell.csv": "x,value\n0,0\n0.5,abc\n1,0.5\n",
@@ -60,6 +62,8 @@ COMMANDS = (
     ("sweep-grid3x", "sweep --deltas 1e-2,1e-3,1e-4 --count 20 --grid 1923"),
     # the default ensemble count (100): candidates checked in more than one round
     ("sweep-count-default", "sweep --deltas 1e-2,1e-3"),
+    # one distinct delta: no log-log slope to fit
+    ("sweep-repeated-delta", "sweep --deltas 1e-2,1e-2 --grid 21 --count 3"),
     # adversary: sup (sine pairs) and lip (bump pairs), default and fixed grids
     ("adv-sup", "adversary --class sup --m 1 --deltas 1e-1,2e-2"),
     ("adv-sup-grid", "adversary --class sup --m 2 --deltas 1e-1 --grid 801"),
@@ -109,6 +113,7 @@ COMMANDS = (
     ("bad-input-ragged", "differentiate --delta 1e-3 --input ragged.csv"),
     ("bad-input-wide", "differentiate --delta 1e-3 --input wide.csv"),
     ("bad-input-cell", "differentiate --delta 1e-3 --input cell.csv"),
+    ("bad-input-coarse", "differentiate --delta 1e-3 --input four.csv"),
     ("bad-sweep-one-delta", "sweep --deltas 1e-2"),
     ("bad-sweep-a", "sweep --deltas 1e-2,1e-3 --a 0.5"),
     ("bad-sweep-m", "sweep --deltas 1e-2,1e-3 --m -1"),
@@ -136,6 +141,14 @@ COMMANDS = (
     ("bad-mod-guard", "modulus --levels 41 --lattice-nodes 4 --deltas 0.5"),
     ("bad-delta", "modulus --deltas 0.5,-1"),
     ("bad-flag-type", "sweep --deltas 1e-2,1e-3 --grid many"),
+    # infinite bounds pass the sign rules and are rejected after them
+    ("bad-diff-delta-inf", "differentiate --delta inf"),
+    ("bad-diff-m-inf", "differentiate --delta 1e-3 --m inf"),
+    ("bad-sweep-deltas-inf", "sweep --deltas inf,1e-2"),
+    ("bad-sweep-m-inf", "sweep --deltas 1e-2,1e-3 --m inf"),
+    ("bad-adv-m-inf", "adversary --m inf --deltas 1e-2"),
+    ("bad-var-c-inf", "variational --c inf --deltas 1e-2"),
+    ("bad-mod-deltas-inf", "modulus --deltas 0.5,inf"),
     # rejected by the argument parser itself: exit 2 after a usage line
     ("bad-command", "bogus"),
     ("bad-unknown-flag", "sweep --deltas 1e-2,1e-3 --bogus 1"),
