@@ -124,6 +124,9 @@ def _pair_bands(values: np.ndarray, positions: np.ndarray, power: float,
     the 1e-12 margin covers the rounding of pow: every pair left unscanned is
     strictly below `best`.  At powers other than 1, row maxima and first
     maximizers thus equal those of the exhaustive scan bit for bit.
+    Callers start `best` at 0, which no row with span > 0 falls below, so
+    before band 1 only the test for rows that are all dead is made: a scan
+    of such rows yields no band.
 
     At power 1 only band 1 is scanned.  A single node has no band at any
     power, so its seminorm is 0.  By the mediant inequality the exact
@@ -142,10 +145,12 @@ def _pair_bands(values: np.ndarray, positions: np.ndarray, power: float,
     n = values.shape[0]
     span = values.max(axis=0) - values.min(axis=0)
     dead = span == 0.0
+    if dead.all():
+        return
     tail = (1,) * (values.ndim - 1)
     for d in range(1, min(2, n) if power == 1 else n):
         scale = (positions[d:] - positions[:-d]) ** power
-        if (dead | (span / scale.min() * (1.0 + 1e-12) < best)).all():
+        if d > 1 and (dead | (span / scale.min() * (1.0 + 1e-12) < best)).all():
             return
         yield d, np.abs(values[d:] - values[:-d]) / scale.reshape(scale.shape + tail)
 
@@ -162,12 +167,14 @@ def _first_max_pair(values: np.ndarray, positions: np.ndarray,
                     power: float) -> tuple[float, int, int]:
     """Largest pair quotient of a 1-D array with its row-major first maximizer (i, j)."""
     best = np.zeros(())
-    i, j = 0, 0
+    top, i, j = 0.0, 0, 0
     for d, quot in _pair_bands(values, positions, power, best):
-        k = int(np.argmax(quot))
-        if quot[k] > best or (quot[k] == best and k < i):
-            best[...], i, j = quot[k], k, k + d
-    return float(best), i, j
+        k = int(quot.argmax())
+        q = quot.item(k)
+        if q > top or (q == top and k < i):
+            best[...] = top = q
+            i, j = k, k + d
+    return top, i, j
 
 
 @lru_cache(maxsize=8)
@@ -187,7 +194,7 @@ def _holder_norms(values: np.ndarray, a: float) -> np.ndarray:
     sup = np.max(np.abs(vals), axis=0)
     if a <= 1.0:
         return sup + _max_pair_quotient(vals, x, a)
-    slopes = np.diff(vals, axis=0) / (x[1] - x[0])
+    slopes = (vals[1:] - vals[:-1]) / (x[1] - x[0])
     return (sup + np.max(np.abs(slopes), axis=0)
             + _max_pair_quotient(slopes, x[:-1], a - 1.0))
 

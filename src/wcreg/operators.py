@@ -151,13 +151,14 @@ class ProblemSpec:
         """A applied to each row of a 2-D array, the one forward map.
 
         The built-in map runs the trapezoid recurrence along the rows; an
-        explicit matrix multiplies each row on its own, so that every row
-        takes the bits of a single matrix-vector product.
+        explicit matrix takes one stacked product of the rows as column
+        vectors, which gives every row the bits of its single matrix-vector
+        product `mat @ row`.
         """
         if self.operator is None:
             return _integrate_rows(rows)
         mat = self.matrix(rows.shape[1])
-        return np.array([mat @ row for row in rows]).reshape(rows.shape)
+        return (mat @ rows[:, :, None])[:, :, 0]
 
     def apply(self, f: GridFunction) -> GridFunction:
         """Af: the one-row case of `apply_rows`."""

@@ -27,8 +27,8 @@ import numpy as np
 from .adversary import _SHAVE_LADDER, FeasibleClass, sample_feasible, sup_error_estimate
 from .derivative import differentiate
 from .errors import InfeasibleProblemError
-from .grid import (GridFunction, NoisyData, _first_max_pair, _write_table, noise_pattern,
-                   sup_norm)
+from .grid import (GridFunction, NoisyData, _first_max_pair, _nodes, _write_table,
+                   noise_pattern, sup_norm)
 from .operators import CompactumSpec, ProblemSpec
 
 __all__ = [
@@ -73,39 +73,69 @@ def objective(v: GridFunction, data: NoisyData, spec: CompactumSpec,
     return mis + data.delta * spec.phi_value(v)
 
 
-def _phi(spec: CompactumSpec, vals: np.ndarray) -> float:
-    """phi of a raw row: `spec.phi_value(GridFunction(vals))` without the
-    wrap, through `spec.phi_rows`.  Non-finite values always give a
-    non-finite phi, so the wrap's finiteness check runs only then."""
-    phi = float(spec.phi_rows(vals))
-    if not math.isfinite(phi) and not np.isfinite(vals).all():
-        raise ValueError("GridFunction values must all be finite")
-    return phi
+class _Maximizers(NamedTuple):
+    """Where the terms of phi(v) peak, kept from the pass that formed phi(v)."""
+
+    sup: int  # first argmax of |v|
+    slopes: np.ndarray | None  # forward slopes of v (a > 1)
+    slope: int  # first argmax of |slopes| (a > 1)
+    pair: tuple[float, int, int]  # `_first_max_pair` of v (a <= 1) or of the slopes
 
 
-def _phi_subgradient(vals: np.ndarray, x: np.ndarray, spec: CompactumSpec) -> np.ndarray:
-    """A subgradient of phi at vals (sum of subgradients of the max terms)."""
+def _phi(spec: CompactumSpec, vals: np.ndarray) -> tuple[float, _Maximizers]:
+    """phi of a raw row with the maximizers of its terms, in one pass.
+
+    phi = sup|v| + max|s| + quot (Holder a > 1; the slope term drops at
+    a <= 1 and both at sup-norm), each term read at its first maximizer.
+    `_first_max_pair` scans the bands of `_pair_bands` as `_max_pair_quotient`
+    does and reaches the same maximum, so phi equals
+    `spec.phi_value(GridFunction(vals))` bit for bit.  A non-finite phi is
+    formed again by `spec.phi_rows`, whose maxima propagate nan; it raises
+    `phi_value`'s error when the values themselves are not finite.
+    """
+    n = vals.size
+    i_sup = int(np.abs(vals).argmax())
+    phi = abs(vals.item(i_sup))
+    slopes, k, pair = None, 0, (0.0, 0, 0)
+    if spec.phi == "holder-norm":
+        x = _nodes(n)
+        if spec.a <= 1.0:
+            pair = _first_max_pair(vals, x, spec.a)
+        else:
+            slopes = (vals[1:] - vals[:-1]) / (x[1] - x[0])
+            k = int(np.abs(slopes).argmax())
+            phi += abs(slopes.item(k))
+            pair = _first_max_pair(slopes, x[:-1], spec.a - 1.0)
+        phi += pair[0]
+    if not math.isfinite(phi):
+        if not np.isfinite(vals).all():
+            raise ValueError("GridFunction values must all be finite")
+        phi = float(spec.phi_rows(vals))
+    return phi, _Maximizers(i_sup, slopes, k, pair)
+
+
+def _phi_subgradient(vals: np.ndarray, at: _Maximizers, spec: CompactumSpec) -> np.ndarray:
+    """A subgradient of phi at vals (sum of subgradients of the max terms),
+    from the maximizers `at` that `_phi(spec, vals)` kept."""
     n = vals.size
     grad = np.zeros(n)
-    i_sup = int(np.argmax(np.abs(vals)))
-    grad[i_sup] += np.sign(vals[i_sup])
+    grad[at.sup] += np.sign(vals[at.sup])
     if spec.phi == "sup-norm":
         return grad
     a = spec.a
+    x = _nodes(n)
     dx = x[1] - x[0]
+    quot, i, j = at.pair
     if a <= 1.0:
-        quot, i, j = _first_max_pair(vals, x, a)
         if quot > 0.0:
             s = np.sign(vals[i] - vals[j]) / abs(x[i] - x[j]) ** a
             grad[i] += s
             grad[j] -= s
         return grad
-    slopes = np.diff(vals) / dx
-    k = int(np.argmax(np.abs(slopes)))
+    slopes, k = at.slopes, at.slope
     s = np.sign(slopes[k]) / dx
     grad[k + 1] += s
     grad[k] -= s
-    quot, i, j = _first_max_pair(slopes, x[:-1], a - 1.0)
     if quot > 0.0:
         s = np.sign(slopes[i] - slopes[j]) / (abs(x[i] - x[j]) ** (a - 1.0) * dx)
         grad[i + 1] += s
@@ -115,11 +145,12 @@ def _phi_subgradient(vals: np.ndarray, x: np.ndarray, spec: CompactumSpec) -> np
     return grad
 
 
-def _rescaled(spec: CompactumSpec, vals: np.ndarray, phi: float) -> tuple[np.ndarray, float]:
+def _rescaled(spec: CompactumSpec, vals: np.ndarray, phi: float
+              ) -> tuple[np.ndarray, float, _Maximizers]:
     """vals, with phi(vals) = phi > c, pulled radially just inside {phi <= c},
-    together with its recomputed phi."""
+    together with its recomputed phi and maximizers."""
     vals = vals * (spec.c / phi) * (1.0 - 1e-12)
-    return vals, _phi(spec, vals)
+    return (vals,) + _phi(spec, vals)
 
 
 def _anchor_candidates(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec) -> np.ndarray:
@@ -158,7 +189,7 @@ def _anchor_candidates(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec) 
             poly = np.polynomial.Polynomial.fit(x, grad, deg)
             out.append(poly(x))
     out += [_rescaled(spec, vals, phi)[0] for vals in out[1:]
-            if (phi := _phi(spec, vals)) > spec.c]
+            if (phi := _phi(spec, vals)[0]) > spec.c]
     return np.array(out)
 
 
@@ -206,7 +237,9 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
     `prob.apply_rows`: the iterate's and the incumbent's are kept, not
     recomputed.  An iterate outside the data tube is pulled back along the
     segment toward the incumbent by `_tube_step`.  The adjoint is read by
-    rows, `prob.row`; the built-in map's matrix is never formed.
+    rows, `prob.row`; the built-in map's matrix is never formed.  Likewise
+    each iterate's Holder terms are formed once, by `_phi`: the maximizers
+    it keeps with phi give the next subgradient without a second scan.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -253,21 +286,22 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
     step0 = c / (10.0 * max(lip_mis + delta * lip_phi, 1e-12))
 
     v, res = best_vals, best_res
+    at = _phi(spec, v)[1]
     for it in range(1, budget + 1):
         j = int(np.argmax(np.abs(res)))
-        sub = np.sign(res[j]) * prob.row(j, n) + delta * _phi_subgradient(v, x, spec)
+        sub = np.sign(res[j]) * prob.row(j, n) + delta * _phi_subgradient(v, at, spec)
         v = v - (step0 / math.sqrt(it)) * sub
-        phi = _phi(spec, v)
+        phi, at = _phi(spec, v)
         if phi > c:
-            v, phi = _rescaled(spec, v, phi)
+            v, phi, at = _rescaled(spec, v, phi)
         res = residual(v)
         if np.abs(res).max() > delta:
             # both constraints are convex along the segment to the feasible
             # incumbent, so its exit point stays admissible
             _, v, res = _tube_step(prob, g, delta, best_vals, best_res, v - best_vals)
-            phi = _phi(spec, v)
+            phi, at = _phi(spec, v)
             if phi > c:
-                v, phi = _rescaled(spec, v, phi)
+                v, phi, at = _rescaled(spec, v, phi)
                 res = residual(v)
         mis = float(np.abs(res).max())
         if mis <= delta and phi <= c:

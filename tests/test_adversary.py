@@ -233,6 +233,17 @@ class TestMembershipKernel:
                 np.cumsum((row[:-1] + row[1:]) * (0.5 * (1.0 / (n - 1))), out=want[1:])
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 101, 641])
+    def test_explicit_operator_rows_match_single_products(self, n):
+        # the stacked product gives each row the bits of its own `mat @ row`
+        rng = np.random.default_rng(n)
+        for mat in (rectangle_matrix(n), rng.normal(size=(n, n))):
+            rows = rng.normal(size=(9, n))
+            image = ProblemSpec(mat).apply_rows(rows)
+            assert image.shape == rows.shape
+            for row, got in zip(rows, image):
+                assert np.array_equal(got, mat @ row)
+
     @pytest.mark.parametrize("phi, a", CLASSES + [("holder-norm", 1.5)],
                              ids=["sup", "a0.5", "a1", "a2", "a1.5"])
     def test_phi_rows_match_phi_value(self, phi, a):

@@ -10,9 +10,12 @@ from wcreg import (CompactumSpec, FeasibleClass, GridFunction, InfeasibleProblem
                    NoisyData, ProblemSpec, add_noise, convergence_study, integrate,
                    integration_matrix, is_feasible, minimize, modulus_bruteforce,
                    objective, rectangle_matrix, sample_feasible, sup_norm)
-from wcreg import operators
+from wcreg import grid, operators, variational
+from wcreg.grid import _first_max_pair
 from wcreg.modulus import LatticeCompactum
-from wcreg.variational import _phi, _tube_step
+from wcreg.variational import _phi, _phi_subgradient, _tube_step
+
+from test_grid import near_tie_cases
 
 
 def three_node_instance(delta=0.1, c=2.0):
@@ -122,7 +125,7 @@ class TestMinimize:
                     _phi(spec, np.array([0.0, bad, 0.0]))
             # finite values whose quotient overflows give phi = inf, as phi_value does
             values = np.array([0.0, 1.7e308, -1.7e308])
-            assert _phi(spec, values) == spec.phi_value(GridFunction(values)) == math.inf
+            assert _phi(spec, values)[0] == spec.phi_value(GridFunction(values)) == math.inf
 
     def test_holder_phi_instance(self):
         u = GridFunction.from_callable(lambda x: 0.4 * x, 21)
@@ -156,6 +159,118 @@ class TestReportedTerms:
                 assert res.misfit == check.misfit
                 assert res.phi_value == check.class_norm
                 assert res.objective_value == objective(res.v_delta, data, spec, prob)
+
+
+def two_pass_subgradient(vals, x, spec):
+    """The former `_phi_subgradient`, which scanned the Holder terms of vals
+    a second time: the oracle for the subgradient built from the maximizers
+    that `_phi` keeps."""
+    n = vals.size
+    grad = np.zeros(n)
+    i_sup = int(np.argmax(np.abs(vals)))
+    grad[i_sup] += np.sign(vals[i_sup])
+    if spec.phi == "sup-norm":
+        return grad
+    a = spec.a
+    dx = x[1] - x[0]
+    if a <= 1.0:
+        quot, i, j = _first_max_pair(vals, x, a)
+        if quot > 0.0:
+            s = np.sign(vals[i] - vals[j]) / abs(x[i] - x[j]) ** a
+            grad[i] += s
+            grad[j] -= s
+        return grad
+    slopes = np.diff(vals) / dx
+    k = int(np.argmax(np.abs(slopes)))
+    s = np.sign(slopes[k]) / dx
+    grad[k + 1] += s
+    grad[k] -= s
+    quot, i, j = _first_max_pair(slopes, x[:-1], a - 1.0)
+    if quot > 0.0:
+        s = np.sign(slopes[i] - slopes[j]) / (abs(x[i] - x[j]) ** (a - 1.0) * dx)
+        grad[i + 1] += s
+        grad[i] -= s
+        grad[j + 1] -= s
+        grad[j] += s
+    return grad
+
+
+PHI_CLASSES = [("sup-norm", None)] + [("holder-norm", a) for a in (0.3, 0.5, 1.0, 1.3, 1.5, 2.0)]
+
+
+class TestFusedPhiTerms:
+    """`_phi` forms phi and the maximizers of its terms in one pass, and the
+    subgradient is built from those maximizers."""
+
+    @staticmethod
+    def rows(n):
+        x = np.linspace(0.0, 1.0, n)
+        rng = np.random.default_rng(n)
+        cases = {"random": rng.normal(size=n), "uniform": rng.uniform(-1.0, 1.0, n),
+                 "linear": 0.4 * x, "linear -1.3": -1.3 * x + 0.2, "zero": np.zeros(n)}
+        return cases | near_tie_cases(n)
+
+    @pytest.mark.parametrize("phi,a", PHI_CLASSES,
+                             ids=["sup"] + [f"a{a}" for _, a in PHI_CLASSES[1:]])
+    def test_phi_and_subgradient_match_two_passes(self, phi, a):
+        spec = CompactumSpec(phi, 1.0, a=a)
+        for n in (3, 4, 7, 41, 401):
+            x = np.linspace(0.0, 1.0, n)
+            for name, values in self.rows(n).items():
+                got, at = _phi(spec, values)
+                assert got == spec.phi_value(GridFunction(values)), (n, name)
+                want = two_pass_subgradient(values, x, spec)
+                assert np.array_equal(_phi_subgradient(values, at, spec), want), (n, name)
+
+    def test_overflowing_slopes_give_nan_as_phi_value_does(self):
+        # slopes inf, inf: their quotient is nan, which `_first_max_pair`
+        # never takes as a maximum, while `phi_value`'s maxima propagate it
+        spec = CompactumSpec("holder-norm", 1.0, a=2.0)
+        values = np.array([-1.7e308, 0.0, 1.7e308])
+        with np.errstate(all="ignore"):
+            assert math.isnan(spec.phi_value(GridFunction(values)))
+            assert math.isnan(_phi(spec, values)[0])
+
+    def test_one_kernel_scan_per_phi_evaluation(self, monkeypatch):
+        # count the `_pair_bands` scans made inside each `_phi` and
+        # `_phi_subgradient` call of one `minimize` iteration at a = 2
+        scans, calls, inside = [], [], []
+        bands = grid._pair_bands
+
+        def counting_bands(*args):
+            scans.append(inside[-1] if inside else None)
+            return bands(*args)
+
+        def counted(name):
+            func = getattr(variational, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                inside.append(len(calls) - 1)
+                try:
+                    return func(*args)
+                finally:
+                    inside.pop()
+            monkeypatch.setattr(variational, name, wrapper)
+
+        monkeypatch.setattr(grid, "_pair_bands", counting_bands)
+        counted("_phi")
+        counted("_phi_subgradient")
+        n = 401
+        u = GridFunction.from_callable(lambda x: 0.4 * x, n)
+        xi = np.random.default_rng(1).uniform(-1.0, 1.0, n)
+        data = NoisyData(GridFunction(integrate(u).values + 2.5e-3 * xi), 1e-2)
+        spec = CompactumSpec("holder-norm", 2.0, a=2.0)
+        minimize(data, spec, ProblemSpec(), budget=0)
+        before = (len(calls), len(scans))
+        minimize(data, spec, ProblemSpec(), budget=1)
+        run_calls = calls[before[0]:]
+        run_scans = [k - before[0] for k in scans[before[1]:] if k is not None]
+        assert run_calls.count("_phi_subgradient") == 1
+        for k, name in enumerate(run_calls):
+            assert run_scans.count(k) == (1 if name == "_phi" else 0), name
+        # and no scan outside `_phi` beyond the start's batched phi
+        assert scans[before[1]:].count(None) == scans[:before[1]].count(None)
 
 
 def dyadic(arr):

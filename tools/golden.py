@@ -78,6 +78,9 @@ COMMANDS = (
                       "--budget 100 --count 8 --grid 41 --noise alternating"),
     ("var-holder-a05", "variational --phi holder-norm --a 0.5 --c 3 --deltas 1e-1 "
                        "--budget 100 --count 8 --grid 41 --seed 2"),
+    # the slope path at quotient power 0.5, on the default grid
+    ("var-holder-a15", "variational --phi holder-norm --a 1.5 --c 3 --deltas 1e-1,1e-2 "
+                       "--budget 60 --count 8"),
     # the benchmark's solve size: 401 nodes, Holder a = 2
     ("var-holder-a2-401", "variational --phi holder-norm --a 2 --c 3 --deltas 1e-2 "
                           "--budget 60 --count 8 --grid 401"),
