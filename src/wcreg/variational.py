@@ -153,10 +153,44 @@ def _rescaled(spec: CompactumSpec, vals: np.ndarray, phi: float
     return (vals,) + _phi(spec, vals)
 
 
-def _anchor_candidates(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec) -> np.ndarray:
-    """Deterministic data-fit probes, one per row: zero, smoothed
-    derivatives, least squares.
+def _poly_fits(x: np.ndarray, y: np.ndarray, degrees: Sequence[int]) -> list[np.ndarray]:
+    """Least-squares polynomial fits of y on x, read at x, one per degree.
 
+    Each row equals `np.polynomial.Polynomial.fit(x, y, d)(x)` bit for bit
+    (numpy 2.4): x is mapped onto the window [-1, 1], the Vandermonde columns
+    are scaled by their 2-norms before `lstsq`, and the fit is read by Horner
+    in the mapped variable.  One Vandermonde serves every degree.
+    """
+    if not degrees:
+        return []
+    lo, hi = x.min(), x.max()
+    t = (hi * -1.0 - lo * 1.0) / (hi - lo) + 2.0 / (hi - lo) * x
+    van = np.empty((max(degrees) + 1, x.size))
+    van[0] = t * 0 + 1
+    van[1] = t
+    for i in range(2, len(van)):
+        van[i] = van[i - 1] * t
+    norms = np.sqrt(np.square(van).sum(1))
+    norms[norms == 0] = 1
+    rcond = x.size * np.finfo(float).eps
+    rows = []
+    for d in degrees:
+        scale = norms[:d + 1]
+        coef = np.linalg.lstsq(van[:d + 1].T / scale, y + 0.0, rcond)[0] / scale
+        fit = coef[-1] + t * 0
+        for ck in coef[-2::-1]:
+            fit = ck + fit * t
+        rows.append(fit)
+    return rows
+
+
+def _anchor_candidates(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec) -> np.ndarray:
+    """Deterministic data-fit probes, one per row: zero, the crude
+    derivative, smoothed derivatives or least squares, and polynomial fits
+    of the crude derivative of degrees 1, 2, 3 and 5 (those up to n - 2).
+
+    The polynomial probes are formed in-module by `_poly_fits`, equal to
+    `Polynomial.fit(x, grad, d)(x)` without importing `numpy.polynomial`.
     Each raw candidate is also offered rescaled onto {phi <= c}; candidates
     that fail both constraints are simply not selected.
     """
@@ -183,11 +217,7 @@ def _anchor_candidates(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec) 
         out.append(np.linalg.lstsq(prob.matrix(n), g.values, rcond=None)[0])
     # smooth polynomial fits of the crude derivative: the only probes with a
     # small Holder seminorm, since the others carry node-scale kinks
-    x = g.x
-    for deg in (1, 2, 3, 5):
-        if deg <= n - 2:
-            poly = np.polynomial.Polynomial.fit(x, grad, deg)
-            out.append(poly(x))
+    out += _poly_fits(g.x, grad, [deg for deg in (1, 2, 3, 5) if deg <= n - 2])
     out += [_rescaled(spec, vals, phi)[0] for vals in out[1:]
             if (phi := _phi(spec, vals)[0]) > spec.c]
     return np.array(out)

@@ -1,19 +1,24 @@
 import itertools
 import math
 import operator
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wcreg import (CompactumSpec, FeasibleClass, GridFunction, InfeasibleProblemError,
-                   NoisyData, ProblemSpec, add_noise, convergence_study, integrate,
-                   integration_matrix, is_feasible, minimize, modulus_bruteforce,
+                   NoisyData, ProblemSpec, add_noise, convergence_study, differentiate,
+                   integrate, integration_matrix, is_feasible, minimize, modulus_bruteforce,
                    objective, rectangle_matrix, sample_feasible, sup_norm)
 from wcreg import grid, operators, variational
 from wcreg.grid import _first_max_pair
 from wcreg.modulus import LatticeCompactum
-from wcreg.variational import _phi, _phi_subgradient, _tube_step
+from wcreg.variational import _phi, _phi_subgradient, _poly_fits, _tube_step
 
 from test_grid import near_tie_cases
 
@@ -271,6 +276,99 @@ class TestFusedPhiTerms:
             assert run_scans.count(k) == (1 if name == "_phi" else 0), name
         # and no scan outside `_phi` beyond the start's batched phi
         assert scans[before[1]:].count(None) == scans[:before[1]].count(None)
+
+
+def former_anchor_candidates(data, spec, prob):
+    """The former `_anchor_candidates`, whose polynomial probes were
+    `np.polynomial.Polynomial.fit(x, grad, deg)(x)`: the oracle for the
+    in-module fits."""
+    g = data.g_delta
+    n = g.n
+    out = [np.zeros(n)]
+    grad = np.gradient(g.values, g.spacing)
+    if n >= 3:
+        grad[0] = grad[1]
+        grad[-1] = grad[-2]
+    out.append(grad)
+    if prob.operator is None:
+        m = 1
+        ladder = []
+        while 3 * m <= n - 1 and m <= (n - 1) // 4 + 1:
+            ladder.append(m)
+            m *= 2
+        top = (n - 1) // 4
+        if top >= 1 and top not in ladder:
+            ladder.append(top)
+        for m in ladder:
+            out.append(differentiate(data, m / (n - 1)).values)
+    else:
+        out.append(np.linalg.lstsq(prob.matrix(n), g.values, rcond=None)[0])
+    x = g.x
+    for deg in (1, 2, 3, 5):
+        if deg <= n - 2:
+            out.append(np.polynomial.Polynomial.fit(x, grad, deg)(x))
+    out += [variational._rescaled(spec, vals, phi)[0] for vals in out[1:]
+            if (phi := _phi(spec, vals)[0]) > spec.c]
+    return np.array(out)
+
+
+class TestPolynomialProbes:
+    """The start probes' polynomial fits are formed in-module, bit for bit
+    as `numpy.polynomial` forms them, and a solve never imports it."""
+
+    @pytest.mark.parametrize("n", list(range(3, 61)) + [101, 401, 641, 1001])
+    def test_fits_match_polynomial_fit(self, n):
+        x = np.linspace(0.0, 1.0, n)
+        rng = np.random.default_rng(n)
+        rows = {"noise": rng.normal(size=n),
+                "gradient of a walk": np.gradient(np.cumsum(rng.normal(size=n)), x),
+                "sin 3x": np.sin(3.0 * x)}
+        degrees = [d for d in (1, 2, 3, 5) if d <= n - 2]
+        for name, y in rows.items():
+            fits = _poly_fits(x, y, degrees)
+            assert len(fits) == len(degrees)
+            for d, got in zip(degrees, fits):
+                want = np.polynomial.Polynomial.fit(x, y, d)(x)
+                assert got.tobytes() == want.tobytes(), (name, d)
+
+    def test_no_degree_no_fit(self):
+        assert _poly_fits(np.linspace(0.0, 1.0, 2), np.zeros(2), []) == []
+
+    @pytest.mark.parametrize("phi,a", [("sup-norm", None), ("holder-norm", 0.5),
+                                       ("holder-norm", 1.0), ("holder-norm", 2.0)])
+    @pytest.mark.parametrize("rectangle", [False, True])
+    def test_candidates_match_former_construction(self, rectangle, phi, a):
+        spec = CompactumSpec(phi, 2.0, a=a)
+        for n in (5, 7, 41, 401):
+            prob = ProblemSpec(rectangle_matrix(n)) if rectangle else ProblemSpec()
+            u = GridFunction.from_callable(lambda x: 0.5 + 0.4 * x, n)
+            xi = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+            for delta in (1e-1, 1e-2):
+                data = NoisyData(GridFunction(prob.apply(u).values + 0.5 * delta * xi), delta)
+                got = variational._anchor_candidates(data, spec, prob)
+                want = former_anchor_candidates(data, spec, prob)
+                assert got.tobytes() == want.tobytes(), (n, delta)
+                assert got.shape == want.shape
+
+    def test_solve_and_cli_never_import_numpy_polynomial(self, tmp_path):
+        script = textwrap.dedent(f"""
+            import sys
+            import numpy as np
+            from wcreg import (CompactumSpec, GridFunction, NoisyData, ProblemSpec, add_noise,
+                               cli, integrate, minimize)
+            u = GridFunction(0.4 * np.linspace(0.0, 1.0, 401))
+            data = NoisyData(add_noise(integrate(u), 2.5e-3, "uniform-iid", 5).g_delta, 1e-2)
+            minimize(data, CompactumSpec("holder-norm", 2.0, a=2.0), ProblemSpec(), budget=5)
+            code = cli.main(["variational", "--phi", "holder-norm", "--a", "2", "--c", "3",
+                             "--deltas", "1e-1,1e-2", "--budget", "20", "--count", "4",
+                             "--out", {str(tmp_path / "out")!r}])
+            assert code == 0, code
+            assert "numpy.polynomial" not in sys.modules
+        """)
+        src = Path(variational.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 0, proc.stderr
 
 
 def dyadic(arr):

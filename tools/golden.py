@@ -84,6 +84,12 @@ COMMANDS = (
     # the benchmark's solve size: 401 nodes, Holder a = 2
     ("var-holder-a2-401", "variational --phi holder-norm --a 2 --c 3 --deltas 1e-2 "
                           "--budget 60 --count 8 --grid 401"),
+    # the polynomial start probes on small grids: degrees 1-3 at 5 nodes,
+    # all four (1, 2, 3, 5) at 7
+    ("var-holder-a2-grid5", "variational --phi holder-norm --a 2 --c 3 --deltas 1e-1,5e-2 "
+                            "--budget 20 --count 4 --grid 5"),
+    ("var-holder-a2-grid7", "variational --phi holder-norm --a 2 --c 3 --deltas 1e-1,5e-2 "
+                            "--budget 20 --count 4 --grid 7"),
     # a sup-norm class ignores --a, even one out of range
     ("var-sup-a-ignored", "variational --phi sup-norm --a 3 --c 2 --deltas 1e-1 --budget 20 "
                           "--count 4 --grid 41"),
