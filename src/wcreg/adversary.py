@@ -436,12 +436,10 @@ def sup_error_estimate(reconstruction: GridFunction,
     """
     if len(ensemble) == 0:
         raise ValueError("sup_error_estimate needs a nonempty ensemble")
-    worst = 0.0
-    for v in ensemble:
-        if v.n != reconstruction.n:
-            raise ValueError("grid mismatch between reconstruction and ensemble member")
-        worst = max(worst, float(np.max(np.abs(reconstruction.values - v.values))))
-    return worst
+    if any(v.n != reconstruction.n for v in ensemble):
+        raise ValueError("grid mismatch between reconstruction and ensemble member")
+    diff = reconstruction.values - np.array([v.values for v in ensemble])
+    return float(np.abs(diff).max())
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +215,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         _require(cfg.budget >= 0, "budget must be nonnegative")
     if cmd in ("sweep", "variational"):
         _require(cfg.count >= 1, "ensemble count must be at least 1")
+    if "seed" in reads:
+        _require(cfg.seed >= 0, "seed must be nonnegative")
     if cmd == "modulus":
         _require(cfg.mode == "bruteforce", f"mode must be 'bruteforce', got {cfg.mode!r}")
         _require(cfg.levels >= 1, "levels must be at least 1")
@@ -233,7 +234,7 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 
 #: config fields set by a flag: every field but the command itself
-_FLAG_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "command")
+_FLAG_FIELDS = tuple(name for name in ExperimentConfig._fields if name != "command")
 _FLAG_HELP = {"out": "output directory", "deltas": "comma-separated list"}
 
 

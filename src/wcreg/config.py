@@ -5,24 +5,31 @@ be trivially parseable and diff-friendly for experiment provenance.  A
 config written by `to_file` parses back to an identical object.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, fields
+# no `from __future__ import annotations`: NamedTuple would compile each of
+# the field annotations, kept as strings, into a ForwardRef at import
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .grid import format_float
 
 __all__ = ["ExperimentConfig", "parse_key_values"]
 
-# dataclass field name <-> file/flag key, where they differ
+# field name <-> file/flag key, where they differ
 _FIELD_TO_KEY = {"class_kind": "class", "lattice_nodes": "lattice-nodes",
                  "constants_only": "constants-only"}
 _KEY_TO_FIELD = {v: k for k, v in _FIELD_TO_KEY.items()}
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
+    """One experiment's settings, immutable.
+
+    A named tuple, not a dataclass: the class builds in a fraction of the
+    time, which every command line pays at start-up.  Like any tuple it
+    compares equal to a plain tuple of the same items, and its field
+    `count` shadows `tuple.count`.
+    """
+
     command: str = ""
     out: str | None = None
     seed: int = 0
@@ -46,11 +53,10 @@ class ExperimentConfig:
 
     def to_file(self, path: str | Path) -> None:
         lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name, value in zip(self._fields, self):
             if value is None:
                 continue
-            key = _FIELD_TO_KEY.get(f.name, f.name)
+            key = _FIELD_TO_KEY.get(name, name)
             lines.append(f"{key} = {_serialize(value)}")
         Path(path).write_text("\n".join(lines) + "\n")
 
@@ -60,14 +66,13 @@ class ExperimentConfig:
 
     def updated(self, overrides: dict) -> "ExperimentConfig":
         """New config with string/typed overrides applied on top of self."""
-        known = {f.name: f for f in fields(self)}
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        values = {}
         for key, raw in overrides.items():
             name = _KEY_TO_FIELD.get(key, key.replace("-", "_"))
-            if name not in known:
+            if name not in self._fields:
                 raise ConfigError(f"unknown config key {key!r}")
             values[name] = _coerce(name, raw) if isinstance(raw, str) else raw
-        return ExperimentConfig(**values)
+        return self._replace(**values)
 
 
 def _serialize(value) -> str:

@@ -271,7 +271,39 @@ class TestMembershipKernel:
             assert (mis, nm) == (chk.misfit, chk.class_norm)
 
 
+def former_sup_error_estimate(reconstruction, ensemble):
+    """The member-by-member loop `sup_error_estimate` replaced: the reference."""
+    if len(ensemble) == 0:
+        raise ValueError("sup_error_estimate needs a nonempty ensemble")
+    worst = 0.0
+    for v in ensemble:
+        if v.n != reconstruction.n:
+            raise ValueError("grid mismatch between reconstruction and ensemble member")
+        worst = max(worst, float(np.max(np.abs(reconstruction.values - v.values))))
+    return worst
+
+
 class TestSupErrorEstimate:
+    @pytest.mark.parametrize("count", [1, 2, 20, 100])
+    @pytest.mark.parametrize("n", [2, 641])
+    def test_matches_former_loop(self, count, n):
+        rng = np.random.default_rng(count * n)
+        recon = GridFunction(rng.normal(size=n))
+        ensemble = [GridFunction(recon.values + rng.uniform(-1e-3, 1e-3, n))
+                    for _ in range(count)]
+        est = sup_error_estimate(recon, ensemble)
+        assert est == former_sup_error_estimate(recon, ensemble)
+        assert est == sup_error_estimate(recon, ensemble[::-1])
+
+    @pytest.mark.parametrize("where", [0, 5, 9])
+    def test_mismatched_member(self, where):
+        recon = GridFunction(np.zeros(41))
+        ensemble = [GridFunction(np.full(41, 0.1 * k)) for k in range(10)]
+        ensemble[where] = GridFunction(np.zeros(42))
+        for estimate in (sup_error_estimate, former_sup_error_estimate):
+            with pytest.raises(ValueError, match="grid mismatch between reconstruction"):
+                estimate(recon, ensemble)
+
     def test_single_member(self):
         u = GridFunction.from_callable(lambda x: 0.4 * x, 101)
         recon = GridFunction(u.values + 0.05)
@@ -285,7 +317,7 @@ class TestSupErrorEstimate:
 
     def test_empty_rejected(self):
         u = GridFunction.from_callable(lambda x: 0.4 * x, 101)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs a nonempty ensemble"):
             sup_error_estimate(u, [])
 
 

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import math
 import re
 import time
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 from wcreg.cli import COMMANDS, builtin_truth, main, read_csv_table
-from wcreg.config import ExperimentConfig
+from wcreg.config import _FIELD_TO_KEY, ExperimentConfig
 from wcreg.grid import read_grid_csv, write_grid_csv
 from wcreg import GridFunction, integrate, read_pair_csv
+from wcreg.errors import ConfigError
 
 
 def run_cli(*args):
@@ -313,7 +315,56 @@ class TestNonFiniteBounds:
         assert capsys.readouterr().err == "wcreg: config error: class bound m must be positive\n"
 
 
+class TestNegativeSeed:
+    """A negative seed is a configuration error for every command that reads it."""
+
+    @pytest.mark.parametrize("args", [
+        ["differentiate", "--delta", "1e-3"],
+        ["sweep", "--deltas", "1e-2,1e-3"],
+        ["variational", "--deltas", "1e-2"],
+    ], ids=["differentiate", "sweep", "variational"])
+    def test_exit_2(self, tmp_path, capsys, args):
+        assert run_cli(*args, "--seed", "-1", "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == "wcreg: config error: seed must be nonnegative\n"
+        assert not (tmp_path / "o").exists()
+
+
 class TestConfigHandling:
+    def test_fields_are_read_only(self):
+        cfg = ExperimentConfig()
+        with pytest.raises(AttributeError):
+            cfg.seed = 3
+        with pytest.raises(AttributeError):
+            cfg.sigma = 3
+        assert cfg.seed == 0
+
+    def test_not_a_dataclass(self):
+        assert not dataclasses.is_dataclass(ExperimentConfig)
+
+    def test_field_order_is_file_and_help_order(self, tmp_path, capsys):
+        keys = [_FIELD_TO_KEY.get(name, name) for name in ExperimentConfig._fields]
+        assert keys[0] == "command"
+        assert config_keys(tmp_path) == keys[1:]
+        assert run_cli("--help") == 0
+        options = capsys.readouterr().out.partition("options:")[2]
+        assert re.findall(r"^  (--[\w-]+)", options, re.M) == ["--config"] + [
+            "--" + key for key in keys[1:]]
+
+    def test_updated_with_typed_values(self):
+        base = ExperimentConfig(command="sweep", seed=5)
+        cfg = base.updated({"seed": 7, "deltas": (1e-2, 1e-3), "class": "lip",
+                            "lattice-nodes": 4, "constants_only": True, "a": "1.5"})
+        assert type(cfg) is ExperimentConfig
+        assert (cfg.seed, cfg.deltas, cfg.class_kind, cfg.lattice_nodes, cfg.constants_only,
+                cfg.a) == (7, (1e-2, 1e-3), "lip", 4, True, 1.5)
+        assert cfg.command == "sweep" and cfg.count == 100
+        assert base.seed == 5
+
+    @pytest.mark.parametrize("key", ["sigma", "class-kind-x", "_fields"])
+    def test_updated_rejects_unknown_key(self, key):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown config key {key!r}")):
+            ExperimentConfig().updated({"seed": 1, key: "3"})
+
     def test_round_trip_identity(self, tmp_path):
         cfg = ExperimentConfig(command="sweep", out="results", seed=5,
                                deltas=(1e-2, 1e-3), a=1.5, m=2.0,

@@ -6,10 +6,10 @@
 `capture` runs every command line of `COMMANDS` in a fresh process with
 PYTHONPATH=SRC and its own working directory OUT/<name>, so every path the
 program sees or prints is relative.  Each run leaves its CSV files under
-OUT/<name>/out and its exit code and stderr in OUT/<name>/status.txt; the
-sha256 of each of these files goes into OUT/MANIFEST.sha256.  `compare`
-reads two manifests and exits 1 when a file differs or exists on one side
-only.
+OUT/<name>/out, and its exit code, whether it made OUT/<name>/out, its stdout
+and its stderr in OUT/<name>/status.txt; the sha256 of each of these files
+goes into OUT/MANIFEST.sha256.  `compare` reads two manifests and exits 1
+when a file differs or exists on one side only.
 
 Capture the parent commit's `src/` and the changed `src/` into two fresh
 directories, then compare them: a change that claims identical output
@@ -127,6 +127,7 @@ COMMANDS = (
     ("bad-sweep-a", "sweep --deltas 1e-2,1e-3 --a 0.5"),
     ("bad-sweep-m", "sweep --deltas 1e-2,1e-3 --m -1"),
     ("bad-sweep-count", "sweep --deltas 1e-2,1e-3 --count 0"),
+    ("bad-sweep-seed", "sweep --deltas 1e-2,1e-3 --seed -1"),
     ("bad-noise", "sweep --deltas 1e-2,1e-3 --noise pink"),
     ("bad-grid", "sweep --deltas 1e-2,1e-3 --grid 3"),
     ("bad-class", "adversary --class holder --deltas 1e-2"),
@@ -158,6 +159,8 @@ COMMANDS = (
     ("bad-adv-m-inf", "adversary --m inf --deltas 1e-2"),
     ("bad-var-c-inf", "variational --c inf --deltas 1e-2"),
     ("bad-mod-deltas-inf", "modulus --deltas 0.5,inf"),
+    # the help text on stdout, exit 0
+    ("help", "--help"),
     # rejected by the argument parser itself: exit 2 after a usage line
     ("bad-command", "bogus"),
     ("bad-unknown-flag", "sweep --deltas 1e-2,1e-3 --bogus 1"),
@@ -173,7 +176,8 @@ MANIFEST = "MANIFEST.sha256"
 
 def capture(src: Path, out: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", PYTHONHASHSEED="0")
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", PYTHONHASHSEED="0",
+               COLUMNS="80")
     out.mkdir(parents=True, exist_ok=False)
     for name, args in COMMANDS:
         cwd = out / name
@@ -182,7 +186,9 @@ def capture(src: Path, out: Path) -> None:
             (cwd / file).write_text(text)
         proc = subprocess.run([sys.executable, "-m", "wcreg.cli", *args.split(), "--out", "out"],
                               cwd=cwd, env=env, capture_output=True, text=True)
-        (cwd / "status.txt").write_text(f"exit {proc.returncode}\n{proc.stderr}")
+        made = "yes" if (cwd / "out").is_dir() else "no"
+        (cwd / "status.txt").write_text(f"exit {proc.returncode}\nout dir: {made}\n"
+                                        f"stdout:\n{proc.stdout}stderr:\n{proc.stderr}")
         print(f"{name}: exit {proc.returncode}", flush=True)
     lines = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(out).as_posix()}"
              for p in sorted(out.rglob("*")) if p.is_file() and p.name not in FILES]
