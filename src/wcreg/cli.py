@@ -45,6 +45,13 @@ _READS = {
 COMMANDS = tuple(_READS)
 
 
+def _reads(command: str, input_file) -> set:
+    """The fields `command` reads: differentiate with an input file makes no data."""
+    if command == "differentiate" and input_file is not None:
+        return _READS[command] - {"grid", "truth", "noise", "seed"}
+    return _READS[command]
+
+
 def builtin_truth(name: str, n: int) -> GridFunction:
     """Built-in truths: quadratic (u(x)=x, quadratic data), constant,
     sine(k), abs-shift (u(x)=|x-1/2|)."""
@@ -153,8 +160,8 @@ def cmd_modulus(cfg: ExperimentConfig, out: Path) -> None:
     lattice = LatticeCompactum(cfg.lattice_nodes,
                                tuple(np.linspace(-cfg.c, cfg.c, cfg.levels)),
                                spec, constants_only=cfg.constants_only)
-    rows = [(delta, modulus_bruteforce(lattice, delta, ProblemSpec()))
-            for delta in sorted(cfg.deltas, reverse=True)]
+    deltas = sorted(cfg.deltas, reverse=True)
+    rows = list(zip(deltas, modulus_bruteforce(lattice, deltas, ProblemSpec())))
     _write_table(out / "modulus.csv", "delta,omega", rows)
 
 
@@ -182,7 +189,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     reports the first one its command checks."""
     _require(cfg.out is not None, "--out is required")
     cmd = cfg.command
-    reads = _READS[cmd]
+    reads = _reads(cmd, cfg.input)
     if "grid" in reads:
         _require(cfg.grid is None or cfg.grid >= 5, "grid must have at least 5 nodes")
     if "deltas" in reads:
@@ -270,12 +277,17 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse's rejections (2) and --help (0)
         return exc.code
+    try:
+        cfg, error = _merge(args), None
+    except ConfigError as exc:  # reported after the warnings, which then go by the flags
+        cfg, error = None, exc
+    reads = _reads(args.command, args.input if cfg is None else cfg.input)
     for field in _FLAG_FIELDS:
-        if (getattr(args, field) is not None and field != "out"
-                and field not in _READS[args.command]):
+        if getattr(args, field) is not None and field != "out" and field not in reads:
             print(f"wcreg: warning: {args.command} ignores {_flag(field)}", file=sys.stderr)
     try:
-        cfg = _merge(args)
+        if error is not None:
+            raise error
         _validate(cfg)
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)

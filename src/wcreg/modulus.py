@@ -8,6 +8,9 @@ enumeration on small lattice compacta judged as `adversary` judges
 membership: all members at once, phi by `CompactumSpec.phi_rows` and images
 by the one forward map `ProblemSpec.apply_rows`.  Continuum lower bounds
 come from `adversary.diameter_probe`, whose docstring states the relation.
+
+One call serves all deltas of a command: one sort, then one scan of nested
+key windows ring by ring, each pair formed once, under one pair guard.
 """
 
 from __future__ import annotations
@@ -77,8 +80,8 @@ class LatticeCompactum:
         return grid[keep]
 
 
-def modulus_bruteforce(compactum: LatticeCompactum, delta: float, prob: ProblemSpec) -> float:
-    """Exact omega(delta) on the lattice by sweep-and-prune pair scan.
+def modulus_bruteforce(compactum: LatticeCompactum, deltas, prob: ProblemSpec) -> list[float]:
+    """Exact omega(delta) on the lattice for each of `deltas`, in their order.
 
     Members are stably sorted by the image column of widest spread, the key,
     and member i meets only later members with key <= fl(key_i + 2 delta).
@@ -86,45 +89,64 @@ def modulus_bruteforce(compactum: LatticeCompactum, delta: float, prob: ProblemS
     accepts: fl(|key_j - key_i|) <= delta gives an exact difference of at
     most delta (1 + 2**-53) <= 2 delta, and rounding is monotone.  A window
     of key_i + delta is not one: it misses pairs at distance delta itself.
-    The window pairs, ordered by member, are scanned in blocks of at most
-    PAIR_BLOCK: the image test first, one node at a time, then the
-    separation of the accepted pairs only.  The scan stops between blocks
-    once the running maximum reaches the widest node range, and raises once
-    PAIR_GUARD window pairs have been scanned short of that.  Each pair
-    gives the same floats as in an all-pairs scan, so omega is bit for bit
-    the all-pairs maximum.
+    The windows of ascending deltas nest, so ring r, window r less window
+    r - 1, holds pairs that pass only at delta_r and above.  Rings are scanned in
+    blocks of PAIR_BLOCK pairs: image test, then the separation of the pairs
+    within the largest delta, which raises omega at each delta they meet.
+    Each pair gives the same floats as in an all-pairs scan, so each omega
+    is bit for bit the all-pairs maximum.  A ring stops once its omega
+    reaches the widest node range, as every larger delta has then.  PAIR_GUARD
+    bounds the pairs of the whole call, so it can stop several deltas where
+    one call per delta would pass: when inner rings hold many pairs short of
+    the widest range.
     """
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    for delta in deltas:
+        if not delta > 0.0:
+            raise ValueError(f"delta must be positive, got {delta}")
+    if len(deltas) == 0:
+        return []
+    ds = sorted(set(deltas))
     members = compactum.members()
     m = members.shape[0]
     if m < 2:
-        return 0.0
+        return [0.0] * len(deltas)
     images = prob.apply_rows(members)
-    k = np.argmax(np.ptp(images, axis=0))
+    spread = np.ptp(images, axis=0)
+    k = np.argmax(spread)
     order = np.argsort(images[:, k], kind="stable")
+    test = spread > 0.0  # a column of zero spread rejects no pair
+    test[k] = True
     # node-major copies: one contiguous row per node
-    members_t, images_t = members[order].T.copy(), images[order].T.copy()
-    key = images_t[k]
-    counts = np.searchsorted(key, key + 2.0 * delta, side="right") - np.arange(1, m + 1)
-    firsts = np.cumsum(counts) - counts  # index of each member's first pair
+    members_t, images_t = members[order].T.copy(), images[order][:, test].T.copy()
+    key = images_t[np.count_nonzero(test[:k])]
     widest = float(np.max(np.ptp(members_t, axis=1)))
-    omega = 0.0
-    total = int(firsts[-1] + counts[-1])
-    for start in range(0, total, PAIR_BLOCK):
-        if omega >= widest:
-            break
-        if start >= PAIR_GUARD:
-            raise PairBudgetExceededError(
-                f"{m} feasible members give {total} window pairs; {start} scanned "
-                f"without reaching the widest range, at the {PAIR_GUARD} guard")
-        stop = min(start + PAIR_BLOCK, total)
-        rows = np.arange(np.searchsorted(firsts, start, side="right") - 1,
-                         np.searchsorted(firsts, stop, side="left"))
-        take = np.minimum(firsts[rows] + counts[rows], stop) - np.maximum(firsts[rows], start)
-        i = np.repeat(rows, take)
-        j = i + 1 + np.arange(start, stop) - firsts[i]
-        ok = _node_max_abs_diff(images_t, i, j) <= delta
-        if ok.any():
-            omega = max(omega, float(np.max(_node_max_abs_diff(members_t, i[ok], j[ok]))))
-    return omega
+    omega = [0.0] * len(ds)
+    lo, scanned, window = np.arange(1, m + 1), 0, 0  # ring 0 starts after the member
+    for r, delta in enumerate(ds):
+        hi = np.searchsorted(key, key + 2.0 * delta, side="right")
+        counts = hi - lo
+        firsts = np.cumsum(counts) - counts  # index of each member's first ring pair
+        total = int(firsts[-1] + counts[-1])
+        window += total  # pairs of window r
+        for start in range(0, total, PAIR_BLOCK):
+            if omega[r] >= widest:
+                break
+            if scanned >= PAIR_GUARD:
+                raise PairBudgetExceededError(
+                    f"{m} feasible members give {window} window pairs; {scanned} scanned "
+                    f"without reaching the widest range, at the {PAIR_GUARD} guard")
+            stop = min(start + PAIR_BLOCK, total)
+            rows = np.arange(np.searchsorted(firsts, start, side="right") - 1,
+                             np.searchsorted(firsts, stop, side="left"))
+            take = np.minimum(firsts[rows] + counts[rows], stop) - np.maximum(firsts[rows], start)
+            i = np.repeat(rows, take)
+            j = lo[i] + np.arange(start, stop) - firsts[i]
+            dist = _node_max_abs_diff(images_t, i, j)
+            ok = dist <= ds[-1]
+            if ok.any():
+                dist, sep = dist[ok], _node_max_abs_diff(members_t, i[ok], j[ok])
+                for q in range(r, len(ds)):
+                    omega[q] = max(omega[q], float(np.max(sep, where=dist <= ds[q], initial=0.0)))
+            scanned += stop - start
+        lo = hi
+    return [omega[ds.index(d)] for d in deltas]

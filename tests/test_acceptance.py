@@ -161,15 +161,13 @@ def test_criterion_8_modulus_pattern():
                                constants_only=True)
     prob = ProblemSpec()
     tested = [0.05] + [round(0.1 * k + 0.05, 3) for k in range(1, 21)] + [2.0, 2.5]
-    values = []
-    for delta in tested:
-        omega = modulus_bruteforce(lattice, delta, prob)
+    values = modulus_bruteforce(lattice, tested, prob)
+    for delta, omega in zip(tested, values, strict=True):
         expected = min(2.0, 0.1 * int(delta / 0.1 + 1e-9))
         assert omega == pytest.approx(expected, abs=1e-12)
-        values.append(omega)
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert values[0] == 0.0
-    assert modulus_bruteforce(lattice, 2.0, prob) == pytest.approx(2.0, abs=1e-12)
+    assert modulus_bruteforce(lattice, [2.0], prob) == [pytest.approx(2.0, abs=1e-12)]
     report(8, "omega matches min(2, 0.1*floor(delta/0.1)) at all "
               f"{len(tested)} tested deltas")
 

@@ -11,7 +11,7 @@ import pytest
 from wcreg.cli import COMMANDS, builtin_truth, main, read_csv_table
 from wcreg.config import _FIELD_TO_KEY, ExperimentConfig
 from wcreg.grid import read_grid_csv, write_grid_csv
-from wcreg import GridFunction, integrate, read_pair_csv
+from wcreg import GridFunction, LatticeCompactum, integrate, modulus_bruteforce, read_pair_csv
 from wcreg.errors import ConfigError
 
 
@@ -90,6 +90,29 @@ class TestDifferentiateCommand:
                        "--a", "1", "--out", str(tmp_path / "o"))
         assert code == 2
         assert "a > 1" in capsys.readouterr().err
+
+    def test_input_file_ignores_data_flags(self, tmp_path, capsys):
+        # with --input, the flags that make synthetic data are warned about
+        # and their rules are not applied, whether --input is a flag or a key
+        src = tmp_path / "g.csv"
+        write_grid_csv(integrate(GridFunction(np.linspace(0, 1, 11))), src)
+        (tmp_path / "in.cfg").write_text(f"input = {src}\n")
+        assert run_cli("differentiate", "--input", str(src), "--delta", "1e-3",
+                       "--out", str(tmp_path / "plain")) == 0
+        assert capsys.readouterr().err == ""
+        unread = ["--truth", "nope", "--noise", "pink", "--seed", "-1", "--grid", "3"]
+        for name, source in (("flag", ["--input", str(src)]),
+                             ("key", ["--config", str(tmp_path / "in.cfg")])):
+            assert run_cli("differentiate", *source, "--delta", "1e-3", *unread,
+                           "--out", str(tmp_path / name)) == 0
+            assert read_bytes_tree(tmp_path / name) == read_bytes_tree(tmp_path / "plain")
+            assert capsys.readouterr().err == "".join(
+                f"wcreg: warning: differentiate ignores {flag}\n"
+                for flag in ("--seed", "--grid", "--truth", "--noise"))
+        # without an input file the same flags are read and checked
+        assert run_cli("differentiate", "--delta", "1e-3", "--noise", "pink",
+                       "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == "wcreg: config error: unknown noise model 'pink'\n"
 
 
 class TestSweepCommand:
@@ -250,6 +273,35 @@ class TestModulusCommand:
         assert run_cli("modulus", "--deltas", "0.5", "--out", str(out)) == 0
         _, rows, _ = read_csv_table(out / "modulus.csv")
         assert rows == [[0.5, 2.0]]
+
+    @pytest.mark.parametrize("deltas", ["0.5,1e-3", "10,1e-3"])
+    def test_default_lattice_wide_and_narrow_deltas(self, tmp_path, deltas):
+        # the narrow delta's ring is scanned first and meets an alternating
+        # pair; the wide delta then has the widest range at once
+        out = tmp_path / "out"
+        assert run_cli("modulus", "--deltas", deltas, "--out", str(out)) == 0
+        _, rows, _ = read_csv_table(out / "modulus.csv")
+        assert rows == [[float(d), 2.0] for d in deltas.split(",")]
+
+    def test_one_scan_per_command(self, tmp_path, monkeypatch):
+        calls = {"scan": 0, "members": 0}
+        members = LatticeCompactum.members
+
+        def counted_scan(*args):
+            calls["scan"] += 1
+            return modulus_bruteforce(*args)
+
+        def counted_members(self):
+            calls["members"] += 1
+            return members(self)
+
+        monkeypatch.setattr("wcreg.cli.modulus_bruteforce", counted_scan)
+        monkeypatch.setattr(LatticeCompactum, "members", counted_members)
+        assert run_cli("modulus", "--lattice-nodes", "4", "--levels", "8",
+                       "--deltas", "1e-3,0.5,1e-2,0.5", "--out", str(tmp_path / "o")) == 0
+        assert calls == {"scan": 1, "members": 1}
+        _, rows, _ = read_csv_table(tmp_path / "o" / "modulus.csv")
+        assert [d for d, _ in rows] == [0.5, 0.5, 1e-2, 1e-3]
 
     def test_search_mode_exit_2(self, tmp_path, capsys):
         assert run_cli("modulus", "--mode", "search", "--deltas", "0.5",

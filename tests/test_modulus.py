@@ -38,6 +38,16 @@ def all_pairs_omega(members, images, deltas, block=256):
     return omega
 
 
+def assert_matches_oracle(lat, prob, images, deltas):
+    """One call with `deltas` ascending, descending, shuffled and with a
+    duplicate gives the all-pairs omega of each delta, in the call's order."""
+    asc = sorted(deltas)
+    oracle = dict(zip(asc, all_pairs_omega(lat.members(), images, asc)))
+    shuffled = np.random.default_rng(len(asc)).permutation(asc).tolist()
+    for order in (asc, asc[::-1], shuffled, shuffled + shuffled[:1]):
+        assert modulus_bruteforce(lat, order, prob) == [oracle[d] for d in order]
+
+
 class TestLatticeCompactum:
     def test_member_counts(self):
         lat = constants_lattice()
@@ -70,26 +80,25 @@ class TestBruteforce:
         prob = ProblemSpec()
         for delta in [0.05] + [round(0.1 * k + 0.05, 3) for k in range(1, 21)] + [2.5]:
             expected = min(2.0, 0.1 * int(delta / 0.1 + 1e-9))
-            assert modulus_bruteforce(lat, delta, prob) == pytest.approx(expected, abs=1e-12)
+            assert modulus_bruteforce(lat, [delta], prob) == [pytest.approx(expected, abs=1e-12)]
 
     def test_zero_below_minimal_gap(self):
-        assert modulus_bruteforce(constants_lattice(), 0.05, ProblemSpec()) == 0.0
+        assert modulus_bruteforce(constants_lattice(), [0.05], ProblemSpec()) == [0.0]
 
     def test_diameter_when_constraint_inactive(self):
-        assert modulus_bruteforce(constants_lattice(), 2.5, ProblemSpec()) == pytest.approx(2.0)
+        assert modulus_bruteforce(constants_lattice(), [2.5], ProblemSpec()) == [pytest.approx(2.0)]
 
     def test_nondecreasing_in_delta(self):
         lat = constants_lattice()
         prob = ProblemSpec()
-        values = [modulus_bruteforce(lat, d, prob) for d in (0.05, 0.15, 0.55, 1.05, 2.5)]
+        values = modulus_bruteforce(lat, (0.05, 0.15, 0.55, 1.05, 2.5), prob)
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_decay_with_injective_operator(self):
         spec = CompactumSpec("sup-norm", 2.0)
         lat = LatticeCompactum(3, tuple(np.linspace(-2, 2, 9)), spec)
         prob = ProblemSpec(rectangle_matrix(3))
-        small = modulus_bruteforce(lat, 0.1, prob)   # below min image gap 0.125
-        large = modulus_bruteforce(lat, 10.0, prob)
+        small, large = modulus_bruteforce(lat, (0.1, 10.0), prob)  # 0.1: below min image gap
         assert small == 0.0
         assert large == pytest.approx(4.0)
         assert small <= large
@@ -99,7 +108,7 @@ class TestBruteforce:
         # modulus equals the diameter at every delta
         spec = CompactumSpec("sup-norm", 1.0)
         lat = LatticeCompactum(3, (-1.0, 0.0, 1.0), spec)
-        assert modulus_bruteforce(lat, 1e-6, ProblemSpec()) == pytest.approx(2.0)
+        assert modulus_bruteforce(lat, [1e-6], ProblemSpec()) == [pytest.approx(2.0)]
 
     @pytest.mark.parametrize("a", [1.0, 1.5, 2.0])
     def test_two_node_holder_lattice(self, a):
@@ -107,7 +116,7 @@ class TestBruteforce:
         # --levels 5`: at a = 2 the one slope of each member has no partner
         lat = LatticeCompactum(2, tuple(np.linspace(-2.0, 2.0, 5)),
                                CompactumSpec("holder-norm", 2.0, a=a))
-        assert modulus_bruteforce(lat, 0.5, ProblemSpec()) == 1.0
+        assert modulus_bruteforce(lat, [0.5], ProblemSpec()) == [1.0]
 
     def test_matches_all_pairs_oracle(self):
         rng = np.random.default_rng(3)
@@ -129,11 +138,9 @@ class TestBruteforce:
         # images by the forward map that judges the data tube everywhere
         widest_keys = []
         for lat, prob in cases:
-            members = lat.members()
-            images = prob.apply_rows(members)
+            images = prob.apply_rows(lat.members())
             widest_keys.append(int(np.argmax(np.ptp(images, axis=0))))
-            expected = all_pairs_omega(members, images, deltas)
-            assert [modulus_bruteforce(lat, d, prob) for d in deltas] == expected
+            assert_matches_oracle(lat, prob, images, deltas)
         assert widest_keys[0] == 3 and widest_keys[2] == 0
 
     @pytest.mark.parametrize("block", [1, 3, 4096])
@@ -154,17 +161,15 @@ class TestBruteforce:
         ]
         deltas = (1e-3, 0.05, 0.2, 0.6, 10.0)
         for lat, prob in cases:
-            members = lat.members()
-            images = members @ prob.matrix(lat.nodes).T
-            expected = all_pairs_omega(members, images, deltas)
-            assert [modulus_bruteforce(lat, d, prob) for d in deltas] == expected
+            assert_matches_oracle(lat, prob, lat.members() @ prob.matrix(lat.nodes).T, deltas)
 
     def test_delta_at_a_pair_image_distance(self):
         # delta equal to a pair's float image distance is the edge case of
         # the sort-key window: fl(|key_j - key_i|) <= delta while the exact
         # key difference may exceed delta.  On 2 nodes the trapezoid map
         # gives mirrored members identical images; there delta is the least
-        # positive float, which vanishes next to the key.
+        # positive float, which vanishes next to the key.  One call takes the
+        # distances of all pairs, so each lies on the edge of its own ring.
         rng = np.random.default_rng(11)
         spec = CompactumSpec("sup-norm", 1.0)
         tiny = np.nextafter(0.0, 1.0)
@@ -173,10 +178,9 @@ class TestBruteforce:
             members = lat.members()
             for prob in (ProblemSpec(rng.normal(size=(2, 2))), ProblemSpec()):
                 images = prob.apply_rows(members)
-                for i, j in itertools.combinations(range(len(members)), 2):
-                    delta = max(float(np.max(np.abs(images[i] - images[j]))), tiny)
-                    assert modulus_bruteforce(lat, delta, prob) == \
-                        all_pairs_omega(members, images, [delta])[0]
+                deltas = {max(float(np.max(np.abs(images[i] - images[j]))), tiny)
+                          for i, j in itertools.combinations(range(len(members)), 2)}
+                assert_matches_oracle(lat, prob, images, deltas)
 
     def test_pair_guard(self, monkeypatch):
         # the rectangle map is injective: omega stays below the widest range,
@@ -184,13 +188,40 @@ class TestBruteforce:
         spec = CompactumSpec("sup-norm", 1.0)
         lat = LatticeCompactum(4, tuple(np.linspace(-1, 1, 8)), spec)
         prob = ProblemSpec(rectangle_matrix(4))
-        assert modulus_bruteforce(lat, 0.01, prob) == 0.0
+        assert modulus_bruteforce(lat, [0.01], prob) == [0.0]
         monkeypatch.setattr(modulus, "PAIR_GUARD", 100_000)
         with pytest.raises(PairBudgetExceededError, match="give 504284 window pairs"):
-            modulus_bruteforce(lat, 0.01, prob)
-        # under the trapezoid map the lattice has 8,106,729 window pairs at
+            modulus_bruteforce(lat, [0.01], prob)
+        # the guard bounds the pairs of the whole call; the message counts
+        # the window of the delta whose ring it stopped in
+        with pytest.raises(PairBudgetExceededError, match="give 504284 window pairs; 10"):
+            modulus_bruteforce(lat, [0.01, 1e-3, 0.01], prob)
+        # under the trapezoid map the lattice has 8,107,398 window pairs at
         # delta 0.5, but the scan reaches the widest range in its first block
-        assert modulus_bruteforce(lat, 0.5, ProblemSpec()) == 2.0
+        assert modulus_bruteforce(lat, [0.5], ProblemSpec()) == [2.0]
+        # rings are scanned from the smallest delta up: the 0.3 window,
+        # scanned whole (42,239 pairs), leaves too little of this guard for
+        # the 8,192 pairs the ring of 2 needs, though each delta alone passes
+        lat = LatticeCompactum(4, tuple(np.linspace(-1, 1, 9)),
+                               CompactumSpec("holder-norm", 1.5, a=0.5))
+        monkeypatch.setattr(modulus, "PAIR_GUARD", 45_000)
+        assert modulus_bruteforce(lat, [0.3], prob) == [1.0]
+        assert modulus_bruteforce(lat, [2.0], prob) == [2.0]
+        with pytest.raises(PairBudgetExceededError, match="; 46335 scanned"):
+            modulus_bruteforce(lat, [2.0, 0.3], prob)
+        monkeypatch.undo()
+        assert modulus_bruteforce(lat, [2.0, 0.3], prob) == [2.0, 1.0]
+
+    def test_empty_and_nonpositive_deltas(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("members() enumerated")
+
+        monkeypatch.setattr(LatticeCompactum, "members", refuse)
+        lat = constants_lattice()
+        assert modulus_bruteforce(lat, [], ProblemSpec()) == []
+        for deltas in ([0.0], [0.5, -1.0], [0.5, 0.1, float("nan")], [-0.0, 0.5]):
+            with pytest.raises(ValueError, match="delta must be positive"):
+                modulus_bruteforce(lat, deltas, ProblemSpec())
 
 
 class TestSearch:

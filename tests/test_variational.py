@@ -504,7 +504,7 @@ class TestModulusBridge:
                        stop_at=2 * (1 + 1.0) * delta)
         err = sup_norm(GridFunction(res.v_delta.values - u.values))
         lattice = LatticeCompactum(3, tuple(np.linspace(-2, 2, 9)), spec)
-        omega = modulus_bruteforce(lattice, 2 * delta, prob)
+        [omega] = modulus_bruteforce(lattice, [2 * delta], prob)
         level_gap = 0.5
         assert err <= omega + level_gap
         assert omega == pytest.approx(1.0, abs=1e-12)
@@ -534,6 +534,6 @@ class TestIntegrationMatrixConsistency:
         assert is_feasible(res.v_delta, cls).feasible
         assert len(sample_feasible(cls, 8, 3, start=u)) == 8
         lattice = LatticeCompactum(4, tuple(np.linspace(-1, 1, 8)), CompactumSpec("sup-norm", 1.0))
-        assert modulus_bruteforce(lattice, 1e-2, prob) > 0.0
+        assert modulus_bruteforce(lattice, [1e-2], prob)[0] > 0.0
         rows = convergence_study(u, [1e-1, 1e-2], spec, prob, budget=30, ensemble_count=4)
         assert len(rows) == 2

@@ -52,6 +52,8 @@ COMMANDS = (
     ("diff-sine-alt", "differentiate --truth sine(2) --noise alternating --grid 301 --delta 1e-4"),
     ("diff-abs-none", "differentiate --truth abs-shift --noise none --a 1.5 --m 2 --delta 1e-2"),
     ("diff-input", "differentiate --input input.csv --delta 1e-3"),
+    # with an input file the flags that make synthetic data are ignored
+    ("diff-input-ignored", "differentiate --input input.csv --delta 1e-3 --noise pink --seed -1"),
     # sweep: Holder class rescaled truth, all noise spellings, config file
     ("sweep-default", "sweep --deltas 1e-2,1e-3,1e-4 --count 20"),
     ("sweep-seed3", "sweep --deltas 1e-2,1e-3,1e-4,1e-5 --a 2 --m 1 --count 20 --seed 3"),
@@ -110,6 +112,10 @@ COMMANDS = (
                         "--levels 8 --deltas 1e-2,1e-3"),
     ("mod-holder-a05", "modulus --phi holder-norm --a 0.5 --c 1 --lattice-nodes 4 "
                        "--levels 21 --deltas 1,0.1,0.01"),
+    # one scan for all deltas: unsorted with a duplicate, and a wide delta
+    # next to a narrow one on the default lattice
+    ("mod-unsorted-dup", "modulus --lattice-nodes 4 --levels 8 --deltas 1e-3,0.5,1e-2,0.5"),
+    ("mod-wide-narrow", "modulus --deltas 0.5,1e-3"),
     # rejected command lines: exit 2 (configuration) and 3 (runtime)
     ("bad-no-delta", "differentiate"),
     ("bad-diff-a", "differentiate --delta 1e-3 --a 1"),
