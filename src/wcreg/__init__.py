@@ -18,11 +18,11 @@ just the one true solution.  The package provides:
 """
 
 from .adversary import (AdversarialPair, FeasibleClass, FeasibilityCheck,
-                        PairCertificate, bump_pair, diameter_probe, is_feasible,
-                        read_pair_csv, sample_feasible, sine_pair,
-                        sup_error_estimate, write_pair_csv)
+                        PairCertificate, bump_pair, is_feasible, read_pair_csv,
+                        sample_feasible, sine_pair, sup_error_estimate,
+                        write_pair_csv)
 from .derivative import (RegularizerOutput, differentiate, error_bound,
-                         regularize, step_size, stencil_worst_noise)
+                         regularize, step_size)
 from .errors import (ConfigError, GridTooCoarseError, InfeasibleProblemError,
                      PairBudgetExceededError)
 from .grid import (NOISE_MODELS, GridFunction, NoisyData, add_noise,

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,7 +52,6 @@ __all__ = [
     "sup_error_estimate",
     "sine_pair",
     "bump_pair",
-    "diameter_probe",
     "write_pair_csv",
     "read_pair_csv",
 ]
@@ -160,23 +159,9 @@ def _assemble_pair(v1: GridFunction, v2: GridFunction, cls: FeasibleClass) -> Ad
 # pair constructions
 
 
-def _sine_profile(bound: float, k: int, n: int) -> GridFunction:
-    x = np.linspace(0.0, 1.0, n)
-    return GridFunction(bound * np.sin(2.0 * math.pi * k * x))
-
-
-def _sine_frequencies(bound: float, delta: float, n: int | None) -> tuple[range, int]:
-    """Sine frequencies the sup-norm class admits on the grid, and the grid size.
-
-    k = ceil(bound / (pi * delta)) is the lowest frequency whose integral
-    bound/(pi*k) stays within delta; the grid must resolve at least 20 nodes
-    per period, so the range is empty on a grid too coarse for k.  The
-    default grid n = 20k + 1 puts the sine extrema on nodes.
-    """
-    k = math.ceil(bound / (math.pi * delta))
-    if n is None:
-        n = 20 * k + 1
-    return range(k, (n - 1) // 20 + 1), n
+#: most nodes a construction's default grid may have: `bump_pair` clips its
+#: default grid to it, `sine_pair` refuses a delta whose default grid exceeds it
+MAX_DEFAULT_NODES = 2_000_001
 
 
 def sine_pair(bound: float, delta: float, n: int | None = None) -> AdversarialPair:
@@ -186,51 +171,30 @@ def sine_pair(bound: float, delta: float, n: int | None = None) -> AdversarialPa
     <= delta in the continuum; on the grid the trapezoid rule damps the
     image further, so feasibility certifies exactly.  The grid must resolve
     the oscillation (at least 20 nodes per period); the default grid
-    n = 20k + 1 puts the sine extrema on nodes, giving separation = bound.
+    n = 20k + 1 puts the sine extrema on nodes, giving separation = bound,
+    and is refused above MAX_DEFAULT_NODES.
     """
     if not bound > 0.0 or not delta > 0.0:
         raise ValueError("bound and delta must be positive")
-    ks, n = _sine_frequencies(bound, delta, n)
-    if not ks:
+    k = math.ceil(bound / (math.pi * delta))
+    if n is None:
+        n = 20 * k + 1
+        if n > MAX_DEFAULT_NODES:
+            raise GridTooCoarseError(
+                f"frequency k={k} needs a default grid of {n} nodes, above the "
+                f"{MAX_DEFAULT_NODES}-node ceiling; give the grid explicitly")
+    if n < 20 * k + 1:
         raise GridTooCoarseError(
-            f"grid with {n} nodes cannot resolve frequency k={ks.start}; "
-            f"need at least {20 * ks.start + 1} nodes")
+            f"grid with {n} nodes cannot resolve frequency k={k}; "
+            f"need at least {20 * k + 1} nodes")
     cls = FeasibleClass.for_zero_data(CompactumSpec("sup-norm", bound), delta, n)
-    v2 = _sine_profile(bound, ks[0], n)
+    x = np.linspace(0.0, 1.0, n)
+    v2 = GridFunction(bound * np.sin(2.0 * math.pi * k * x))
     try:
         return _assemble_pair(GridFunction.zeros(n), v2, cls)
     except InfeasibleProblemError as exc:
         raise GridTooCoarseError(
             f"grid with {n} nodes leaves the sinusoid image above delta: {exc}") from exc
-
-
-def _bump_height(bound: float, delta: float) -> float:
-    """Ideal bump height: the integral of the bump with slopes +-bound/2
-    peaks at delta, and its Lipschitz norm height + bound/2 stays within bound."""
-    return min(math.sqrt(delta * bound / 2.0), bound / 2.0)
-
-
-def _bump_fit(bound: float, delta: float, n: int) -> tuple[int, int]:
-    """(room, p): the half-width free around the centre node (n-1)//2 and the
-    ideal half-width 2*height/bound snapped to whole nodes."""
-    room = (n - 1) // 2
-    if room < 1:
-        raise GridTooCoarseError(f"grid with {n} nodes leaves no room for a bump")
-    dx = 1.0 / (n - 1)
-    return room, int(round(2.0 * _bump_height(bound, delta) / bound / dx))
-
-
-def _snapped_bump(n: int, p: int, bound: float, delta: float, shave: float) -> GridFunction:
-    """Triangle bump on p nodes either side of the centre node, kinks on nodes.
-
-    At width w = p*dx the height min(bound*w/2, delta/w) keeps the slopes
-    within bound/2 and the exact trapezoid image within delta; `shave` trims it.
-    """
-    dx = 1.0 / (n - 1)
-    width = p * dx
-    height = min(0.5 * bound * width, delta / width) * (1.0 - shave)
-    offsets = np.abs(np.arange(n) - (n - 1) // 2)
-    return GridFunction(height * np.maximum(0.0, 1.0 - offsets / p))
 
 
 def bump_pair(bound: float, delta: float, n: int | None = None) -> AdversarialPair:
@@ -246,28 +210,35 @@ def bump_pair(bound: float, delta: float, n: int | None = None) -> AdversarialPa
     """
     if not bound > 0.0 or not delta > 0.0:
         raise ValueError("bound and delta must be positive")
-    height_ideal = _bump_height(bound, delta)
+    height_ideal = min(math.sqrt(delta * bound / 2.0), bound / 2.0)
     if n is None:
         width_ideal = 2.0 * height_ideal / bound
-        n = int(max(1001, min(2_000_001, 8 * math.ceil(1.0 / width_ideal) + 1)))
-    room, p_want = _bump_fit(bound, delta, n)
+        n = int(max(1001, min(MAX_DEFAULT_NODES, 8 * math.ceil(1.0 / width_ideal) + 1)))
+    # the half-width free around the centre node
+    room = (n - 1) // 2
+    if room < 1:
+        raise GridTooCoarseError(f"grid with {n} nodes leaves no room for a bump")
+    dx = 1.0 / (n - 1)
+    p = int(round(2.0 * height_ideal / bound / dx))
     cls = FeasibleClass.for_zero_data(CompactumSpec("holder-norm", bound, a=1.0), delta, n)
-    zero = GridFunction.zeros(n)
 
-    if p_want <= room:
-        for shave in _SHAVE_LADDER:
-            v2 = _snapped_bump(n, max(1, p_want), bound, delta, shave)
-            if is_feasible(v2, cls).feasible:
-                return _assemble_pair(zero, v2, cls)
+    if p <= room:
+        # kinks on nodes, p either side of the centre: at width w = p*dx the
+        # height min(bound*w/2, delta/w) keeps the slopes within bound/2 and
+        # the exact trapezoid image within delta
+        p = max(1, p)
+        width = p * dx
+        height = min(0.5 * bound * width, delta / width)
+        profile = np.maximum(0.0, 1.0 - np.abs(np.arange(n) - room) / p)
     else:
-        # support wider than the interval: sample the clipped profile
+        # support wider than the interval: sample the clipped profile, height included
         x = np.linspace(0.0, 1.0, n)
-        dx = 1.0 / (n - 1)
-        profile = np.maximum(0.0, height_ideal - 0.5 * bound * np.abs(x - (n - 1) // 2 * dx))
-        for shave in _SHAVE_LADDER:
-            v2 = GridFunction(profile * (1.0 - shave))
-            if is_feasible(v2, cls).feasible:
-                return _assemble_pair(zero, v2, cls)
+        height = 1.0
+        profile = np.maximum(0.0, height_ideal - 0.5 * bound * np.abs(x - room * dx))
+    for shave in _SHAVE_LADDER:
+        v2 = GridFunction(height * (1.0 - shave) * profile)
+        if is_feasible(v2, cls).feasible:
+            return _assemble_pair(GridFunction.zeros(n), v2, cls)
     raise InfeasibleProblemError(
         f"bump construction failed to certify for bound={bound}, delta={delta}, n={n}")
 
@@ -440,102 +411,6 @@ def sup_error_estimate(reconstruction: GridFunction,
         raise ValueError("grid mismatch between reconstruction and ensemble member")
     diff = reconstruction.values - np.array([v.values for v in ensemble])
     return float(np.abs(diff).max())
-
-
-# ---------------------------------------------------------------------------
-# diameter search
-
-
-def _sine_candidates(cls: FeasibleClass) -> Iterator[tuple[GridFunction, GridFunction]]:
-    if cls.spec.phi != "sup-norm":
-        return
-    for k in _sine_frequencies(cls.spec.c, cls.delta, cls.n)[0]:
-        v = _sine_profile(cls.spec.c, k, cls.n)
-        yield GridFunction(-v.values), v
-
-
-def _bump_candidates(cls: FeasibleClass) -> Iterator[tuple[GridFunction, GridFunction]]:
-    if cls.spec.phi != "holder-norm":
-        return
-    room, p_want = _bump_fit(cls.spec.c, cls.delta, cls.n)
-    p0 = min(max(1, p_want), room)
-    seen = set()
-    for j in range(room):
-        for p in (p0 - j, p0 + j):
-            if p < 1 or p > room or p in seen:
-                continue
-            seen.add(p)
-            for shave in _SHAVE_LADDER:
-                v = _snapped_bump(cls.n, p, cls.spec.c, cls.delta, shave)
-                if is_feasible(v, cls).feasible:
-                    yield GridFunction(-v.values), v
-                    break
-
-
-def _random_candidates(cls: FeasibleClass, seed, base: GridFunction
-                       ) -> Iterator[tuple[GridFunction, GridFunction]]:
-    chk = is_feasible(base, cls)
-    if not chk.feasible:
-        return
-    rng = np.random.default_rng(seed)
-    x = np.linspace(0.0, 1.0, cls.n)
-    slack = (cls.delta - chk.misfit, cls.spec.c - chk.class_norm)
-    gains: dict[str, tuple[float, float]] = {}
-    while True:
-        shape, key = _draw_shape(rng, x)
-        t = _steps(cls, shape[None], [key], slack, [rng.uniform(0.2, 1.0)], gains)[0]
-        if t is None:
-            yield base, base
-            continue
-        yield (GridFunction(base.values + t * shape),
-               GridFunction(base.values - t * shape))
-
-
-def diameter_probe(cls: FeasibleClass, generators: Sequence[str] = ("sine", "bump", "random-search"),
-                   budget: int = 32, seed: int = 0,
-                   start: GridFunction | None = None) -> float:
-    """Largest certified separation among feasible pairs within the budget.
-
-    Candidate pairs are drawn round-robin from the requested generator
-    streams; each candidate consumes one unit of budget whether or not it
-    certifies, which makes the result monotone nondecreasing in the budget
-    for a fixed seed.  Half the returned value lower-bounds the worst-case
-    error of every reconstruction rule on this class.  On zero data with
-    noise radius delta/2 both members of a certified pair lie within delta/2
-    of zero data, so their images differ by at most delta: the value is then
-    a lower bound on the modulus omega(delta) of `wcreg.modulus`.
-    """
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    base = start if start is not None else GridFunction.zeros(cls.n)
-    streams = []
-    for name in generators:
-        if name == "sine":
-            streams.append(_sine_candidates(cls))
-        elif name == "bump":
-            streams.append(_bump_candidates(cls))
-        elif name == "random-search":
-            streams.append(_random_candidates(cls, seed, base))
-        else:
-            raise ValueError(f"unknown generator {name!r}")
-    best = 0.0
-    used = 0
-    while used < budget and streams:
-        exhausted = []
-        for stream in streams:
-            if used >= budget:
-                break
-            try:
-                v1, v2 = next(stream)
-            except StopIteration:
-                exhausted.append(stream)
-                continue
-            used += 1
-            if is_feasible(v1, cls).feasible and is_feasible(v2, cls).feasible:
-                best = max(best, sup_norm(GridFunction(v1.values - v2.values)))
-        for stream in exhausted:
-            streams.remove(stream)
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Experiment configuration: flat key=value files, flag overrides.
 
 The format is one `key = value` pair per line with `#` comments, chosen to
-be trivially parseable and diff-friendly for experiment provenance.  A
-config written by `to_file` parses back to an identical object.
+be trivially parseable and diff-friendly for experiment provenance.
 """
 
 # no `from __future__ import annotations`: NamedTuple would compile each of
@@ -11,7 +10,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ConfigError
-from .grid import format_float
 
 __all__ = ["ExperimentConfig", "parse_key_values"]
 
@@ -51,19 +49,6 @@ class ExperimentConfig(NamedTuple):
     lattice_nodes: int = 3
     constants_only: bool = False
 
-    def to_file(self, path: str | Path) -> None:
-        lines = []
-        for name, value in zip(self._fields, self):
-            if value is None:
-                continue
-            key = _FIELD_TO_KEY.get(name, name)
-            lines.append(f"{key} = {_serialize(value)}")
-        Path(path).write_text("\n".join(lines) + "\n")
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        return cls().updated(parse_key_values(path))
-
     def updated(self, overrides: dict) -> "ExperimentConfig":
         """New config with string/typed overrides applied on top of self."""
         values = {}
@@ -73,16 +58,6 @@ class ExperimentConfig(NamedTuple):
                 raise ConfigError(f"unknown config key {key!r}")
             values[name] = _coerce(name, raw) if isinstance(raw, str) else raw
         return self._replace(**values)
-
-
-def _serialize(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, tuple):
-        return ",".join(format_float(v) for v in value)
-    return str(value)
 
 
 _INT_FIELDS = {"seed", "grid", "count", "budget", "levels", "lattice_nodes"}

@@ -29,7 +29,6 @@ __all__ = [
     "differentiate",
     "error_bound",
     "regularize",
-    "stencil_worst_noise",
 ]
 
 #: longest admissible step; keeps both one-sided zones and an interior zone
@@ -125,19 +124,3 @@ def regularize(data: NoisyData, spec: CompactumSpec) -> RegularizerOutput:
     u = differentiate(data, h)
     return RegularizerOutput(u, h, error_bound(data.delta, spec, h))
 
-
-def stencil_worst_noise(n: int, step_multiple: int, delta: float) -> GridFunction:
-    """The +-delta pattern that saturates the delta/h noise bound.
-
-    Signs flip every 2*step_multiple nodes, so the two samples of every
-    interior symmetric stencil with offset step_multiple carry opposite
-    signs and the quotient reaches exactly delta/h.  (The plain
-    node-alternating pattern (-1)^k is annihilated by symmetric stencils,
-    whose sample indices always differ by an even count.)
-    """
-    if step_multiple < 1:
-        raise ValueError("step_multiple must be at least 1")
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    blocks = np.arange(n) // (2 * step_multiple)
-    return GridFunction(np.where(blocks % 2 == 0, delta, -delta))

@@ -6,8 +6,7 @@ Its decay to zero as delta -> 0 is exactly what makes uniform-over-the-class
 reconstruction possible on K.  This module computes it exactly, by pair
 enumeration on small lattice compacta judged as `adversary` judges
 membership: all members at once, phi by `CompactumSpec.phi_rows` and images
-by the one forward map `ProblemSpec.apply_rows`.  Continuum lower bounds
-come from `adversary.diameter_probe`, whose docstring states the relation.
+by the one forward map `ProblemSpec.apply_rows`.
 
 One call serves all deltas of a command: one sort, then one scan of nested
 key windows ring by ring, each pair formed once, under one pair guard.

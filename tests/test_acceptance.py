@@ -14,9 +14,10 @@ import pytest
 from wcreg import (CompactumSpec, FeasibleClass, GridFunction, LatticeCompactum, NoisyData,
                    ProblemSpec, add_noise, bump_pair, convergence_study, error_bound,
                    integrate, is_feasible, minimize, modulus_bruteforce, regularize,
-                   sample_feasible, sine_pair, step_size, stencil_worst_noise,
-                   sup_error_estimate)
+                   sample_feasible, sine_pair, step_size, sup_error_estimate)
 from wcreg.cli import main
+
+from test_derivative import stencil_worst_noise
 
 
 def report(num, text):

@@ -5,7 +5,7 @@ import pytest
 
 from wcreg import (AdversarialPair, CompactumSpec, FeasibleClass, GridFunction,
                    GridTooCoarseError, InfeasibleProblemError, NoisyData, ProblemSpec,
-                   add_noise, bump_pair, diameter_probe, format_float, holder_norm, integrate,
+                   add_noise, bump_pair, format_float, holder_norm, integrate,
                    is_feasible, read_pair_csv, rectangle_matrix, sample_feasible,
                    sine_pair, sup_error_estimate, sup_norm, write_pair_csv)
 from wcreg.adversary import ROW_BLOCK
@@ -345,6 +345,18 @@ class TestSinePair:
     def test_grid_too_coarse(self):
         with pytest.raises(GridTooCoarseError):
             sine_pair(1.0, 0.01, n=100)
+        # k = ceil(1/(0.01*pi)) = 32 needs 20k + 1 = 641 nodes, and 641 suffice
+        with pytest.raises(GridTooCoarseError, match="k=32; need at least 641 nodes"):
+            sine_pair(1.0, 0.01, n=640)
+        assert sine_pair(1.0, 0.01, n=641).separation == 1.0
+
+    def test_default_grid_ceiling(self):
+        # k = 100,001 needs 2,000,021 nodes, one frequency past the ceiling
+        with pytest.raises(GridTooCoarseError, match="default grid of 2000021 nodes"):
+            sine_pair(1.0, 1.0 / (math.pi * 100_000.5))
+        # an explicit grid is judged by the resolution rule alone
+        with pytest.raises(GridTooCoarseError, match="need at least 63661981 nodes"):
+            sine_pair(1.0, 1e-7, n=641)
 
     def test_separation_is_delta_independent(self):
         seps = [sine_pair(1.0, d).separation for d in (1e-2, 1e-3, 1e-4)]
@@ -391,33 +403,6 @@ class TestBumpPair:
         cls = FeasibleClass.for_zero_data(CompactumSpec("holder-norm", 1.5, a=1.0), 3e-3, pair.v1.n)
         assert is_feasible(pair.v2, cls).feasible
         assert holder_norm(pair.v2, 1.0) == pytest.approx(pair.certificate.norm2)
-
-
-class TestDiameterProbe:
-    def test_sine_probe(self):
-        cls = FeasibleClass.for_zero_data(CompactumSpec("sup-norm", 1.0), 0.01, 641)
-        assert diameter_probe(cls, ("sine",), budget=4) >= 0.99
-
-    def test_bump_probe(self):
-        cls = FeasibleClass.for_zero_data(CompactumSpec("holder-norm", 2.0, a=1.0), 0.01, 1001)
-        assert diameter_probe(cls, ("bump",), budget=4) >= 0.1 - 1e-9
-
-    def test_zero_budget(self):
-        cls = FeasibleClass.for_zero_data(CompactumSpec("sup-norm", 1.0), 0.01, 641)
-        assert diameter_probe(cls, (), budget=0) == 0.0
-        assert diameter_probe(cls, ("sine",), budget=0) == 0.0
-
-    def test_monotone_in_budget(self):
-        cls = FeasibleClass.for_zero_data(CompactumSpec("sup-norm", 1.0), 0.05, 421)
-        values = [diameter_probe(cls, ("sine", "random-search"), budget=b, seed=5)
-                  for b in (1, 4, 16, 32)]
-        for lo, hi in zip(values, values[1:]):
-            assert hi >= lo
-
-    def test_unknown_generator(self):
-        cls = FeasibleClass.for_zero_data(CompactumSpec("sup-norm", 1.0), 0.05, 421)
-        with pytest.raises(ValueError):
-            diameter_probe(cls, ("newton",), budget=1)
 
 
 class TestPairCsv:

@@ -188,6 +188,19 @@ class TestAdversaryCommand:
             lip = np.max(np.abs(v)) + np.max(np.abs(np.diff(v))) / h
             assert lip <= 1.0 * (1.0 + 1e-9)
 
+    def test_sup_default_grid_ceiling_exit_3(self, tmp_path, capsys):
+        # k = 3,183,099 would need a default grid of 63.7 M nodes: refused
+        # before anything of that size is allocated
+        start = time.perf_counter()
+        code = run_cli("adversary", "--class", "sup", "--m", "1",
+                       "--deltas", "1e-7", "--out", str(tmp_path / "o"))
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "wcreg: error: frequency k=3183099 needs a default grid of 63661981 nodes, "
+            "above the 2000001-node ceiling; give the grid explicitly\n")
+        assert list((tmp_path / "o").iterdir()) == []
+
     def test_unknown_class_exit_2(self, tmp_path):
         assert run_cli("adversary", "--class", "huber", "--m", "1",
                        "--deltas", "1e-2", "--out", str(tmp_path / "o")) == 2
@@ -393,14 +406,12 @@ class TestConfigHandling:
     def test_not_a_dataclass(self):
         assert not dataclasses.is_dataclass(ExperimentConfig)
 
-    def test_field_order_is_file_and_help_order(self, tmp_path, capsys):
-        keys = [_FIELD_TO_KEY.get(name, name) for name in ExperimentConfig._fields]
-        assert keys[0] == "command"
-        assert config_keys(tmp_path) == keys[1:]
+    def test_field_order_is_file_and_help_order(self, capsys):
+        assert ExperimentConfig._fields[0] == "command"
         assert run_cli("--help") == 0
         options = capsys.readouterr().out.partition("options:")[2]
         assert re.findall(r"^  (--[\w-]+)", options, re.M) == ["--config"] + [
-            "--" + key for key in keys[1:]]
+            "--" + key for key in config_keys()]
 
     def test_updated_with_typed_values(self):
         base = ExperimentConfig(command="sweep", seed=5)
@@ -416,14 +427,6 @@ class TestConfigHandling:
     def test_updated_rejects_unknown_key(self, key):
         with pytest.raises(ConfigError, match=re.escape(f"unknown config key {key!r}")):
             ExperimentConfig().updated({"seed": 1, key: "3"})
-
-    def test_round_trip_identity(self, tmp_path):
-        cfg = ExperimentConfig(command="sweep", out="results", seed=5,
-                               deltas=(1e-2, 1e-3), a=1.5, m=2.0,
-                               noise="alternating-worst-case", count=7)
-        path = tmp_path / "exp.cfg"
-        cfg.to_file(path)
-        assert ExperimentConfig.from_file(path) == cfg
 
     def test_file_plus_flag_override(self, tmp_path):
         cfg_path = tmp_path / "d.cfg"
@@ -459,12 +462,10 @@ class TestConfigHandling:
                        "--out", str(tmp_path / "o")) == 2
 
 
-def config_keys(tmp_path):
-    """Every config-file key, as a config file with every field set lists them."""
-    cfg = ExperimentConfig(command="sweep", out="o", grid=5, input="i", delta=1.0)
-    cfg.to_file(tmp_path / "all.cfg")
-    keys = [ln.split("=")[0].strip() for ln in (tmp_path / "all.cfg").read_text().splitlines()]
-    return [key for key in keys if key != "command"]
+def config_keys():
+    """Every config-file key, in field order."""
+    return [_FIELD_TO_KEY.get(name, name) for name in ExperimentConfig._fields
+            if name != "command"]
 
 
 def subparser_parser(keys):
@@ -481,10 +482,10 @@ def subparser_parser(keys):
 
 
 class TestParser:
-    def test_help_lists_each_flag_once(self, tmp_path, capsys):
+    def test_help_lists_each_flag_once(self, capsys):
         assert run_cli("--help") == 0
         usage, _, options = capsys.readouterr().out.partition("options:")
-        keys = config_keys(tmp_path)
+        keys = config_keys()
         assert len(keys) == 19
         for flag in ["--config"] + ["--" + key for key in keys]:
             pattern = rf"(?<![\w-]){re.escape(flag)}(?![\w-])"
@@ -494,9 +495,9 @@ class TestParser:
     @pytest.mark.parametrize("argv", [
         [], ["bogus"], ["sweep", "--deltas", "1e-2,1e-3", "--bogus", "1"],
     ], ids=["missing-command", "unknown-command", "unknown-flag"])
-    def test_rejections_keep_final_error_line(self, tmp_path, capsys, argv):
+    def test_rejections_keep_final_error_line(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            subparser_parser(config_keys(tmp_path)).parse_args(argv)
+            subparser_parser(config_keys()).parse_args(argv)
         assert exc.value.code == 2
         expected = capsys.readouterr().err.splitlines()[-1]
         assert expected.startswith("wcreg: error: ")

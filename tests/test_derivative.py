@@ -6,12 +6,29 @@ import pytest
 from wcreg import (CompactumSpec, FeasibleClass, GridFunction, GridTooCoarseError,
                    NoisyData, add_noise, differentiate, error_bound,
                    integrate, regularize, sample_feasible, step_size,
-                   stencil_worst_noise, sup_error_estimate, sup_norm)
+                   sup_error_estimate, sup_norm)
 
 
 def holder(a, m):
     """The Holder class {holder_norm_a <= m}."""
     return CompactumSpec("holder-norm", m, a=a)
+
+
+def stencil_worst_noise(n: int, step_multiple: int, delta: float) -> GridFunction:
+    """The +-delta pattern that saturates the delta/h noise bound.
+
+    Signs flip every 2*step_multiple nodes, so the two samples of every
+    interior symmetric stencil with offset step_multiple carry opposite
+    signs and the quotient reaches exactly delta/h.  (The plain
+    node-alternating pattern (-1)^k is annihilated by symmetric stencils,
+    whose sample indices always differ by an even count.)
+    """
+    if step_multiple < 1:
+        raise ValueError("step_multiple must be at least 1")
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    blocks = np.arange(n) // (2 * step_multiple)
+    return GridFunction(np.where(blocks % 2 == 0, delta, -delta))
 
 
 def exact_data(func, n, delta=1e-12):

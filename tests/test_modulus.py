@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from wcreg import (CompactumSpec, FeasibleClass, GridFunction, GridTooCoarseError,
-                   LatticeCompactum, PairBudgetExceededError, ProblemSpec, diameter_probe,
-                   holder_norm, modulus_bruteforce, rectangle_matrix, sine_pair)
+                   LatticeCompactum, PairBudgetExceededError, ProblemSpec, bump_pair,
+                   holder_norm, is_feasible, modulus_bruteforce, rectangle_matrix, sine_pair)
 from wcreg import modulus
 
 CONST_LEVELS = tuple(np.arange(-10, 11) / 10.0)  # 21 levels in [-1, 1]
@@ -225,17 +225,24 @@ class TestBruteforce:
 
 
 class TestSearch:
-    """Continuum lower bounds on omega(delta): `diameter_probe` on the delta/2 tube."""
+    """Continuum lower bounds on omega(delta): certified pairs on the delta/2 tube.
+
+    Both members of a pair on zero data with noise radius delta/2 lie within
+    delta/2 of the data, so their images differ by at most delta, and their
+    separation lower-bounds omega(delta).
+    """
 
     def test_matches_sine_separation(self):
         cls = FeasibleClass.for_zero_data(CompactumSpec("sup-norm", 1.0), 0.01 / 2, 1281)
-        found = diameter_probe(cls, ("sine",), budget=1)
         pair = sine_pair(1.0, 0.005, n=1281)
-        # the probe mirrors the pair's sinusoid: (-v, v) in place of (0, v)
+        # mirror the pair's sinusoid: (-v, v) in place of (0, v)
+        v2 = pair.v2
+        v1 = GridFunction(-v2.values)
+        assert is_feasible(v1, cls).feasible and is_feasible(v2, cls).feasible
+        found = float(np.max(np.abs(v1.values - v2.values)))
         assert found == pytest.approx(2.0 * pair.separation, abs=1e-12)
         assert found == pytest.approx(2.0, abs=1e-12)
 
     def test_continuum_bump_needs_room(self):
-        cls = FeasibleClass.for_zero_data(CompactumSpec("holder-norm", 1.0, a=1.0), 0.01 / 2, 2)
         with pytest.raises(GridTooCoarseError):
-            diameter_probe(cls, ("bump",), budget=1)
+            bump_pair(1.0, 0.01 / 2, n=2)

@@ -72,6 +72,8 @@ COMMANDS = (
     ("adv-lip", "adversary --class lip --m 1 --deltas 1e-2,1e-4,1e-6"),
     ("adv-lip-grid", "adversary --class lip --m 1.5 --deltas 1e-2,1e-3 --grid 301"),
     ("adv-lip-clipped", "adversary --class lip --m 1 --deltas 1 --grid 21"),
+    # the sine resolution rule at its boundary: k = 32 needs 20k + 1 = 641 nodes
+    ("adv-sup-edge", "adversary --class sup --m 1 --deltas 1e-2 --grid 641"),
     # variational: sup and Holder phi over the trapezoid operator
     ("var-sup", "variational --phi sup-norm --c 2 --deltas 1e-1,1e-2 --budget 150 --count 12"),
     ("var-holder-a2", "variational --phi holder-norm --a 2 --c 3 --deltas 1e-1,1e-2 "
@@ -139,6 +141,7 @@ COMMANDS = (
     ("bad-class", "adversary --class holder --deltas 1e-2"),
     ("bad-adv-m", "adversary --class lip --m 0 --deltas 1e-2"),
     ("bad-sup-coarse", "adversary --class sup --deltas 1e-3 --grid 11"),
+    ("bad-adv-sup-coarse", "adversary --class sup --m 1 --deltas 1e-2 --grid 640"),
     ("bad-var-phi", "variational --phi l2 --deltas 1e-2"),
     ("bad-var-c", "variational --c 0 --deltas 1e-2"),
     ("bad-var-budget", "variational --budget -1 --deltas 1e-2"),
