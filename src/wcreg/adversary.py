@@ -91,19 +91,16 @@ class FeasibleClass:
     def n(self) -> int:
         return self.data.g_delta.n
 
-    def residuals(self, rows: np.ndarray, target: np.ndarray | float | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        """(misfit, norm) of each row of a 2-D array: sup|A row - target|,
-        with target the data g_delta unless given, and phi(row).
+    def residuals(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(misfit, norm) of each row of a 2-D array: sup|A row - g_delta|
+        and phi(row).
 
         The one membership kernel.  Each row takes the floats it takes on
         its own (see `ProblemSpec.apply_rows` and `CompactumSpec.phi_rows`),
         so a row's verdict does not depend on the rows checked with it.
         """
         self.spec.require_nodes(self.n)
-        if target is None:
-            target = self.data.g_delta.values
-        misfit = np.max(np.abs(self.prob.apply_rows(rows) - target), axis=1)
+        misfit = np.max(np.abs(self.prob.apply_rows(rows) - self.data.g_delta.values), axis=1)
         return misfit, self.spec.phi_rows(rows)
 
 
@@ -176,7 +173,11 @@ def sine_pair(bound: float, delta: float, n: int | None = None) -> AdversarialPa
     """
     if not bound > 0.0 or not delta > 0.0:
         raise ValueError("bound and delta must be positive")
-    k = math.ceil(bound / (math.pi * delta))
+    ratio = bound / (math.pi * delta)
+    if not math.isfinite(ratio):
+        raise GridTooCoarseError(f"bound={bound} and delta={delta} overflow the sine "
+                                 "frequency bound/(pi*delta)")
+    k = math.ceil(ratio)
     if n is None:
         n = 20 * k + 1
         if n > MAX_DEFAULT_NODES:
@@ -212,6 +213,9 @@ def bump_pair(bound: float, delta: float, n: int | None = None) -> AdversarialPa
         raise ValueError("bound and delta must be positive")
     height_ideal = min(math.sqrt(delta * bound / 2.0), bound / 2.0)
     if n is None:
+        if height_ideal == 0.0:
+            raise GridTooCoarseError(f"bound={bound} and delta={delta} underflow the bump "
+                                     "height sqrt(delta*bound/2) to 0; give the grid")
         width_ideal = 2.0 * height_ideal / bound
         n = int(max(1001, min(MAX_DEFAULT_NODES, 8 * math.ceil(1.0 / width_ideal) + 1)))
     # the half-width free around the centre node
@@ -341,15 +345,15 @@ def _accepted_rows(cls: FeasibleClass, base: np.ndarray, shapes: np.ndarray,
     return [GridFunction(row) for row in out[accepted]]
 
 
-def sample_feasible(cls: FeasibleClass, count: int, seed: int | np.random.SeedSequence = 0,
-                    start: GridFunction | None = None) -> list[GridFunction]:
+def sample_feasible(cls: FeasibleClass, count: int, seed: int | np.random.SeedSequence,
+                    start: GridFunction) -> list[GridFunction]:
     """Up to `count` certified members of S around a feasible start element.
 
-    The start element (default: the zero function) must itself pass the
-    membership test, else InfeasibleProblemError; the first returned member
-    is the start element itself.  Each attempt draws a shape, a sign and a
-    scale fraction; the step along the shape is capped through the triangle
-    inequality by the remaining misfit and norm slack.
+    The start element must itself pass the membership test, else
+    InfeasibleProblemError; the first returned member is the start element
+    itself.  Each attempt draws a shape, a sign and a scale fraction; the
+    step along the shape is capped through the triangle inequality by the
+    remaining misfit and norm slack.
 
     Attempts run in rounds.  A round draws the next count - len(members)
     attempts, at most ROW_BLOCK and at most the attempts left of
@@ -364,8 +368,7 @@ def sample_feasible(cls: FeasibleClass, count: int, seed: int | np.random.SeedSe
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    base = start if start is not None else GridFunction.zeros(cls.n)
-    chk = is_feasible(base, cls)
+    chk = is_feasible(start, cls)
     if not chk.feasible:
         raise InfeasibleProblemError(
             "no feasible point found: start element has "
@@ -373,7 +376,7 @@ def sample_feasible(cls: FeasibleClass, count: int, seed: int | np.random.SeedSe
             f"(bound {cls.spec.c})")
     if count == 0:
         return []
-    members = [base]
+    members = [start]
     rng = np.random.default_rng(seed)
     x = np.linspace(0.0, 1.0, cls.n)
     slack = (cls.delta - chk.misfit, cls.spec.c - chk.class_norm)
@@ -393,7 +396,7 @@ def sample_feasible(cls: FeasibleClass, count: int, seed: int | np.random.SeedSe
         steps = _steps(cls, np.array(shapes), keys, slack, fracs, gains)
         live = [i for i, t in enumerate(steps) if t is not None]
         if live:
-            members += _accepted_rows(cls, base.values, np.array([shapes[i] for i in live]),
+            members += _accepted_rows(cls, start.values, np.array([shapes[i] for i in live]),
                                       np.array([signs[i] * steps[i] for i in live]))
     return members
 

@@ -1,12 +1,15 @@
 """Command-line experiment runner.
 
-Commands: differentiate, sweep, adversary, variational, modulus.  All take
-the same flags, before or after the command.  Each writes plot-ready CSV
-files into --out; all floats carry 17 significant digits and no output
-contains timestamps, so a rerun with the same config and seed is
-byte-identical.  A flag the command does not read is named in a warning on
-stderr and otherwise ignored.  Exit codes: 0 success, 2 configuration or
-validation error, 3 runtime error (infeasibility, coarse grids, guards).
+One table, `_COMMANDS`, gives each command (differentiate, sweep,
+adversary, variational, modulus) its runner and the config fields it reads.
+All commands take the same flags, before or after the command; a flag for a
+field the command does not read is named in a warning on stderr and
+otherwise ignored.  Validation is one ordered list of rules, each on one
+field and checked only for the commands that read it.  Each command writes
+plot-ready CSV files into --out with 17-significant-digit floats and no
+timestamps, so a rerun with the same config and seed is byte-identical.
+Exit codes: 0 success, 2 configuration or validation error, 3 runtime error
+(infeasibility, coarse grids, guards, an unusable --out).
 """
 
 from __future__ import annotations
@@ -21,35 +24,16 @@ import numpy as np
 
 from .adversary import FeasibleClass, bump_pair, sample_feasible, sine_pair, \
     sup_error_estimate, write_pair_csv
-from .config import _FIELD_TO_KEY, ExperimentConfig, parse_key_values
+from .config import ExperimentConfig, _key, parse_key_values
 from .derivative import error_bound, regularize, step_size
 from .errors import ConfigError
-from .grid import (GridFunction, NoisyData, _write_table, add_noise, holder_norm, integrate,
-                   noise_pattern, read_csv_table, read_grid_csv, write_grid_csv)
+from .grid import (_NOISE_ALIASES, GridFunction, NoisyData, _write_table, add_noise,
+                   holder_norm, integrate, read_csv_table, read_grid_csv, write_grid_csv)
 from .modulus import LatticeCompactum, modulus_bruteforce
 from .operators import PHI_KINDS, CompactumSpec, ProblemSpec
 from .variational import convergence_study, write_convergence_csv
 
 __all__ = ["main", "run", "builtin_truth", "read_csv_table"]
-
-#: config fields each command reads besides `out`; a flag for any other
-#: field is accepted but ignored, with a warning on stderr
-_READS = {
-    "differentiate": {"grid", "input", "truth", "delta", "a", "m", "noise", "seed"},
-    "sweep": {"grid", "truth", "deltas", "a", "m", "noise", "seed", "count"},
-    "adversary": {"grid", "deltas", "m", "class_kind"},
-    "variational": {"grid", "truth", "deltas", "a", "c", "phi", "noise", "seed", "budget",
-                    "count"},
-    "modulus": {"deltas", "a", "c", "phi", "mode", "levels", "lattice_nodes", "constants_only"},
-}
-COMMANDS = tuple(_READS)
-
-
-def _reads(command: str, input_file) -> set:
-    """The fields `command` reads: differentiate with an input file makes no data."""
-    if command == "differentiate" and input_file is not None:
-        return _READS[command] - {"grid", "truth", "noise", "seed"}
-    return _READS[command]
 
 
 def builtin_truth(name: str, n: int) -> GridFunction:
@@ -128,14 +112,15 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> None:
     _write_table(out / "sweep.csv", "delta,h,eta,sup_err_est", rows, meta)
 
 
+#: the pair construction of each adversary class
+_PAIRS = {"sup": sine_pair, "lip": bump_pair}
+
+
 def cmd_adversary(cfg: ExperimentConfig, out: Path) -> None:
     deltas = sorted(cfg.deltas, reverse=True)
     rows = []
     for i, delta in enumerate(deltas):
-        if cfg.class_kind == "sup":
-            pair = sine_pair(cfg.m, delta, n=cfg.grid)
-        else:
-            pair = bump_pair(cfg.m, delta, n=cfg.grid)
+        pair = _PAIRS[cfg.class_kind](cfg.m, delta, n=cfg.grid)
         write_pair_csv(pair, out / f"pair_{i:03d}.csv")
         rows.append((delta, pair.separation))
     _write_table(out / "diameters.csv", "delta,separation", rows)
@@ -165,75 +150,77 @@ def cmd_modulus(cfg: ExperimentConfig, out: Path) -> None:
     _write_table(out / "modulus.csv", "delta,omega", rows)
 
 
-_RUNNERS = {
-    "differentiate": cmd_differentiate,
-    "sweep": cmd_sweep,
-    "adversary": cmd_adversary,
-    "variational": cmd_variational,
-    "modulus": cmd_modulus,
+#: each command's runner and the config fields it reads besides `out`; a
+#: flag for any other field is accepted but ignored, with a warning on stderr
+_COMMANDS = {
+    "differentiate": (cmd_differentiate,
+                      {"grid", "input", "truth", "delta", "a", "m", "noise", "seed"}),
+    "sweep": (cmd_sweep, {"grid", "truth", "deltas", "a", "m", "noise", "seed", "count"}),
+    "adversary": (cmd_adversary, {"grid", "deltas", "m", "class_kind"}),
+    "variational": (cmd_variational, {"grid", "truth", "deltas", "a", "c", "phi", "noise",
+                                      "seed", "budget", "count"}),
+    "modulus": (cmd_modulus, {"deltas", "a", "c", "phi", "mode", "levels", "lattice_nodes",
+                              "constants_only"}),
 }
+COMMANDS = tuple(_COMMANDS)
+
+
+def _reads(command: str, input_file) -> set:
+    """The fields `command` reads, `out` included; with an input file,
+    differentiate makes no data."""
+    reads = _COMMANDS[command][1] | {"out"}
+    if command == "differentiate" and input_file is not None:
+        reads -= {"grid", "truth", "noise", "seed"}
+    return reads
 
 
 # ---------------------------------------------------------------------------
 # validation
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConfigError(message)
-
-
 def _validate(cfg: ExperimentConfig) -> None:
-    """Each rule is stated once and checks a field only for the commands
-    that read it.  Order matters: a command line that breaks several rules
-    reports the first one its command checks."""
-    _require(cfg.out is not None, "--out is required")
-    cmd = cfg.command
-    reads = _reads(cmd, cfg.input)
-    if "grid" in reads:
-        _require(cfg.grid is None or cfg.grid >= 5, "grid must have at least 5 nodes")
-    if "deltas" in reads:
-        _require(all(d > 0 for d in cfg.deltas), "all deltas must be positive")
-    if "noise" in reads:
-        try:
-            noise_pattern(cfg.noise, 1)
-        except ValueError:
-            raise ConfigError(f"unknown noise model {cfg.noise!r}") from None
-    if cmd == "differentiate":
-        _require(cfg.delta is not None and cfg.delta > 0, "delta must be positive")
-    elif cmd == "sweep":
-        _require(len(cfg.deltas) >= 2, "sweep needs at least 2 deltas")
-    elif cmd == "adversary":
-        _require(cfg.class_kind in ("sup", "lip"),
-                 f"class must be 'sup' or 'lip', got {cfg.class_kind!r}")
-    else:
-        _require(cfg.phi in PHI_KINDS,
-                 f"phi must be 'sup-norm' or 'holder-norm', got {cfg.phi!r}")
-        _require(cfg.c > 0, "compactum bound c must be positive")
-    if cmd in ("differentiate", "sweep"):
-        _require(cfg.a > 1.0, "the step rule requires a > 1")
-    if "a" in reads and ("phi" not in reads or cfg.phi == "holder-norm"):
-        _require(0.0 < cfg.a <= 2.0, f"Holder exponent a must lie in (0, 2], got {cfg.a}")
-    if cmd in ("differentiate", "sweep", "adversary"):
-        _require(cfg.m > 0, "class bound m must be positive")
-    if cmd == "differentiate" and cfg.input is not None:
-        _require(Path(cfg.input).is_file(), f"input file not found: {cfg.input}")
-    if cmd == "variational":
-        _require(cfg.budget >= 0, "budget must be nonnegative")
-    if cmd in ("sweep", "variational"):
-        _require(cfg.count >= 1, "ensemble count must be at least 1")
-    if "seed" in reads:
-        _require(cfg.seed >= 0, "seed must be nonnegative")
-    if cmd == "modulus":
-        _require(cfg.mode == "bruteforce", f"mode must be 'bruteforce', got {cfg.mode!r}")
-        _require(cfg.levels >= 1, "levels must be at least 1")
-        _require(cfg.lattice_nodes >= 2, "lattice needs at least 2 nodes")
-    # an infinite bound passes the sign rules above; checked last, so a line
-    # that breaks those rules too keeps their message
-    for field, values in (("delta", [cfg.delta]), ("deltas", cfg.deltas), ("m", [cfg.m]),
-                          ("c", [cfg.c])):
-        if field in reads:
-            _require(all(map(math.isfinite, values)), f"{_flag(field)} must be finite")
+    """Check, in order, the rules of the fields the command reads.  Each rule
+    is a row (field, ok, message); only sweep's row names a command.  Every
+    row is evaluated, so its test must be safe for any config.  A command
+    line that breaks several rules reports the first one its command checks."""
+    reads = _reads(cfg.command, cfg.input)
+    rules = (
+        ("out", cfg.out is not None, "--out is required"),
+        ("grid", cfg.grid is None or cfg.grid >= 5, "grid must have at least 5 nodes"),
+        ("deltas", all(d > 0 for d in cfg.deltas), "all deltas must be positive"),
+        ("noise", cfg.noise in _NOISE_ALIASES, f"unknown noise model {cfg.noise!r}"),
+        ("delta", cfg.delta is not None and cfg.delta > 0, "delta must be positive"),
+        ("deltas", cfg.command != "sweep" or len(cfg.deltas) >= 2,
+         "sweep needs at least 2 deltas"),
+        ("class_kind", cfg.class_kind in _PAIRS,
+         f"class must be 'sup' or 'lip', got {cfg.class_kind!r}"),
+        ("phi", cfg.phi in PHI_KINDS,
+         f"phi must be 'sup-norm' or 'holder-norm', got {cfg.phi!r}"),
+        ("c", cfg.c > 0, "compactum bound c must be positive"),
+        # the step rule is for the Holder class of --a and --m; a class given
+        # by --phi has an exponent only when phi is the Holder norm
+        ("a", "phi" in reads or cfg.a > 1.0, "the step rule requires a > 1"),
+        ("a", ("phi" in reads and cfg.phi != "holder-norm") or 0.0 < cfg.a <= 2.0,
+         f"Holder exponent a must lie in (0, 2], got {cfg.a}"),
+        ("m", cfg.m > 0, "class bound m must be positive"),
+        ("input", cfg.input is None or Path(cfg.input).is_file(),
+         f"input file not found: {cfg.input}"),
+        ("budget", cfg.budget >= 0, "budget must be nonnegative"),
+        ("count", cfg.count >= 1, "ensemble count must be at least 1"),
+        ("seed", cfg.seed >= 0, "seed must be nonnegative"),
+        ("mode", cfg.mode == "bruteforce", f"mode must be 'bruteforce', got {cfg.mode!r}"),
+        ("levels", cfg.levels >= 1, "levels must be at least 1"),
+        ("lattice_nodes", cfg.lattice_nodes >= 2, "lattice needs at least 2 nodes"),
+        # an infinite bound passes the sign rules above; checked last, so a
+        # line that breaks those rules too keeps their message
+        ("delta", cfg.delta is None or math.isfinite(cfg.delta), "--delta must be finite"),
+        ("deltas", all(map(math.isfinite, cfg.deltas)), "--deltas must be finite"),
+        ("m", math.isfinite(cfg.m), "--m must be finite"),
+        ("c", math.isfinite(cfg.c), "--c must be finite"),
+    )
+    for field, ok, message in rules:
+        if not ok and field in reads:
+            raise ConfigError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +232,6 @@ _FLAG_FIELDS = tuple(name for name in ExperimentConfig._fields if name != "comma
 _FLAG_HELP = {"out": "output directory", "deltas": "comma-separated list"}
 
 
-def _flag(field: str) -> str:
-    return "--" + _FIELD_TO_KEY.get(field, field)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     """The command and one flag per config field (its config-file key), in any
     order.  Values stay strings, so `ExperimentConfig.updated` parses them as
@@ -258,7 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", default=None, help="key=value config file")
     for field in _FLAG_FIELDS:
-        parser.add_argument(_flag(field), dest=field, default=None, help=_FLAG_HELP.get(field))
+        parser.add_argument("--" + _key(field), dest=field, default=None,
+                            help=_FLAG_HELP.get(field))
     return parser
 
 
@@ -283,19 +267,15 @@ def main(argv=None) -> int:
         cfg, error = None, exc
     reads = _reads(args.command, args.input if cfg is None else cfg.input)
     for field in _FLAG_FIELDS:
-        if getattr(args, field) is not None and field != "out" and field not in reads:
-            print(f"wcreg: warning: {args.command} ignores {_flag(field)}", file=sys.stderr)
+        if getattr(args, field) is not None and field not in reads:
+            print(f"wcreg: warning: {args.command} ignores --{_key(field)}", file=sys.stderr)
     try:
         if error is not None:
             raise error
         _validate(cfg)
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
-    except ConfigError as exc:
-        print(f"wcreg: config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _RUNNERS[cfg.command](cfg, out)
+        _COMMANDS[cfg.command][0](cfg, out)
     except ConfigError as exc:
         print(f"wcreg: config error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,9 @@
 """Experiment configuration: flat key=value files, flag overrides.
 
 The format is one `key = value` pair per line with `#` comments, chosen to
-be trivially parseable and diff-friendly for experiment provenance.
+be trivially parseable and diff-friendly for experiment provenance.  One
+rule, `_key`, names each field's key and flag, and one map, `_PARSERS`,
+turns a key's string into the field's value.
 """
 
 # no `from __future__ import annotations`: NamedTuple would compile each of
@@ -13,10 +15,23 @@ from .errors import ConfigError
 
 __all__ = ["ExperimentConfig", "parse_key_values"]
 
-# field name <-> file/flag key, where they differ
-_FIELD_TO_KEY = {"class_kind": "class", "lattice_nodes": "lattice-nodes",
-                 "constants_only": "constants-only"}
-_KEY_TO_FIELD = {v: k for k, v in _FIELD_TO_KEY.items()}
+
+def _key(field: str) -> str:
+    """The file key and flag name of a config field."""
+    return "class" if field == "class_kind" else field.replace("_", "-")
+
+
+#: the words a yes/no field accepts
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+#: the parser of each field that is not a string; a bad value makes it
+#: raise ValueError or KeyError
+_PARSERS = {
+    **dict.fromkeys(("seed", "grid", "count", "budget", "levels", "lattice_nodes"), int),
+    **dict.fromkeys(("delta", "a", "m", "c"), float),
+    "deltas": lambda raw: tuple(float(tok) for tok in raw.split(",") if tok.strip()),
+    "constants_only": lambda raw: _BOOLEANS[raw.lower()],
+}
 
 
 class ExperimentConfig(NamedTuple):
@@ -53,35 +68,17 @@ class ExperimentConfig(NamedTuple):
         """New config with string/typed overrides applied on top of self."""
         values = {}
         for key, raw in overrides.items():
-            name = _KEY_TO_FIELD.get(key, key.replace("-", "_"))
+            name = "class_kind" if key == "class" else key.replace("-", "_")
             if name not in self._fields:
                 raise ConfigError(f"unknown config key {key!r}")
-            values[name] = _coerce(name, raw) if isinstance(raw, str) else raw
+            if isinstance(raw, str):
+                raw = raw.strip()
+                try:
+                    raw = _PARSERS.get(name, str)(raw)
+                except (KeyError, ValueError) as exc:
+                    raise ConfigError(f"bad value for {name!r}: {raw!r}") from exc
+            values[name] = raw
         return self._replace(**values)
-
-
-_INT_FIELDS = {"seed", "grid", "count", "budget", "levels", "lattice_nodes"}
-_FLOAT_FIELDS = {"delta", "a", "m", "c"}
-
-
-def _coerce(name: str, raw: str):
-    raw = raw.strip()
-    try:
-        if name == "deltas":
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip()) if raw else ()
-        if name == "constants_only":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if name in _INT_FIELDS:
-            return int(raw)
-        if name in _FLOAT_FIELDS:
-            return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {name!r}: {raw!r}") from exc
-    return raw
 
 
 def parse_key_values(path: str | Path) -> dict[str, str]:

@@ -333,18 +333,18 @@ def _scan_table(path: str | Path) -> tuple[list[str], list[tuple[int, str]], dic
 
 
 def _parse_rows(path: str | Path, lines: list[tuple[int, str]],
-                header: list[str] | None = None) -> list[list[float]]:
+                header: list[str]) -> list[list[float]]:
     """Float cells of the numbered data lines of `_scan_table`.  The first
-    line must have as many cells as the `header`, when given, every later
-    line as many as the first, and every cell must be a float; the error for
-    the first line that breaks a rule names the file and the line."""
+    line must have as many cells as the `header`, every later line as many
+    as the first, and every cell must be a float; the error for the first
+    line that breaks a rule names the file and the line."""
     rows: list[list[float]] = []
     for number, ln in lines:
         cells = ln.split(",")
         if rows and len(cells) != len(rows[0]):
             raise ValueError(f"{path}: line {number} has {len(cells)} cells, "
                              f"line {lines[0][0]} has {len(rows[0])}")
-        if not rows and header is not None and len(cells) != len(header):
+        if not rows and len(cells) != len(header):
             raise ValueError(f"{path}: line {number} has {len(cells)} cells, "
                              f"the header has {len(header)}")
         try:

@@ -358,6 +358,13 @@ class TestSinePair:
         with pytest.raises(GridTooCoarseError, match="need at least 63661981 nodes"):
             sine_pair(1.0, 1e-7, n=641)
 
+    def test_frequency_overflow(self):
+        # bound/(pi*delta) = inf: no frequency, whatever the grid
+        for n in (None, 641):
+            with pytest.raises(GridTooCoarseError,
+                               match=r"bound=1e\+300 and delta=1e-300 overflow the sine"):
+                sine_pair(1e300, 1e-300, n=n)
+
     def test_separation_is_delta_independent(self):
         seps = [sine_pair(1.0, d).separation for d in (1e-2, 1e-3, 1e-4)]
         for s in seps:
@@ -391,6 +398,12 @@ class TestBumpPair:
         pair = bump_pair(2.0, 100.0)
         assert pair.separation == pytest.approx(1.0, abs=1e-9)
         assert pair.certificate.norm2 <= 2.0
+
+    def test_height_underflow(self):
+        # sqrt(delta*bound/2) underflows to 0: no default grid fits the bump
+        with pytest.raises(GridTooCoarseError,
+                           match="bound=1e-300 and delta=1e-300 underflow the bump height"):
+            bump_pair(1e-300, 1e-300)
 
     def test_sqrt_delta_scaling(self):
         deltas = np.array([1e-2, 1e-3, 1e-4, 1e-5])

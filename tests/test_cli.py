@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from wcreg.cli import COMMANDS, builtin_truth, main, read_csv_table
-from wcreg.config import _FIELD_TO_KEY, ExperimentConfig
+from wcreg.config import ExperimentConfig, _key
 from wcreg.grid import read_grid_csv, write_grid_csv
 from wcreg import GridFunction, LatticeCompactum, integrate, modulus_bruteforce, read_pair_csv
 from wcreg.errors import ConfigError
@@ -145,6 +145,15 @@ class TestSweepCommand:
     def test_single_delta_exit_2(self, tmp_path):
         assert run_cli("sweep", "--deltas", "1e-2", "--a", "2",
                        "--out", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("under", [(), ("sub",)], ids=["file", "under-file"])
+    def test_out_names_a_file_exit_3(self, tmp_path, capsys, under):
+        (tmp_path / "taken").write_text("")
+        out = tmp_path.joinpath("taken", *under)
+        assert run_cli("sweep", "--deltas", "1e-2,1e-3", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"wcreg: error: \[Errno \d+\] [^\n]*\n", err)
+        assert "Traceback" not in err
 
 
 class TestAdversaryCommand:
@@ -464,8 +473,7 @@ class TestConfigHandling:
 
 def config_keys():
     """Every config-file key, in field order."""
-    return [_FIELD_TO_KEY.get(name, name) for name in ExperimentConfig._fields
-            if name != "command"]
+    return [_key(name) for name in ExperimentConfig._fields if name != "command"]
 
 
 def subparser_parser(keys):

@@ -110,6 +110,20 @@ class TestMinimize:
         for lo, hi in zip(values[1:], values):
             assert lo <= hi
 
+    def test_descent_lowers_objective(self):
+        # the best start probe lies above the certificate, so only the
+        # descent steps can bring F under it
+        u = GridFunction.from_callable(lambda x: 0.4 * x + 0.1, 7)
+        xi = np.random.default_rng(2).uniform(-1.0, 1.0, 7)
+        data = NoisyData(GridFunction(integrate(u).values + 0.9 * 0.1 * xi), 0.1)
+        spec = CompactumSpec("holder-norm", 3.0, a=1.0)
+        phi_u = spec.phi_value(u)
+        f0, f1, f20 = (minimize(data, spec, ProblemSpec(), budget=b, phi_u=phi_u)
+                       for b in (0, 1, 20))
+        assert f0.certificate_bound == 2 * (1 + phi_u) * 0.1
+        assert f0.objective_value > f0.certificate_bound >= f20.objective_value
+        assert f1.objective_value < f0.objective_value
+
     def test_infeasible_when_c_too_small(self):
         # any v with sup|v| <= 0.5 has sup|Av| <= 0.5 < g(1) - delta
         u, data, _, prob = three_node_instance(delta=0.01)

@@ -74,6 +74,8 @@ COMMANDS = (
     ("adv-lip-clipped", "adversary --class lip --m 1 --deltas 1 --grid 21"),
     # the sine resolution rule at its boundary: k = 32 needs 20k + 1 = 641 nodes
     ("adv-sup-edge", "adversary --class sup --m 1 --deltas 1e-2 --grid 641"),
+    # a command checks no rule of a field it does not read: only warnings here
+    ("adv-ignores-var-flags", "adversary --class lip --m 1 --deltas 1e-2 --phi l2 --c 0"),
     # variational: sup and Holder phi over the trapezoid operator
     ("var-sup", "variational --phi sup-norm --c 2 --deltas 1e-1,1e-2 --budget 150 --count 12"),
     ("var-holder-a2", "variational --phi holder-norm --a 2 --c 3 --deltas 1e-1,1e-2 "
@@ -142,6 +144,9 @@ COMMANDS = (
     ("bad-adv-m", "adversary --class lip --m 0 --deltas 1e-2"),
     ("bad-sup-coarse", "adversary --class sup --deltas 1e-3 --grid 11"),
     ("bad-adv-sup-coarse", "adversary --class sup --m 1 --deltas 1e-2 --grid 640"),
+    # extreme but finite bounds: the sine frequency overflows, the bump height underflows
+    ("bad-adv-sup-overflow", "adversary --class sup --m 1e300 --deltas 1e-300"),
+    ("bad-adv-lip-underflow", "adversary --class lip --m 1e-300 --deltas 1e-300"),
     ("bad-var-phi", "variational --phi l2 --deltas 1e-2"),
     ("bad-var-c", "variational --c 0 --deltas 1e-2"),
     ("bad-var-budget", "variational --budget -1 --deltas 1e-2"),
@@ -175,6 +180,7 @@ COMMANDS = (
     ("bad-unknown-flag", "sweep --deltas 1e-2,1e-3 --bogus 1"),
     # several broken rules: the first one each command checks is reported
     ("bad-diff-many", "differentiate --delta 1e-3 --a 1 --m 0 --input missing.csv"),
+    ("bad-adv-many", "adversary --class holder --m 0 --deltas -1"),
     ("bad-sweep-many", "sweep --deltas 1e-2,1e-3 --a 1 --m 0 --count 0"),
     ("bad-var-many", "variational --c 0 --budget -1 --count 0 --deltas 1e-2"),
     ("bad-mod-many", "modulus --c 0 --mode exact --levels 0 --deltas 0.5"),
