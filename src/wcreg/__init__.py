@@ -32,6 +32,6 @@ from .modulus import LatticeCompactum, modulus_bruteforce
 from .operators import (CompactumSpec, ProblemSpec, integration_matrix,
                         rectangle_matrix)
 from .variational import (StudyRow, VariationalResult, convergence_study,
-                          minimize, objective, write_convergence_csv)
+                          minimize, objective)
 
 __version__ = "0.1.0"

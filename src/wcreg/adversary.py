@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import GridTooCoarseError, InfeasibleProblemError
-from .grid import GridFunction, NoisyData, _csv_rows, _read_grid_table, format_float, sup_norm
+from .grid import GridFunction, NoisyData, _csv_rows, _read_grid_table, format_float
 # holder_norm stays bound here because bench/selftest.py checks that the
 # tracer rebinds wcreg.adversary.holder_norm
 from .grid import holder_norm  # noqa: F401
@@ -67,7 +67,9 @@ class FeasibleClass:
 
     The class {phi <= c} is the CompactumSpec `spec`, the data tube of
     radius delta around g_delta is `data`, and the forward map A is the
-    ProblemSpec `prob` (default: the trapezoid integral).
+    ProblemSpec `prob` (default: the trapezoid integral).  It states the
+    set's rules once: every residual Av - g_delta comes from `residual`, and
+    every membership verdict from `admits`.
     """
 
     spec: CompactumSpec
@@ -91,6 +93,10 @@ class FeasibleClass:
     def n(self) -> int:
         return self.data.g_delta.n
 
+    def residual(self, rows: np.ndarray) -> np.ndarray:
+        """A row - g_delta for each row of a 2-D array: the one residual."""
+        return self.prob.apply_rows(rows) - self.data.g_delta.values
+
     def residuals(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(misfit, norm) of each row of a 2-D array: sup|A row - g_delta|
         and phi(row).
@@ -100,8 +106,12 @@ class FeasibleClass:
         so a row's verdict does not depend on the rows checked with it.
         """
         self.spec.require_nodes(self.n)
-        misfit = np.max(np.abs(self.prob.apply_rows(rows) - self.data.g_delta.values), axis=1)
-        return misfit, self.spec.phi_rows(rows)
+        return np.max(np.abs(self.residual(rows)), axis=1), self.spec.phi_rows(rows)
+
+    def admits(self, misfit, norm):
+        """The one membership verdict, misfit <= delta and norm <= c, on
+        floats or elementwise on arrays."""
+        return (misfit <= self.delta) & (norm <= self.spec.c)
 
 
 class FeasibilityCheck(NamedTuple):
@@ -130,12 +140,13 @@ class AdversarialPair:
 
 
 def is_feasible(v: GridFunction, cls: FeasibleClass) -> FeasibilityCheck:
-    """Both residuals (data misfit, class norm) plus their conjunction: the
-    one-row case of `FeasibleClass.residuals`."""
+    """Both residuals (data misfit, class norm) plus the verdict
+    `FeasibleClass.admits` on them: the one-row case of
+    `FeasibleClass.residuals`."""
     if v.n != cls.n:
         raise ValueError(f"grid mismatch: candidate has {v.n} nodes, class data {cls.n}")
     mis, norm = (float(r[0]) for r in cls.residuals(v.values[None]))
-    return FeasibilityCheck(mis <= cls.delta and norm <= cls.spec.c, mis, norm)
+    return FeasibilityCheck(cls.admits(mis, norm), mis, norm)
 
 
 def _assemble_pair(v1: GridFunction, v2: GridFunction, cls: FeasibleClass) -> AdversarialPair:
@@ -146,7 +157,7 @@ def _assemble_pair(v1: GridFunction, v2: GridFunction, cls: FeasibleClass) -> Ad
             "pair member failed the membership test: "
             f"misfits ({c1.misfit}, {c2.misfit}) vs delta {cls.delta}, "
             f"norms ({c1.class_norm}, {c2.class_norm}) vs bound {cls.spec.c}")
-    sep = sup_norm(GridFunction(v1.values - v2.values))
+    sep = float(np.max(np.abs(v1.values - v2.values)))
     cert = PairCertificate(cls.delta, cls.spec.c, c1.misfit, c1.class_norm,
                            c2.misfit, c2.class_norm)
     return AdversarialPair(v1, v2, sep, cert)
@@ -334,8 +345,7 @@ def _accepted_rows(cls: FeasibleClass, base: np.ndarray, shapes: np.ndarray,
     todo = np.arange(len(shapes))
     for _ in range(40):
         rows = base + steps[todo, None] * shapes[todo]
-        misfit, norm = cls.residuals(rows)
-        ok = (misfit <= cls.delta) & (norm <= cls.spec.c)
+        ok = cls.admits(*cls.residuals(rows))
         out[todo[ok]] = rows[ok]
         accepted[todo[ok]] = True
         todo = todo[~ok]

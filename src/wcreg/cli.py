@@ -31,7 +31,7 @@ from .grid import (_NOISE_ALIASES, GridFunction, NoisyData, _write_table, add_no
                    holder_norm, integrate, read_csv_table, read_grid_csv, write_grid_csv)
 from .modulus import LatticeCompactum, modulus_bruteforce
 from .operators import PHI_KINDS, CompactumSpec, ProblemSpec
-from .variational import convergence_study, write_convergence_csv
+from .variational import StudyRow, convergence_study
 
 __all__ = ["main", "run", "builtin_truth", "read_csv_table"]
 
@@ -66,29 +66,28 @@ def _loglog_slope(xs, ys) -> float:
 # commands
 
 
-def cmd_differentiate(cfg: ExperimentConfig, out: Path) -> None:
-    n = cfg.grid or 1001
-    if cfg.input is not None:
-        g_delta = read_grid_csv(cfg.input)
-        data = NoisyData(g_delta, cfg.delta)
-    else:
-        u = builtin_truth(cfg.truth, n)
-        data = add_noise(integrate(u), cfg.delta, cfg.noise, cfg.seed)
-    result = regularize(data, CompactumSpec("holder-norm", cfg.m, a=cfg.a))
-    write_grid_csv(result.u_delta, out / "reconstruction.csv")
-    _write_table(out / "summary.csv", "delta,h,eta",
-                 [(cfg.delta, result.h_used, result.eta)])
-
-
 def _scaled_truth(cfg: ExperimentConfig, n: int, spec: CompactumSpec) -> GridFunction:
     """Builtin truth rescaled into the interior of the a-priori class, so the
-    ensemble class actually contains the data-generating element."""
+    class that the certificates cover contains the data-generating element."""
     u = builtin_truth(cfg.truth, n)
     norm = holder_norm(u, spec.a)
     cap = 0.8 * spec.c
     if norm > cap:
         u = GridFunction(u.values * (cap / norm))
     return u
+
+
+def cmd_differentiate(cfg: ExperimentConfig, out: Path) -> None:
+    spec = CompactumSpec("holder-norm", cfg.m, a=cfg.a)
+    if cfg.input is not None:
+        data = NoisyData(read_grid_csv(cfg.input), cfg.delta)
+    else:
+        u = _scaled_truth(cfg, cfg.grid or 1001, spec)
+        data = add_noise(integrate(u), cfg.delta, cfg.noise, cfg.seed)
+    result = regularize(data, spec)
+    write_grid_csv(result.u_delta, out / "reconstruction.csv")
+    _write_table(out / "summary.csv", "delta,h,eta",
+                 [(cfg.delta, result.h_used, result.eta)])
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path) -> None:
@@ -132,12 +131,19 @@ def _compactum(cfg: ExperimentConfig) -> CompactumSpec:
 
 
 def cmd_variational(cfg: ExperimentConfig, out: Path) -> None:
-    n = cfg.grid or 101
-    u = builtin_truth(cfg.truth, n)
-    rows = convergence_study(u, cfg.deltas, _compactum(cfg), ProblemSpec(),
+    u = builtin_truth(cfg.truth, cfg.grid or 101)
+    spec = _compactum(cfg)
+    rows = convergence_study(u, cfg.deltas, spec, ProblemSpec(),
                              noise=cfg.noise, seed=cfg.seed, budget=cfg.budget,
                              ensemble_count=cfg.count)
-    write_convergence_csv(rows, out / "convergence.csv")
+    _write_table(out / "convergence.csv", ",".join(StudyRow._fields), rows)
+    phi_u = spec.phi_value(u)
+    for row in rows:
+        bound = 2.0 * (1.0 + phi_u) * row.delta
+        if row.objective > bound:
+            print(f"wcreg: warning: at delta {row.delta!r} the objective F = "
+                  f"{row.objective!r} exceeds the certificate 2(1+phi(u))delta = {bound!r}",
+                  file=sys.stderr)
 
 
 def cmd_modulus(cfg: ExperimentConfig, out: Path) -> None:

@@ -44,9 +44,9 @@ class RegularizerOutput:
     eta: float
 
 
-def step_size(delta: float, spec: CompactumSpec, spacing: float | None = None) -> float:
-    """Step choice h = (delta / ((a-1) m))**(1/a), clamped to [spacing, 1/4],
-    for the Holder class `spec` = {holder_norm_a <= m}.
+def step_size(delta: float, spec: CompactumSpec) -> float:
+    """Step choice h = (delta / ((a-1) m))**(1/a), capped at 1/4, for the
+    Holder class `spec` = {holder_norm_a <= m}.
 
     The unclipped value is the exact minimizer of delta/h + m*h**(a-1) over
     h > 0.  Defined only for a > 1; the a <= 1 regime admits no convergent
@@ -56,14 +56,7 @@ def step_size(delta: float, spec: CompactumSpec, spacing: float | None = None) -
         raise ValueError(f"delta must be positive, got {delta}")
     if spec.phi != "holder-norm" or not spec.a > 1.0:
         raise ValueError(f"step rule requires a > 1, got a={spec.a}")
-    h = (delta / ((spec.a - 1.0) * spec.c)) ** (1.0 / spec.a)
-    h = min(h, MAX_STEP)
-    if spacing is not None:
-        if spacing > MAX_STEP:
-            raise GridTooCoarseError(
-                f"grid spacing {spacing} exceeds the maximal step {MAX_STEP}")
-        h = max(h, spacing)
-    return h
+    return min((delta / ((spec.a - 1.0) * spec.c)) ** (1.0 / spec.a), MAX_STEP)
 
 
 def differentiate(data: NoisyData, h: float) -> GridFunction:
@@ -112,12 +105,15 @@ def regularize(data: NoisyData, spec: CompactumSpec) -> RegularizerOutput:
 
     The ideal step is snapped to the nearest positive multiple of the grid
     spacing (interpolating the data off-grid would add unanalyzed error),
-    and the certified bound eta is evaluated at the snapped step.
+    and the certified bound eta is evaluated at the snapped step.  A grid
+    spacing above the longest step 1/4 is refused.
     """
     g = data.g_delta
     n = g.n
     dx = g.spacing
-    h_ideal = step_size(data.delta, spec, spacing=dx)
+    h_ideal = step_size(data.delta, spec)
+    if dx > MAX_STEP:
+        raise GridTooCoarseError(f"grid spacing {dx} exceeds the maximal step {MAX_STEP}")
     m = max(1, int(round(h_ideal / dx)))
     m = min(m, (n - 1) // 3)
     h = m / (n - 1)

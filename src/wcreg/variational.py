@@ -3,14 +3,16 @@
 Minimizes F(v) = sup|Av - g_delta| + delta * phi(v) over the feasible set
 {v : sup|Av - g_delta| <= delta, phi(v) <= c}.  Both terms are convex and
 piecewise linear on the grid, so the solver is a projected subgradient
-descent with best-iterate tracking; correctness is certified after the fact
-by feasibility of the output plus the near-minimizer bound
+descent with best-iterate tracking.  The output is feasible; whether it is
+a near-minimizer is checked after the fact against
 
     F(v_delta) <= 2 * (1 + phi(u)) * delta
 
 whenever the true coefficient u is known (any point below that threshold is
 an acceptable near-minimizer: the infimum itself is at most
-(1 + phi(u)) * delta because u is feasible).  `convergence_study` sweeps the
+(1 + phi(u)) * delta because u is feasible).  The descent does not always
+reach it; the `variational` command warns for each row that misses it.
+`convergence_study` sweeps the
 noise level and records how the reconstruction error and an ensemble
 worst-case estimate shrink together.
 """
@@ -19,16 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .adversary import _SHAVE_LADDER, FeasibleClass, sample_feasible, sup_error_estimate
+from .adversary import (_SHAVE_LADDER, FeasibleClass, is_feasible, sample_feasible,
+                        sup_error_estimate)
 from .derivative import differentiate
 from .errors import InfeasibleProblemError
-from .grid import (GridFunction, NoisyData, _first_max_pair, _nodes, _write_table,
-                   noise_pattern, sup_norm)
+from .grid import GridFunction, NoisyData, _first_max_pair, _nodes, noise_pattern
 from .operators import CompactumSpec, ProblemSpec
 
 __all__ = [
@@ -37,11 +38,7 @@ __all__ = [
     "objective",
     "minimize",
     "convergence_study",
-    "write_convergence_csv",
-    "STUDY_HEADER",
 ]
-
-STUDY_HEADER = "delta,misfit,phi,objective,sup_err_truth,sup_err_ensemble"
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +49,6 @@ class VariationalResult:
     objective_value: float
     misfit: float
     phi_value: float
-    certificate_bound: float
 
 
 class StudyRow(NamedTuple):
@@ -66,11 +62,10 @@ class StudyRow(NamedTuple):
 
 def objective(v: GridFunction, data: NoisyData, spec: CompactumSpec,
               prob: ProblemSpec) -> float:
-    """F(v) = sup|Av - g_delta| + delta * phi(v)."""
-    if v.n != data.g_delta.n:
-        raise ValueError(f"grid mismatch: v has {v.n} nodes, data {data.g_delta.n}")
-    mis = float(np.max(np.abs(prob.apply(v).values - data.g_delta.values)))
-    return mis + data.delta * spec.phi_value(v)
+    """F(v) = sup|Av - g_delta| + delta * phi(v), from the terms that
+    `is_feasible` forms."""
+    check = is_feasible(v, FeasibleClass(spec, data, prob))
+    return check.misfit + data.delta * check.class_norm
 
 
 class _Maximizers(NamedTuple):
@@ -223,19 +218,19 @@ def _anchor_candidates(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec) 
     return np.array(out)
 
 
-def _tube_step(prob: ProblemSpec, g: np.ndarray, delta: float, base: np.ndarray,
-               base_res: np.ndarray, direction: np.ndarray
-               ) -> tuple[float, np.ndarray, np.ndarray]:
+def _tube_step(cls: FeasibleClass, base: np.ndarray, base_res: np.ndarray,
+               direction: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """(t, b + t d, its residual) for the t where the segment from the
-    incumbent b leaves the data tube.
+    incumbent b leaves the data tube of `cls`.
 
     Along the segment the residual is r0 + t r1, r0 = base_res = Ab - g and
     r1 = Ad, so the exit is t = min(1, min over r1_k != 0 of
     (sign(r1_k) delta - r0_k) / r1_k).  When rounding puts the misfit formed
     at t above delta, t is trimmed by the shave ladder; the last resort,
-    t = 0, is the incumbent itself.  A is applied by `prob.apply_rows`.
+    t = 0, is the incumbent itself.  Residuals are `cls.residual`.
     """
-    r1 = prob.apply_rows(direction[None])[0]
+    delta = cls.delta
+    r1 = cls.prob.apply_rows(direction[None])[0]
     moving = r1 != 0.0
     t = 1.0
     if moving.any():
@@ -244,60 +239,49 @@ def _tube_step(prob: ProblemSpec, g: np.ndarray, delta: float, base: np.ndarray,
     for shave in _SHAVE_LADDER:
         step = t * (1.0 - shave)
         v = base + step * direction
-        res = prob.apply_rows(v[None])[0] - g
+        res = cls.residual(v[None])[0]
         if np.abs(res).max() <= delta:
             return step, v, res
     return 0.0, base, base_res
 
 
 def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
-             budget: int = 2000, phi_u: float | None = None,
-             stop_at: float | None = None) -> VariationalResult:
+             budget: int = 2000, stop_at: float | None = None) -> VariationalResult:
     """Projected subgradient descent on F over the feasible set.
 
     Starts from the best feasible data-fit probe (error if none passes both
     constraints), keeps the first-found best iterate, restores phi <= c by
     radial rescaling and misfit <= delta by a step back toward the incumbent.
     `stop_at` accepts the first iterate with F <= stop_at, the
-    minimizing-sequence acceptance rule; `phi_u`, when the true coefficient
-    is known, fixes the reported certificate at 2*(1+phi_u)*delta.  The
-    whole run is deterministic.
+    minimizing-sequence acceptance rule.  The whole run is deterministic.
 
-    Each residual Av - g is formed once, by `is_feasible`'s forward map
-    `prob.apply_rows`: the iterate's and the incumbent's are kept, not
-    recomputed.  An iterate outside the data tube is pulled back along the
-    segment toward the incumbent by `_tube_step`.  The adjoint is read by
+    The feasible set is one `FeasibleClass`: each residual Av - g is formed
+    once, by its `residual`, and each membership verdict is its `admits`.
+    The iterate's and the incumbent's residuals are kept, not recomputed.
+    An iterate outside the data tube is pulled back along the segment
+    toward the incumbent by `_tube_step`.  The adjoint is read by
     rows, `prob.row`; the built-in map's matrix is never formed.  Likewise
     each iterate's Holder terms are formed once, by `_phi`: the maximizers
     it keeps with phi give the next subgradient without a second scan.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    n = data.g_delta.n
-    spec.require_nodes(n)
-    g = data.g_delta.values
-    delta = data.delta
-    c = spec.c
-    x = data.g_delta.x
-
-    def residual(vec: np.ndarray) -> np.ndarray:
-        return prob.apply_rows(vec[None])[0] - g
-
+    cls = FeasibleClass(spec, data, prob)
+    n, delta, c = cls.n, cls.delta, spec.c
     cands = _anchor_candidates(data, spec, prob)
-    misfits, phis = FeasibleClass(spec, data, prob).residuals(cands)
-    f_vals = np.where((misfits <= delta) & (phis <= c), misfits + delta * phis, math.inf)
+    misfits, phis = cls.residuals(cands)
+    f_vals = np.where(cls.admits(misfits, phis), misfits + delta * phis, math.inf)
     k = int(np.argmin(f_vals))  # the first best probe
     if f_vals[k] == math.inf:
         raise InfeasibleProblemError(
             "infeasible problem: no data-fit probe satisfies both "
             f"misfit <= {delta} and phi <= {c}")
-    best_vals, best_res = cands[k], residual(cands[k])
+    best_vals, best_res = cands[k], cls.residual(cands[k:k + 1])[0]
     best = (float(f_vals[k]), float(misfits[k]), float(phis[k]))  # (objective, misfit, phi)
 
     def result() -> VariationalResult:
-        cert = best[0] if phi_u is None else 2.0 * (1.0 + phi_u) * delta
         return VariationalResult(GridFunction(best_vals), best[1] + delta * best[2],
-                                 best[1], best[2], cert)
+                                 best[1], best[2])
 
     if stop_at is not None and best[0] <= stop_at:
         return result()
@@ -306,7 +290,7 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
     # built-in rows are nested prefixes with positive weights, the last largest
     rows = prob.row(n - 1, n)[None] if prob.operator is None else prob.operator
     lip_mis = float(np.sqrt(np.add.reduce(rows * rows, axis=1)).max())
-    dx = x[1] - x[0]
+    dx = 1.0 / (n - 1)
     if spec.phi == "sup-norm":
         lip_phi = 1.0
     elif spec.a <= 1.0:
@@ -324,17 +308,17 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
         phi, at = _phi(spec, v)
         if phi > c:
             v, phi, at = _rescaled(spec, v, phi)
-        res = residual(v)
+        res = cls.residual(v[None])[0]
         if np.abs(res).max() > delta:
             # both constraints are convex along the segment to the feasible
             # incumbent, so its exit point stays admissible
-            _, v, res = _tube_step(prob, g, delta, best_vals, best_res, v - best_vals)
+            _, v, res = _tube_step(cls, best_vals, best_res, v - best_vals)
             phi, at = _phi(spec, v)
             if phi > c:
                 v, phi, at = _rescaled(spec, v, phi)
-                res = residual(v)
+                res = cls.residual(v[None])[0]
         mis = float(np.abs(res).max())
-        if mis <= delta and phi <= c:
+        if cls.admits(mis, phi):
             f_val = mis + delta * phi
             if f_val < best[0]:
                 best_vals, best_res = v, res
@@ -373,16 +357,11 @@ def convergence_study(u_true: GridFunction, deltas: Sequence[float],
     rows = []
     for child, delta in zip(children, sorted(deltas, reverse=True)):
         data = NoisyData(GridFunction(g.values + (NOISE_MARGIN * delta) * xi), delta)
-        res = minimize(data, spec, prob, budget=budget, phi_u=phi_u,
-                       stop_at=2.0 * (1.0 + phi_u) * delta)
-        err = sup_norm(GridFunction(res.v_delta.values - u_true.values))
+        res = minimize(data, spec, prob, budget=budget, stop_at=2.0 * (1.0 + phi_u) * delta)
+        err = float(np.max(np.abs(res.v_delta.values - u_true.values)))
         cls = FeasibleClass(spec, data, prob)
         ensemble = sample_feasible(cls, ensemble_count, child, start=u_true)
         sup_est = sup_error_estimate(res.v_delta, ensemble)
         rows.append(StudyRow(delta, res.misfit, res.phi_value, res.objective_value,
                              err, sup_est))
     return rows
-
-
-def write_convergence_csv(rows: Sequence[StudyRow], path: str | Path) -> None:
-    _write_table(path, STUDY_HEADER, rows)

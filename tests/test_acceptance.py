@@ -71,7 +71,7 @@ def test_criterion_3_noise_term_tightness():
     n = 641
     delta = 1e-4
     params = CompactumSpec("holder-norm", 1.0, a=2.0)
-    m = round(step_size(delta, params, spacing=1.0 / (n - 1)) * (n - 1))
+    m = round(step_size(delta, params) * (n - 1))
     data = NoisyData(stencil_worst_noise(n, m, delta), delta)
     res = regularize(data, params)
     assert round(res.h_used * (n - 1)) == m
@@ -129,7 +129,7 @@ def test_criterion_6_variational_certificate():
     feasible = (misfit <= data.delta) & (phi <= spec.c)
     oracle = float(np.min(misfit[feasible] + data.delta * phi[feasible]))
 
-    res = minimize(data, spec, prob, budget=2000, phi_u=1.0)
+    res = minimize(data, spec, prob, budget=2000)
     certificate = 2.0 * (1.0 + 1.0) * 0.1
     assert res.objective_value <= certificate
     assert res.objective_value <= oracle + 0.02

@@ -6,8 +6,9 @@ import pytest
 from wcreg import (AdversarialPair, CompactumSpec, FeasibleClass, GridFunction,
                    GridTooCoarseError, InfeasibleProblemError, NoisyData, ProblemSpec,
                    add_noise, bump_pair, format_float, holder_norm, integrate,
-                   is_feasible, read_pair_csv, rectangle_matrix, sample_feasible,
-                   sine_pair, sup_error_estimate, sup_norm, write_pair_csv)
+                   is_feasible, minimize, read_pair_csv, rectangle_matrix,
+                   sample_feasible, sine_pair, sup_error_estimate, sup_norm,
+                   write_pair_csv)
 from wcreg.adversary import ROW_BLOCK
 
 
@@ -269,6 +270,41 @@ class TestMembershipKernel:
         for row, mis, nm in zip(rows, misfit, norm):
             chk = is_feasible(GridFunction(row), cls)
             assert (mis, nm) == (chk.misfit, chk.class_norm)
+
+
+class TestOneVerdict:
+    """Every membership verdict is `FeasibleClass.admits`: made stricter
+    there, the rule binds `is_feasible`, the ensembles and the solver."""
+
+    @staticmethod
+    def stricter(cls, misfit, norm):
+        return (misfit <= cls.delta * (1.0 - 1e-3)) & (norm <= cls.spec.c * (1.0 - 1e-3))
+
+    def test_stricter_verdict_binds_every_caller(self, monkeypatch):
+        monkeypatch.setattr(FeasibleClass, "admits", self.stricter)
+        # misfit exactly delta: admitted by the plain rule, refused by the stricter
+        u = GridFunction(np.ones(51))
+        boundary = FeasibleClass(CompactumSpec("sup-norm", 2.0),
+                                 add_noise(integrate(u), 0.05, "alternating-worst-case", 0))
+        assert not is_feasible(u, boundary).feasible
+        # norm steps along constant and sine shapes add up exactly, so a step
+        # sized by the plain slack c - phi(start) leaves the stricter bound
+        n = 41
+        start = GridFunction(np.ones(n))
+        cls = FeasibleClass(CompactumSpec("sup-norm", 1.002),
+                            NoisyData(integrate(start), 1.0))
+        members = sample_feasible(cls, 60, 1, start=start)
+        assert len(members) == 60
+        assert self.stricter(cls, *cls.residuals(np.array([v.values for v in members]))).all()
+        # the lowest-F start probe, 0.039 (1 - 1e-12) * ones, has its norm
+        # above 0.999 c: the stricter rule starts at zero, and every
+        # accepted iterate keeps within it
+        data = NoisyData(GridFunction(np.full(5, 0.04)), 0.05)
+        cls = FeasibleClass(CompactumSpec("sup-norm", 0.039), data, ProblemSpec(np.eye(5)))
+        for budget in (0, 2000):
+            res = minimize(data, cls.spec, cls.prob, budget=budget)
+            assert self.stricter(cls, res.misfit, res.phi_value)
+            assert self.stricter(cls, *cls.residuals(res.v_delta.values[None]))[0]
 
 
 def former_sup_error_estimate(reconstruction, ensemble):

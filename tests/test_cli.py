@@ -11,7 +11,8 @@ import pytest
 from wcreg.cli import COMMANDS, builtin_truth, main, read_csv_table
 from wcreg.config import ExperimentConfig, _key
 from wcreg.grid import read_grid_csv, write_grid_csv
-from wcreg import GridFunction, LatticeCompactum, integrate, modulus_bruteforce, read_pair_csv
+from wcreg import (GridFunction, LatticeCompactum, holder_norm, integrate, modulus_bruteforce,
+                   read_pair_csv)
 from wcreg.errors import ConfigError
 
 
@@ -84,6 +85,23 @@ class TestDifferentiateCommand:
         err = capsys.readouterr().err
         assert err.startswith("wcreg: error: grid spacing 0.333")
         assert err.endswith("exceeds the maximal step 0.25\n")
+
+    def test_builtin_truth_lies_in_class(self, tmp_path):
+        # u = x has a = 2 norm 2 > m = 1, so the command rescales it by
+        # 0.8 / norm to slope 0.4 (the float norm reads 2 + 1.1e-10).  Exact
+        # data of s*x give slope s in every zone: the symmetric quotient
+        # reads s*x, the one-sided ones s*(x + h) and s*(x - h)
+        out = tmp_path / "out"
+        assert run_cli("differentiate", "--delta", "1e-3", "--noise", "none",
+                       "--out", str(out)) == 0
+        recon = read_grid_csv(out / "reconstruction.csv")
+        slope = 0.8 / holder_norm(builtin_truth("quadratic", recon.n), 2.0)
+        assert abs(slope - 0.4) <= 1e-10
+        h = read_csv_table(out / "summary.csv")[1][0][1]
+        m = round(h * (recon.n - 1))
+        shift = np.zeros(recon.n)
+        shift[:m], shift[recon.n - m:] = h, -h
+        assert np.max(np.abs(recon.values - slope * (recon.x + shift))) <= 1e-12
 
     def test_a_not_above_one_exit_2(self, tmp_path, capsys):
         code = run_cli("differentiate", "--truth", "quadratic", "--delta", "1e-4",
@@ -239,6 +257,24 @@ class TestVariationalCommand:
         assert header == ["delta", "misfit", "phi", "objective", "sup_err_truth",
                           "sup_err_ensemble"]
         assert len(rows) == 1 and len(rows[0]) == 6
+
+    def test_warns_for_each_row_above_its_certificate(self, tmp_path, capsys):
+        # phi(u) = 1.5: the rows at 1e-3 and 1e-4 end above 2(1+phi(u))delta
+        out = tmp_path / "out"
+        assert run_cli("variational", "--truth", "abs-shift", "--phi", "holder-norm",
+                       "--a", "1", "--c", "10", "--grid", "201",
+                       "--deltas", "1e-1,1e-2,1e-3,1e-4", "--budget", "100", "--count", "4",
+                       "--out", str(out)) == 0
+        rows = read_csv_table(out / "convergence.csv")[1]
+        phi_u = holder_norm(builtin_truth("abs-shift", 201), 1.0)
+        assert phi_u == pytest.approx(1.5, rel=1e-14)
+        bounds = [2.0 * (1.0 + phi_u) * row[0] for row in rows]
+        assert [row[3] > bound for row, bound in zip(rows, bounds)] == [False, False,
+                                                                        True, True]
+        assert capsys.readouterr().err == "".join(
+            f"wcreg: warning: at delta {row[0]!r} the objective F = {row[3]!r} exceeds "
+            f"the certificate 2(1+phi(u))delta = {bound!r}\n"
+            for row, bound in zip(rows[2:], bounds[2:]))
 
 
 class TestModulusCommand:

@@ -89,7 +89,10 @@ class TestStepSize:
         assert step_size(0.1, holder(1.5, 1e-3)) == 0.25
 
     def test_clips_to_spacing(self):
-        assert step_size(1e-12, holder(2, 1), spacing=0.01) == 0.01
+        # the rule's 1e-6 lies below the spacing 0.01; regularize uses one spacing
+        x = np.linspace(0.0, 1.0, 101)
+        res = regularize(NoisyData(GridFunction(x ** 2 / 2), 1e-12), holder(2, 1))
+        assert res.h_used == 0.01
 
     def test_minimizes_bound(self):
         # scanning oracle: the returned h beats a fine grid of alternatives
@@ -208,7 +211,7 @@ class TestRegularize:
         n = 641
         delta = 1e-4
         params = holder(2, 1)
-        m = round(step_size(delta, params, spacing=1 / (n - 1)) * (n - 1))
+        m = round(step_size(delta, params) * (n - 1))
         noise = stencil_worst_noise(n, m, delta)
         res = regularize(NoisyData(noise, delta), params)
         assert round(res.h_used * (n - 1)) == m

@@ -80,10 +80,9 @@ class TestMinimize:
     def test_three_node_oracle(self):
         u, data, spec, prob = three_node_instance()
         oracle = lattice_search_optimum(data, spec, prob)
-        res = minimize(data, spec, prob, budget=2000, phi_u=1.0)
+        res = minimize(data, spec, prob, budget=2000)
         assert res.objective_value <= oracle + 0.02
-        assert res.certificate_bound == pytest.approx(2 * (1 + 1.0) * 0.1)
-        assert res.objective_value <= res.certificate_bound
+        assert res.objective_value <= 2 * (1 + spec.phi_value(u)) * 0.1
 
     def test_objective_decomposition(self):
         u, data, spec, prob = three_node_instance()
@@ -117,11 +116,9 @@ class TestMinimize:
         xi = np.random.default_rng(2).uniform(-1.0, 1.0, 7)
         data = NoisyData(GridFunction(integrate(u).values + 0.9 * 0.1 * xi), 0.1)
         spec = CompactumSpec("holder-norm", 3.0, a=1.0)
-        phi_u = spec.phi_value(u)
-        f0, f1, f20 = (minimize(data, spec, ProblemSpec(), budget=b, phi_u=phi_u)
-                       for b in (0, 1, 20))
-        assert f0.certificate_bound == 2 * (1 + phi_u) * 0.1
-        assert f0.objective_value > f0.certificate_bound >= f20.objective_value
+        certificate = 2 * (1 + spec.phi_value(u)) * 0.1
+        f0, f1, f20 = (minimize(data, spec, ProblemSpec(), budget=b) for b in (0, 1, 20))
+        assert f0.objective_value > certificate >= f20.objective_value
         assert f1.objective_value < f0.objective_value
 
     def test_infeasible_when_c_too_small(self):
@@ -431,7 +428,9 @@ class TestTubeStep:
                 r1 = apply_exact(direction)
                 exact = min([Fraction(1)] + [(Fraction(delta) * (1 if r > 0 else -1) - r0k) / r
                                              for r0k, r in zip(r0, r1) if r != 0])
-                t, v, res = _tube_step(prob, g, delta, base, base_res, direction)
+                cls = FeasibleClass(CompactumSpec("sup-norm", 1.0),
+                                    NoisyData(GridFunction(g), delta), prob)
+                t, v, res = _tube_step(cls, base, base_res, direction)
                 assert abs(Fraction(t) - exact) <= Fraction(1e-9) * exact
                 assert np.array_equal(v, base + t * direction)
                 assert np.array_equal(res, forward(v) - g)
@@ -447,8 +446,7 @@ class TestMinimizeOnNoisyData:
         for delta in (0.1, 0.03, 0.01):
             data = add_noise(integrate(u), 0.5 * delta, "uniform-iid", 21)
             wrapped = NoisyData(data.g_delta, delta)
-            res = minimize(wrapped, spec, prob, phi_u=1.0,
-                           stop_at=2 * (1 + 1.0) * delta)
+            res = minimize(wrapped, spec, prob, stop_at=2 * (1 + 1.0) * delta)
             errs.append(sup_norm(GridFunction(res.v_delta.values - u.values)))
         assert errs[2] < errs[1] < errs[0]
 
@@ -514,8 +512,7 @@ class TestModulusBridge:
         delta = 0.15
         data = add_noise(prob.apply(u), delta, "alternating-worst-case", 0)
         spec = CompactumSpec("sup-norm", 2.0)
-        res = minimize(data, spec, prob, phi_u=1.0,
-                       stop_at=2 * (1 + 1.0) * delta)
+        res = minimize(data, spec, prob, stop_at=2 * (1 + 1.0) * delta)
         err = sup_norm(GridFunction(res.v_delta.values - u.values))
         lattice = LatticeCompactum(3, tuple(np.linspace(-2, 2, 9)), spec)
         [omega] = modulus_bruteforce(lattice, [2 * delta], prob)

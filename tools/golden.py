@@ -1,28 +1,40 @@
-"""Byte-identity check of the wcreg command line across two source trees.
+"""Byte-identity check of the wcreg command line.
 
     python3 tools/golden.py capture SRC OUT   # run the fixed command list against SRC
     python3 tools/golden.py compare A B       # list the files that differ between captures
 
-`capture` runs every command line of `COMMANDS` in a fresh process with
-PYTHONPATH=SRC and its own working directory OUT/<name>, so every path the
-program sees or prints is relative.  Each run leaves its CSV files under
-OUT/<name>/out, and its exit code, whether it made OUT/<name>/out, its stdout
-and its stderr in OUT/<name>/status.txt; the sha256 of each of these files
-goes into OUT/MANIFEST.sha256.  `compare` reads two manifests and exits 1
-when a file differs or exists on one side only.
+`capture` runs every command line of `COMMANDS` in its own working
+directory OUT/<name>, so every path the program sees or prints is relative.
+Each run leaves its CSV files under OUT/<name>/out, and its exit code,
+whether it made OUT/<name>/out, its stdout and its stderr in
+OUT/<name>/status.txt; the sha256 of each of these files goes into
+OUT/MANIFEST.sha256, after a first line naming the numpy version.  From the
+command line each run is a fresh process with PYTHONPATH=SRC; `capture(out)`
+without a source tree runs them in the calling process through
+`wcreg.cli.main`, with the same files as result.  `compare` reads two
+manifests and exits 1 when a file differs or exists on one side only.
 
-Capture the parent commit's `src/` and the changed `src/` into two fresh
-directories, then compare them: a change that claims identical output
-passes with no file listed.
+`golden.sha256`, next to this file, is the manifest of the current tree,
+and `tests/test_golden.py` checks an in-process capture against it.  A
+change that alters an output on purpose refreshes it in the same commit:
+
+    python3 tools/golden.py capture src OUT && cp OUT/MANIFEST.sha256 tools/golden.sha256
+
+To compare two trees, capture the parent commit's `src/` and the changed
+`src/` into two fresh directories, then compare them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 
 def _grid_file(xs) -> str:
@@ -94,6 +106,10 @@ COMMANDS = (
     # all four (1, 2, 3, 5) at 7
     ("var-holder-a2-grid5", "variational --phi holder-norm --a 2 --c 3 --deltas 1e-1,5e-2 "
                             "--budget 20 --count 4 --grid 5"),
+    # the only line whose descent runs past its start probes; F stays above
+    # 2(1+phi(u))delta at the two smallest deltas, with a warning for each
+    ("var-holder-a1-descent", "variational --truth abs-shift --phi holder-norm --a 1 --c 10 "
+                              "--grid 201 --deltas 1e-1,1e-2,1e-3,1e-4 --budget 100 --count 4"),
     ("var-holder-a2-grid7", "variational --phi holder-norm --a 2 --c 3 --deltas 1e-1,5e-2 "
                             "--budget 20 --count 4 --grid 7"),
     # a sup-norm class ignores --a, even one out of range
@@ -187,44 +203,86 @@ COMMANDS = (
 )
 
 MANIFEST = "MANIFEST.sha256"
+#: the manifest of the current tree's capture
+COMMITTED = Path(__file__).with_name("golden.sha256")
+#: the environment of a run in its own process: one BLAS thread, fixed
+#: hashing, 80 columns; a run in this process sets only COLUMNS
+ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+       "PYTHONHASHSEED": "0", "COLUMNS": "80"}
 
 
-def capture(src: Path, out: Path) -> None:
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", PYTHONHASHSEED="0",
-               COLUMNS="80")
+def _run_process(src: Path, cwd: Path, argv: list[str]) -> tuple[int, str, str]:
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()), **ENV)
+    proc = subprocess.run([sys.executable, "-m", "wcreg.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _run_here(cwd: Path, argv: list[str]) -> tuple[int, str, str]:
+    """`wcreg.cli.main(argv)` in this process, inside `cwd`, with COLUMNS=80
+    and stdout and stderr captured; the process's own state is restored."""
+    from wcreg import cli
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    home, columns = os.getcwd(), os.environ.get("COLUMNS")
+    os.chdir(cwd)
+    os.environ["COLUMNS"] = ENV["COLUMNS"]
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+    finally:
+        os.chdir(home)
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def capture(out: Path, src: Path | None = None) -> None:
+    """Run every line of `COMMANDS` into `out`: one process per line with
+    PYTHONPATH=src, or, without `src`, in this process."""
     out.mkdir(parents=True, exist_ok=False)
     for name, args in COMMANDS:
         cwd = out / name
         cwd.mkdir()
         for file, text in FILES.items():
             (cwd / file).write_text(text)
-        proc = subprocess.run([sys.executable, "-m", "wcreg.cli", *args.split(), "--out", "out"],
-                              cwd=cwd, env=env, capture_output=True, text=True)
+        argv = [*args.split(), "--out", "out"]
+        code, stdout, stderr = (_run_here(cwd, argv) if src is None
+                                else _run_process(src, cwd, argv))
         made = "yes" if (cwd / "out").is_dir() else "no"
-        (cwd / "status.txt").write_text(f"exit {proc.returncode}\nout dir: {made}\n"
-                                        f"stdout:\n{proc.stdout}stderr:\n{proc.stderr}")
-        print(f"{name}: exit {proc.returncode}", flush=True)
-    lines = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(out).as_posix()}"
-             for p in sorted(out.rglob("*")) if p.is_file() and p.name not in FILES]
+        (cwd / "status.txt").write_text(f"exit {code}\nout dir: {made}\n"
+                                        f"stdout:\n{stdout}stderr:\n{stderr}")
+        print(f"{name}: exit {code}", flush=True)
+    lines = [f"# numpy {np.__version__}"]
+    lines += [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(out).as_posix()}"
+              for p in sorted(out.rglob("*")) if p.is_file() and p.name not in FILES]
     (out / MANIFEST).write_text("\n".join(lines) + "\n")
 
 
-def _manifest(root: Path) -> dict[str, str]:
+def read_manifest(path: Path) -> tuple[str, dict[str, str]]:
+    """The numpy version a manifest was made with, and its digest of each file."""
+    head, *lines = path.read_text().splitlines()
     digests = {}
-    for line in (root / MANIFEST).read_text().splitlines():
+    for line in lines:
         digest, _, name = line.partition("  ")
         digests[name] = digest
-    return digests
+    return head.removeprefix("# numpy "), digests
+
+
+def differing(left: dict[str, str], right: dict[str, str]) -> list[str]:
+    """One line for each file whose digest differs or that one side lacks."""
+    return [f"{'only in A' if name not in right else 'only in B' if name not in left else 'differs'}"
+            f": {name}" for name in sorted(left.keys() | right.keys())
+            if left.get(name) != right.get(name)]
 
 
 def compare(a: Path, b: Path) -> int:
-    left, right = _manifest(a), _manifest(b)
-    differ = sorted(name for name in left.keys() | right.keys()
-                    if left.get(name) != right.get(name))
-    for name in differ:
-        side = "only in A" if name not in right else "only in B" if name not in left else "differs"
-        print(f"{side}: {name}")
+    left, right = read_manifest(a / MANIFEST)[1], read_manifest(b / MANIFEST)[1]
+    differ = differing(left, right)
+    for line in differ:
+        print(line)
     print(f"{len(left.keys() | right.keys())} files compared, {len(differ)} differ")
     return 1 if differ else 0
 
@@ -234,7 +292,7 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     if argv[0] == "capture":
-        capture(Path(argv[1]), Path(argv[2]))
+        capture(Path(argv[2]), Path(argv[1]))
         return 0
     return compare(Path(argv[1]), Path(argv[2]))
 
