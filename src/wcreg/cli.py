@@ -134,8 +134,7 @@ def cmd_variational(cfg: ExperimentConfig, out: Path) -> None:
     u = builtin_truth(cfg.truth, cfg.grid or 101)
     spec = _compactum(cfg)
     rows = convergence_study(u, cfg.deltas, spec, ProblemSpec(),
-                             noise=cfg.noise, seed=cfg.seed, budget=cfg.budget,
-                             ensemble_count=cfg.count)
+                             noise=cfg.noise, seed=cfg.seed, ensemble_count=cfg.count)
     _write_table(out / "convergence.csv", ",".join(StudyRow._fields), rows)
     phi_u = spec.phi_value(u)
     for row in rows:
@@ -164,7 +163,7 @@ _COMMANDS = {
     "sweep": (cmd_sweep, {"grid", "truth", "deltas", "a", "m", "noise", "seed", "count"}),
     "adversary": (cmd_adversary, {"grid", "deltas", "m", "class_kind"}),
     "variational": (cmd_variational, {"grid", "truth", "deltas", "a", "c", "phi", "noise",
-                                      "seed", "budget", "count"}),
+                                      "seed", "count"}),
     "modulus": (cmd_modulus, {"deltas", "a", "c", "phi", "mode", "levels", "lattice_nodes",
                               "constants_only"}),
 }
@@ -211,7 +210,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         ("m", cfg.m > 0, "class bound m must be positive"),
         ("input", cfg.input is None or Path(cfg.input).is_file(),
          f"input file not found: {cfg.input}"),
-        ("budget", cfg.budget >= 0, "budget must be nonnegative"),
         ("count", cfg.count >= 1, "ensemble count must be at least 1"),
         ("seed", cfg.seed >= 0, "seed must be nonnegative"),
         ("mode", cfg.mode == "bruteforce", f"mode must be 'bruteforce', got {cfg.mode!r}"),

@@ -27,7 +27,7 @@ _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "
 #: the parser of each field that is not a string; a bad value makes it
 #: raise ValueError or KeyError
 _PARSERS = {
-    **dict.fromkeys(("seed", "grid", "count", "budget", "levels", "lattice_nodes"), int),
+    **dict.fromkeys(("seed", "grid", "count", "levels", "lattice_nodes"), int),
     **dict.fromkeys(("delta", "a", "m", "c"), float),
     "deltas": lambda raw: tuple(float(tok) for tok in raw.split(",") if tok.strip()),
     "constants_only": lambda raw: _BOOLEANS[raw.lower()],
@@ -58,7 +58,6 @@ class ExperimentConfig(NamedTuple):
     noise: str = "uniform-iid"
     class_kind: str = "sup"
     count: int = 100
-    budget: int = 2000
     mode: str = "bruteforce"
     levels: int = 21
     lattice_nodes: int = 3

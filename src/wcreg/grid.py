@@ -113,17 +113,18 @@ def _pair_bands(values: np.ndarray, positions: np.ndarray, power: float,
     node pairs i < j, scanned by offset band d = j - i.
 
     `values` is node-major: axis 0 runs over the n nodes at the nondecreasing
-    `positions`, any further axes over independent rows.  Yields (d, q) for
-    d = 1, 2, ..., with q[k] the quotients of pair (k, k + d).  The caller
-    keeps `best`, shaped like q[0], at its running row maxima.
+    `positions`, any further axes over independent rows.  Yields the
+    quotients q of each band d = 1, 2, ..., with q[k] that of pair
+    (k, k + d).  The caller keeps `best`, shaped like q[0], at its running
+    row maxima.
 
     Pruning: before band d the scan stops once every row has span = 0 or
     span / min_k((x_{k+d} - x_k)**power) * (1 + 1e-12) < best, with span the
     row's max - min.  Rounded subtraction and division are monotone, so no
     pair at offset >= d has a larger difference or a smaller distance, and
     the 1e-12 margin covers the rounding of pow: every pair left unscanned is
-    strictly below `best`.  At powers other than 1, row maxima and first
-    maximizers thus equal those of the exhaustive scan bit for bit.
+    strictly below `best`.  At powers other than 1, row maxima thus equal
+    those of the exhaustive scan bit for bit.
     Callers start `best` at 0, which no row with span > 0 falls below, so
     before band 1 only the test for rows that are all dead is made: a scan
     of such rows yields no band.
@@ -137,10 +138,6 @@ def _pair_bands(values: np.ndarray, positions: np.ndarray, power: float,
     Sterbenz's lemma), so away from underflow the result lies within
     2u + u^2 relative, u = 2^-53, of the exact maximum on either side:
     within 2 ulps.
-
-    Ties: quotients are symmetric in i and j, so the row-major first
-    maximizer over the ordered pairs scanned is the maximizing pair i < j
-    with the smallest i, then the smallest j.
     """
     n = values.shape[0]
     span = values.max(axis=0) - values.min(axis=0)
@@ -152,29 +149,15 @@ def _pair_bands(values: np.ndarray, positions: np.ndarray, power: float,
         scale = (positions[d:] - positions[:-d]) ** power
         if d > 1 and (dead | (span / scale.min() * (1.0 + 1e-12) < best)).all():
             return
-        yield d, np.abs(values[d:] - values[:-d]) / scale.reshape(scale.shape + tail)
+        yield np.abs(values[d:] - values[:-d]) / scale.reshape(scale.shape + tail)
 
 
 def _max_pair_quotient(values: np.ndarray, positions: np.ndarray, power: float) -> np.ndarray:
     """Largest pair quotient of each row of node-major `values` (see `_pair_bands`)."""
     best = np.zeros(values.shape[1:])
-    for _, quot in _pair_bands(values, positions, power, best):
+    for quot in _pair_bands(values, positions, power, best):
         np.maximum(best, quot.max(axis=0), out=best)
     return best
-
-
-def _first_max_pair(values: np.ndarray, positions: np.ndarray,
-                    power: float) -> tuple[float, int, int]:
-    """Largest pair quotient of a 1-D array with its row-major first maximizer (i, j)."""
-    best = np.zeros(())
-    top, i, j = 0.0, 0, 0
-    for d, quot in _pair_bands(values, positions, power, best):
-        k = int(quot.argmax())
-        q = quot.item(k)
-        if q > top or (q == top and k < i):
-            best[...] = top = q
-            i, j = k, k + d
-    return top, i, j
 
 
 @lru_cache(maxsize=8)

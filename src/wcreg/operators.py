@@ -34,7 +34,7 @@ def integration_matrix(n: int) -> np.ndarray:
     Row k carries weights dx * (1/2, 1, ..., 1, 1/2) over nodes 0..k; row 0
     is zero.  Equals `grid.integrate` in exact arithmetic, not bit for bit.
     Each call builds a fresh array, the exact reference of the forward map
-    `ProblemSpec.apply_rows` and of the adjoint's rows `ProblemSpec.row`.
+    `ProblemSpec.apply_rows`.
     """
     if n < 2:
         raise ValueError("integration matrix needs at least 2 nodes")
@@ -134,18 +134,6 @@ class ProblemSpec:
                 f"operator matrix is {self.operator.shape[0]}x{self.operator.shape[0]}, "
                 f"but the grid has {n} nodes")
         return self.operator
-
-    def row(self, k: int, n: int) -> np.ndarray:
-        """Row k of A on n nodes, the one adjoint primitive: for the built-in
-        map `integration_matrix(n)[k]`, without forming the matrix."""
-        if self.operator is not None:
-            return self.matrix(n)[k]
-        dx = 1.0 / (n - 1)
-        out = np.zeros(n)
-        out[1:k] = dx
-        if k > 0:
-            out[[0, k]] = 0.5 * dx
-        return out
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """A applied to each row of a 2-D array, the one forward map.

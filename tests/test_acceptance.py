@@ -129,7 +129,7 @@ def test_criterion_6_variational_certificate():
     feasible = (misfit <= data.delta) & (phi <= spec.c)
     oracle = float(np.min(misfit[feasible] + data.delta * phi[feasible]))
 
-    res = minimize(data, spec, prob, budget=2000)
+    res = minimize(data, spec, prob)
     certificate = 2.0 * (1.0 + 1.0) * 0.1
     assert res.objective_value <= certificate
     assert res.objective_value <= oracle + 0.02

@@ -263,7 +263,7 @@ class TestVariationalCommand:
         out = tmp_path / "out"
         assert run_cli("variational", "--truth", "abs-shift", "--phi", "holder-norm",
                        "--a", "1", "--c", "10", "--grid", "201",
-                       "--deltas", "1e-1,1e-2,1e-3,1e-4", "--budget", "100", "--count", "4",
+                       "--deltas", "1e-1,1e-2,1e-3,1e-4", "--count", "4",
                        "--out", str(out)) == 0
         rows = read_csv_table(out / "convergence.csv")[1]
         phi_u = holder_norm(builtin_truth("abs-shift", 201), 1.0)
@@ -304,11 +304,11 @@ class TestModulusCommand:
         flags = ["--levels", "3", "--deltas", "0.5"]
         assert run_cli("modulus", *flags, "--out", str(tmp_path / "plain")) == 0
         assert capsys.readouterr().err == ""
-        assert run_cli("modulus", "--budget", "0", "--seed", "5", "--count", "0",
+        assert run_cli("modulus", "--m", "0", "--seed", "5", "--count", "0",
                        "--truth", "nope", *flags, "--out", str(tmp_path / "extra")) == 0
         err = capsys.readouterr().err
         assert read_bytes_tree(tmp_path / "extra") == read_bytes_tree(tmp_path / "plain")
-        for flag in ("--budget", "--seed", "--count", "--truth"):
+        for flag in ("--m", "--seed", "--count", "--truth"):
             assert f"modulus ignores {flag}\n" in err
         assert len(err.splitlines()) == 4
 
@@ -391,8 +391,8 @@ class TestHolderExponentRange:
         assert capsys.readouterr().err == "wcreg: config error: the step rule requires a > 1\n"
 
     @pytest.mark.parametrize("args", [
-        ["variational", "--phi", "sup-norm", "--c", "2", "--deltas", "1e-1", "--budget", "20",
-         "--count", "4", "--grid", "41"],
+        ["variational", "--phi", "sup-norm", "--c", "2", "--deltas", "1e-1", "--count", "4",
+         "--grid", "41"],
         ["modulus", "--phi", "sup-norm", "--levels", "3", "--deltas", "0.5"],
     ], ids=["variational", "modulus"])
     def test_sup_norm_ignores_a(self, tmp_path, capsys, args):
@@ -530,7 +530,7 @@ class TestParser:
         assert run_cli("--help") == 0
         usage, _, options = capsys.readouterr().out.partition("options:")
         keys = config_keys()
-        assert len(keys) == 19
+        assert len(keys) == 18
         for flag in ["--config"] + ["--" + key for key in keys]:
             pattern = rf"(?<![\w-]){re.escape(flag)}(?![\w-])"
             assert len(re.findall(pattern, usage)) == 1, flag
@@ -547,6 +547,19 @@ class TestParser:
         assert expected.startswith("wcreg: error: ")
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.splitlines()[-1] == expected
+
+    def test_budget_is_not_an_option(self, tmp_path, capsys):
+        # the solver has no iteration budget: the flag and the file key are unknown
+        assert run_cli("variational", "--budget", "20", "--deltas", "1e-1",
+                       "--out", str(tmp_path / "flag")) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "wcreg: error: unrecognized arguments: --budget 20")
+        cfg_path = tmp_path / "v.cfg"
+        cfg_path.write_text("budget = 20\n")
+        assert run_cli("variational", "--config", str(cfg_path), "--deltas", "1e-1",
+                       "--out", str(tmp_path / "file")) == 2
+        assert capsys.readouterr().err == "wcreg: config error: unknown config key 'budget'\n"
+        assert not (tmp_path / "flag").exists() and not (tmp_path / "file").exists()
 
     def test_flags_before_command(self, tmp_path):
         flags = ["--truth", "sine(1)", "--delta", "1e-3", "--grid", "41", "--seed", "3"]

@@ -5,11 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wcreg import (CompactumSpec, GridFunction, NoisyData, ProblemSpec,
+from wcreg import (CompactumSpec, GridFunction, NoisyData,
                    StudyRow, add_noise, format_float, holder_norm, integrate,
                    integration_matrix, read_grid_csv, sup_norm, write_grid_csv)
-from wcreg.grid import (_csv_rows, _first_max_pair, _holder_norms, _max_pair_quotient,
-                        _pair_bands, _write_table, read_csv_table)
+from wcreg.grid import (_csv_rows, _holder_norms, _max_pair_quotient, _pair_bands,
+                        _write_table, read_csv_table)
 
 
 def grid_fn(func, n):
@@ -32,19 +32,6 @@ def pair_scan_norm(values, x, a):
         for j in range(i + 1, n - 1):
             best = max(best, abs(slopes[i] - slopes[j]) / abs(x[i] - x[j]) ** (a - 1.0))
     return max(abs(v) for v in values) + max(abs(s) for s in slopes) + best
-
-
-def pair_scan_first_max(values, x, power):
-    """Independent exhaustive oracle: largest pair quotient and its row-major
-    first maximizer (i, j), over ordered pairs i != j."""
-    best, at = 0.0, (0, 0)
-    for i in range(len(values)):
-        for j in range(len(values)):
-            if i != j:
-                q = abs(values[i] - values[j]) / abs(x[i] - x[j]) ** power
-                if q > best:
-                    best, at = q, (i, j)
-    return (best,) + at
 
 
 def dense_quotients(values, x, power, rows=slice(None)):
@@ -80,13 +67,9 @@ def within_rounding(got, exact):
 
 def assert_power_one_exact(values, x, all_pairs, name):
     """The power-1 kernel against `exact_power_one_max`: its maximum is within
-    rounding of the exact one, and its first maximizer is the first adjacent
-    pair that reaches it ((0, 0) when every quotient is 0)."""
+    rounding of the exact one."""
     best = float(_max_pair_quotient(values, x, 1.0))
     assert within_rounding(best, exact_power_one_max(values, x, all_pairs)), name
-    first = int(np.argmax(np.abs(np.diff(values)) / np.diff(x)))
-    pair = (first, first + 1) if best > 0.0 else (0, 0)
-    assert _first_max_pair(values, x, 1.0) == (best,) + pair, name
 
 
 def kernel_cases(n):
@@ -185,29 +168,6 @@ class TestHolderNorm:
         f = GridFunction(rng.normal(size=17))
         assert holder_norm(f, a) == pytest.approx(pair_scan_norm(f.values, f.x, a), rel=1e-12)
 
-    @pytest.mark.parametrize("values", [
-        np.where(np.arange(9) % 2 == 0, 1.0, -1.0),  # every neighbour pair ties
-        np.linspace(0.0, 1.0, 11),                   # every pair ties at power 1
-        np.zeros(7),                                 # no positive quotient
-        np.random.default_rng(4).normal(size=23),
-    ])
-    @pytest.mark.parametrize("power", [0.5, 1.0])
-    def test_first_max_pair_matches_oracle(self, values, power):
-        x = np.linspace(0.0, 1.0, values.size)
-        if power == 1.0:
-            assert_power_one_exact(values, x, True, "")
-        else:
-            assert _first_max_pair(values, x, power) == pair_scan_first_max(values, x, power)
-
-    def test_first_max_pair_across_row_blocks(self):
-        # 1501 nodes (two row blocks of the former exhaustive scan); the
-        # alternating ties recur across the whole grid
-        n = 1501
-        x = np.linspace(0.0, 1.0, n)
-        for values in (np.where(np.arange(n) % 2 == 0, 1.0, -1.0),
-                       np.random.default_rng(8).normal(size=n)):
-            assert_power_one_exact(values, x, False, "")
-
     @pytest.mark.parametrize("n", [3, 4, 5, 7, 9, 17, 41, 101, 400, 641, 1501])
     @pytest.mark.parametrize("power", [0.3, 0.5, 1.0])
     def test_band_kernel_matches_dense_oracle(self, n, power):
@@ -222,9 +182,7 @@ class TestHolderNorm:
                 assert_power_one_exact(slopes, x[:-1], n <= 41, name + " slopes")
                 continue
             quot = dense_quotients(values, x, power)
-            i, j = np.unravel_index(np.argmax(quot), quot.shape)
             assert _max_pair_quotient(values, x, power) == quot.max(), name
-            assert _first_max_pair(values, x, power) == (quot[i, j], i, j), name
 
     def test_band_kernel_near_ties_on_a_large_grid(self):
         n = 17_897
@@ -283,7 +241,7 @@ class TestHolderNorm:
         def scan(values):
             best = np.zeros(())
             bands = 0
-            for _, quot in _pair_bands(values, x, power, best):
+            for quot in _pair_bands(values, x, power, best):
                 bands += 1
                 np.maximum(best, quot.max(axis=0), out=best)
             return bands, best
@@ -426,37 +384,6 @@ class TestIntegrate:
         want[:, 0] = 0.5 * dx
         want[0, :] = 0.0
         assert np.array_equal(integration_matrix(n), want)
-
-    @pytest.mark.parametrize("n", [2, 3, 5, 401])
-    def test_row_is_matrix_row(self, n):
-        a = integration_matrix(n)
-        prob = ProblemSpec()
-        for k in range(n):
-            assert np.array_equal(prob.row(k, n), a[k])
-
-    def test_row_of_explicit_operator(self):
-        mat = np.random.default_rng(4).normal(size=(6, 6))
-        prob = ProblemSpec(mat)
-        for k in range(6):
-            assert np.array_equal(prob.row(k, 6), mat[k])
-        with pytest.raises(ValueError, match="but the grid has 5 nodes"):
-            prob.row(0, 5)
-
-    def test_last_row_norm_is_the_largest(self):
-        # minimize's step size reads the norm of the last row alone; it
-        # equals the largest row norm of the matrix bit for bit
-        prob = ProblemSpec()
-
-        def lip(rows):
-            return float(np.sqrt(np.add.reduce(rows * rows, axis=1)).max())
-
-        for n in range(2, 300):
-            assert lip(prob.row(n - 1, n)[None]) == lip(integration_matrix(n)), n
-        # larger grids: rows in blocks, each reduced as in the full matrix
-        for n in (401, 641, 1001, 1923, 2561, 4001, 5001):
-            want = max(lip(np.array([prob.row(k, n) for k in range(lo, min(lo + 256, n))]))
-                       for lo in range(0, n, 256))
-            assert lip(prob.row(n - 1, n)[None]) == want, n
 
 
 class TestAddNoise:

@@ -89,31 +89,31 @@ COMMANDS = (
     # a command checks no rule of a field it does not read: only warnings here
     ("adv-ignores-var-flags", "adversary --class lip --m 1 --deltas 1e-2 --phi l2 --c 0"),
     # variational: sup and Holder phi over the trapezoid operator
-    ("var-sup", "variational --phi sup-norm --c 2 --deltas 1e-1,1e-2 --budget 150 --count 12"),
+    ("var-sup", "variational --phi sup-norm --c 2 --deltas 1e-1,1e-2 --count 12"),
     ("var-holder-a2", "variational --phi holder-norm --a 2 --c 3 --deltas 1e-1,1e-2 "
-                      "--budget 150 --count 12 --grid 61"),
+                      "--count 12 --grid 61"),
     ("var-holder-a1", "variational --phi holder-norm --a 1 --c 2 --deltas 1e-1 "
-                      "--budget 100 --count 8 --grid 41 --noise alternating"),
+                      "--count 8 --grid 41 --noise alternating"),
     ("var-holder-a05", "variational --phi holder-norm --a 0.5 --c 3 --deltas 1e-1 "
-                       "--budget 100 --count 8 --grid 41 --seed 2"),
+                       "--count 8 --grid 41 --seed 2"),
     # the slope path at quotient power 0.5, on the default grid
     ("var-holder-a15", "variational --phi holder-norm --a 1.5 --c 3 --deltas 1e-1,1e-2 "
-                       "--budget 60 --count 8"),
+                       "--count 8"),
     # the benchmark's solve size: 401 nodes, Holder a = 2
     ("var-holder-a2-401", "variational --phi holder-norm --a 2 --c 3 --deltas 1e-2 "
-                          "--budget 60 --count 8 --grid 401"),
+                          "--count 8 --grid 401"),
     # the polynomial start probes on small grids: degrees 1-3 at 5 nodes,
     # all four (1, 2, 3, 5) at 7
     ("var-holder-a2-grid5", "variational --phi holder-norm --a 2 --c 3 --deltas 1e-1,5e-2 "
-                            "--budget 20 --count 4 --grid 5"),
-    # the only line whose descent runs past its start probes; F stays above
-    # 2(1+phi(u))delta at the two smallest deltas, with a warning for each
+                            "--count 4 --grid 5"),
+    # the best start probe stays above 2(1+phi(u))delta at the two smallest
+    # deltas, with a warning for each
     ("var-holder-a1-descent", "variational --truth abs-shift --phi holder-norm --a 1 --c 10 "
-                              "--grid 201 --deltas 1e-1,1e-2,1e-3,1e-4 --budget 100 --count 4"),
+                              "--grid 201 --deltas 1e-1,1e-2,1e-3,1e-4 --count 4"),
     ("var-holder-a2-grid7", "variational --phi holder-norm --a 2 --c 3 --deltas 1e-1,5e-2 "
-                            "--budget 20 --count 4 --grid 7"),
+                            "--count 4 --grid 7"),
     # a sup-norm class ignores --a, even one out of range
-    ("var-sup-a-ignored", "variational --phi sup-norm --a 3 --c 2 --deltas 1e-1 --budget 20 "
+    ("var-sup-a-ignored", "variational --phi sup-norm --a 3 --c 2 --deltas 1e-1 "
                           "--count 4 --grid 41"),
     # modulus: brute force over sup and Holder lattices
     ("mod-sup", "modulus --phi sup-norm --c 1 --levels 7 --deltas 0.5,0.1"),
@@ -173,8 +173,8 @@ COMMANDS = (
     ("bad-mod-c", "modulus --c -1 --deltas 0.5"),
     ("bad-mod-mode", "modulus --mode exact --deltas 0.5"),
     ("mod-search", "modulus --phi holder-norm --a 2 --c 3 --levels 9 --mode search "
-                   "--budget 400 --seed 3 --deltas 0.5,0.1"),
-    ("mod-search-sup", "modulus --phi sup-norm --mode search --budget 300 --deltas 0.3"),
+                   "--seed 3 --deltas 0.5,0.1"),
+    ("mod-search-sup", "modulus --phi sup-norm --mode search --deltas 0.3"),
     ("bad-mod-levels", "modulus --levels 0 --deltas 0.5"),
     ("bad-mod-nodes", "modulus --lattice-nodes 1 --deltas 0.5"),
     ("bad-mod-budget", "modulus --mode search --budget 0 --deltas 0.5"),
@@ -198,7 +198,7 @@ COMMANDS = (
     ("bad-diff-many", "differentiate --delta 1e-3 --a 1 --m 0 --input missing.csv"),
     ("bad-adv-many", "adversary --class holder --m 0 --deltas -1"),
     ("bad-sweep-many", "sweep --deltas 1e-2,1e-3 --a 1 --m 0 --count 0"),
-    ("bad-var-many", "variational --c 0 --budget -1 --count 0 --deltas 1e-2"),
+    ("bad-var-many", "variational --c 0 --count 0 --deltas 1e-2"),
     ("bad-mod-many", "modulus --c 0 --mode exact --levels 0 --deltas 0.5"),
 )
 
