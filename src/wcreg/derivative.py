@@ -49,8 +49,8 @@ def step_size(delta: float, spec: CompactumSpec) -> float:
     Holder class `spec` = {holder_norm_a <= m}.
 
     The unclipped value is the exact minimizer of delta/h + m*h**(a-1) over
-    h > 0.  Defined only for a > 1; the a <= 1 regime admits no convergent
-    step rule for this operator (see the adversary module).
+    h > 0.  Defined only for a > 1: when a <= 1 the bound's term
+    m*h**(a-1) does not fall with h, so this rule has no step to choose.
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")

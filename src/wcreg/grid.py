@@ -1,10 +1,13 @@
 """Sampled functions on the uniform unit-interval grid.
 
 Everything downstream works with real values attached to the n equispaced
-nodes x_k = k/(n-1) of [0, 1], read as the piecewise-linear interpolant
-through those samples.  This module owns the shared material: the container
-type, sup and Holder norms of the samples, bounded noise injection, and the
-CSV serialization used by the command-line tools.
+nodes of [0, 1], read as the piecewise-linear interpolant through those
+samples.  The nodes are numpy's `linspace(0, 1, n)`: node k is
+fl(k * fl(1/(n-1))) and the last node is exactly 1, which is not always the
+correctly rounded k/(n-1) (at n = 6, node 3 is 0.6000000000000001).  This
+module owns the shared material: the container type, sup and Holder norms
+of the samples, bounded noise injection, and the CSV serialization used by
+the command-line tools.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -51,9 +53,9 @@ def format_float(value: float) -> str:
 class GridFunction:
     """Real values sampled on the uniform grid over [0, 1].
 
-    Node k sits at x_k = k/(n-1) exactly; the spacing is 1/(n-1).  Values
-    are frozen after construction, so instances can be shared freely across
-    threads.
+    Node k sits at `linspace(0, 1, n)[k]`, fl(k * fl(1/(n-1))), and the
+    last node at 1; the spacing is 1/(n-1).  Values are frozen after
+    construction, so instances can be shared freely across threads.
     """
 
     values: np.ndarray
@@ -79,11 +81,6 @@ class GridFunction:
     @property
     def x(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.n)
-
-    @classmethod
-    def from_callable(cls, func: Callable[[np.ndarray], np.ndarray], n: int) -> "GridFunction":
-        x = np.linspace(0.0, 1.0, n)
-        return cls(np.asarray(func(x), dtype=float))
 
     @classmethod
     def zeros(cls, n: int) -> "GridFunction":

@@ -97,18 +97,15 @@ def _poly_fits(x: np.ndarray, y: np.ndarray, degrees: Sequence[int]) -> list[np.
     return rows
 
 
-def _anchor_candidates(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec) -> np.ndarray:
+def _anchor_candidates(data: NoisyData, prob: ProblemSpec) -> np.ndarray:
     """Deterministic data-fit probes, one per row: zero, the crude
     derivative, smoothed derivatives or least squares, and polynomial fits
     of the crude derivative of degrees 1, 2, 3 and 5 (those up to n - 2).
 
     The polynomial probes are formed in-module by `_poly_fits`, equal to
     `Polynomial.fit(x, grad, d)(x)` without importing `numpy.polynomial`.
-    Each raw candidate with phi > c is also offered pulled radially just
-    inside {phi <= c}, as vals * (c / phi) * (1 - 1e-12) with phi from
-    `spec.phi_rows`; candidates that fail both constraints are simply not
-    selected.  A candidate with a value that is not finite is refused with
-    the error of `GridFunction`.
+    A probe with a value that is not finite is refused with the error of
+    `GridFunction`.
     """
     g = data.g_delta
     n = g.n
@@ -137,26 +134,32 @@ def _anchor_candidates(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec) 
     raw = np.array(out)
     if not np.isfinite(raw).all():
         raise ValueError("GridFunction values must all be finite")
-    phis = spec.phi_rows(raw)
-    over = phis > spec.c
-    return np.concatenate((raw, raw[over] * (spec.c / phis[over])[:, None] * (1.0 - 1e-12)))
+    return raw
 
 
 def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
              budget: int | None = None) -> VariationalResult:
-    """The first probe of `_anchor_candidates` with the least F among those
-    in the feasible set (error if none passes both constraints).
+    """The first probe with the least F among those in the feasible set
+    (error if none passes both constraints).
 
-    The feasible set is one `FeasibleClass`: the probes' misfits and phis
-    are its `residuals`, formed once for all of them, and each membership
-    verdict is its `admits`.  So the reported misfit, phi and F are those
-    `is_feasible` and `objective` give the output.  The run is
-    deterministic.  `budget` is accepted and ignored: `bench/workloads.py`
-    still passes it, and it goes when the benchmark stops doing so.
+    The probes are the raw rows of `_anchor_candidates`, then each raw row
+    with phi > c pulled radially just inside {phi <= c}, as
+    vals * (c / phi) * (1 - 1e-12); probes that fail both constraints are
+    simply not selected.  The feasible set is one `FeasibleClass`: each
+    probe's misfit and phi come from its `residuals`, formed once per probe,
+    and each membership verdict is its `admits`.  So the reported misfit,
+    phi and F are those `is_feasible` and `objective` give the output.  The
+    run is deterministic.  `budget` is accepted and ignored:
+    `bench/workloads.py` still passes it, and it goes when the benchmark
+    stops doing so.
     """
     cls = FeasibleClass(spec, data, prob)
-    cands = _anchor_candidates(data, spec, prob)
-    misfits, phis = cls.residuals(cands)
+    raw = _anchor_candidates(data, prob)
+    misfits, phis = cls.residuals(raw)
+    over = phis > spec.c
+    pulled = raw[over] * (spec.c / phis[over])[:, None] * (1.0 - 1e-12)
+    cands = np.concatenate((raw, pulled))
+    misfits, phis = map(np.concatenate, zip((misfits, phis), cls.residuals(pulled)))
     f_vals = np.where(cls.admits(misfits, phis), misfits + cls.delta * phis, math.inf)
     k = int(np.argmin(f_vals))  # the first best probe
     if f_vals[k] == math.inf:

@@ -19,7 +19,7 @@ def truth_class(u, delta, bound, a=None, phi="holder-norm", noise="uniform-iid",
 
 class TestIsFeasible:
     def test_true_solution_is_feasible(self):
-        u = GridFunction.from_callable(lambda x: 0.4 * x, 201)
+        u = GridFunction(0.4 * np.linspace(0.0, 1.0, 201))
         cls, _ = truth_class(u, 1e-3, 1.0, a=2.0)
         check = is_feasible(u, cls)
         assert check.feasible
@@ -27,7 +27,7 @@ class TestIsFeasible:
         assert check.class_norm <= 1.0
 
     def test_scaled_out_of_class(self):
-        u = GridFunction.from_callable(lambda x: 0.4 * x, 201)
+        u = GridFunction(0.4 * np.linspace(0.0, 1.0, 201))
         cls, _ = truth_class(u, 1e-3, 1.0, a=2.0)
         big = GridFunction(2.5 * u.values)
         check = is_feasible(big, cls)
@@ -69,12 +69,12 @@ class TestIsFeasible:
 
 class TestSampleFeasible:
     def test_count_zero(self):
-        u = GridFunction.from_callable(lambda x: 0.4 * x, 101)
+        u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
         cls, _ = truth_class(u, 1e-3, 1.0, a=2.0)
         assert sample_feasible(cls, 0, 1, start=u) == []
 
     def test_hundred_members_all_feasible(self):
-        u = GridFunction.from_callable(lambda x: 0.4 * x, 101)
+        u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
         data = NoisyData(integrate(u), 1e-3)  # exact data: full slack
         cls = FeasibleClass(CompactumSpec("holder-norm", 1.0, a=2.0), data)
         members = sample_feasible(cls, 100, 11, start=u)
@@ -83,7 +83,7 @@ class TestSampleFeasible:
             assert is_feasible(v, cls).feasible
 
     def test_deterministic(self):
-        u = GridFunction.from_callable(lambda x: 0.4 * x, 101)
+        u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
         cls, _ = truth_class(u, 1e-3, 1.0, a=2.0)
         a = sample_feasible(cls, 25, 3, start=u)
         b = sample_feasible(cls, 25, 3, start=u)
@@ -92,7 +92,7 @@ class TestSampleFeasible:
             assert np.array_equal(va.values, vb.values)
 
     def test_infeasible_start_raises(self):
-        u = GridFunction.from_callable(lambda x: 0.4 * x, 101)
+        u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
         cls, _ = truth_class(u, 1e-3, 1.0, a=2.0)
         with pytest.raises(InfeasibleProblemError):
             sample_feasible(cls, 5, 0, start=GridFunction(10 + u.values))
@@ -171,7 +171,7 @@ class TestSamplerMatchesOneAtATime:
     @pytest.mark.parametrize("phi, a", CLASSES, ids=["sup", "a0.5", "a1", "a2"])
     def test_noisy_data(self, phi, a, matrix):
         n = 101
-        u = GridFunction.from_callable(lambda x: 0.4 * x, n)
+        u = GridFunction(0.4 * np.linspace(0.0, 1.0, n))
         prob = ProblemSpec(rectangle_matrix(n) if matrix else None)
         data = add_noise(prob.apply(u), 1e-3, "uniform-iid", 5)
         cls = FeasibleClass(CompactumSpec(phi, 1.0, a=a), data, prob)
@@ -184,7 +184,7 @@ class TestSamplerMatchesOneAtATime:
         # steep data and a tube of 1e-14: rounding in the image rejects some
         # candidates, so their steps are halved and checked again
         n = 41
-        u = GridFunction.from_callable(lambda x: 400.0 * x, n)
+        u = GridFunction(400.0 * np.linspace(0.0, 1.0, n))
         cls = FeasibleClass(CompactumSpec("sup-norm", 800.0), NoisyData(integrate(u), 1e-14))
         want, rejected = one_at_a_time(cls, 20, seed, u)
         assert rejected >= 1
@@ -208,7 +208,7 @@ class TestSamplerMatchesOneAtATime:
 
     def test_count_above_row_block(self):
         n = 81
-        u = GridFunction.from_callable(lambda x: 0.4 * x, n)
+        u = GridFunction(0.4 * np.linspace(0.0, 1.0, n))
         cls, _ = truth_class(u, 1e-3, 1.0, a=2.0)
         count = 2 * ROW_BLOCK + 7
         got = sample_feasible(cls, count, 8, start=u)
@@ -340,18 +340,18 @@ class TestSupErrorEstimate:
                 estimate(recon, ensemble)
 
     def test_single_member(self):
-        u = GridFunction.from_callable(lambda x: 0.4 * x, 101)
+        u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
         recon = GridFunction(u.values + 0.05)
         assert sup_error_estimate(recon, [u]) == pytest.approx(0.05, rel=1e-12)
 
     def test_includes_reconstruction(self):
-        u = GridFunction.from_callable(lambda x: 0.4 * x, 101)
+        u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
         recon = GridFunction(u.values + 0.05)
         est = sup_error_estimate(recon, [recon, u])
         assert est == pytest.approx(0.05, rel=1e-12)
 
     def test_empty_rejected(self):
-        u = GridFunction.from_callable(lambda x: 0.4 * x, 101)
+        u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
         with pytest.raises(ValueError, match="needs a nonempty ensemble"):
             sup_error_estimate(u, [])
 

@@ -32,7 +32,7 @@ def stencil_worst_noise(n: int, step_multiple: int, delta: float) -> GridFunctio
 
 
 def exact_data(func, n, delta=1e-12):
-    return NoisyData(GridFunction.from_callable(func, n), delta)
+    return NoisyData(GridFunction(func(np.linspace(0.0, 1.0, n))), delta)
 
 
 def boundary_worst_case(data, recon, c):

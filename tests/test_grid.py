@@ -13,7 +13,7 @@ from wcreg.grid import (_csv_rows, _holder_norms, _max_pair_quotient, _pair_band
 
 
 def grid_fn(func, n):
-    return GridFunction.from_callable(func, n)
+    return GridFunction(func(np.linspace(0.0, 1.0, n)))
 
 
 def pair_scan_norm(values, x, a):

@@ -1,27 +1,26 @@
 """Byte-identity check of the wcreg command line.
 
-    python3 tools/golden.py capture SRC OUT   # run the fixed command list against SRC
-    python3 tools/golden.py compare A B       # list the files that differ between captures
+    python3 tools/golden.py OUT
 
-`capture` runs every command line of `COMMANDS` in its own working
-directory OUT/<name>, so every path the program sees or prints is relative.
-Each run leaves its CSV files under OUT/<name>/out, and its exit code,
-whether it made OUT/<name>/out, its stdout and its stderr in
-OUT/<name>/status.txt; the sha256 of each of these files goes into
-OUT/MANIFEST.sha256, after a first line naming the numpy version.  From the
-command line each run is a fresh process with PYTHONPATH=SRC; `capture(out)`
-without a source tree runs them in the calling process through
-`wcreg.cli.main`, with the same files as result.  `compare` reads two
-manifests and exits 1 when a file differs or exists on one side only.
+runs every line of `COMMANDS` through `wcreg.cli.main` in this process,
+with wcreg from the `src/` next to this tool's directory.  Each line runs
+in its own working directory OUT/<name>, so every path it sees or prints is
+relative, and leaves its CSV files under OUT/<name>/out and its exit code,
+whether it made that directory, its stdout and its stderr in
+OUT/<name>/status.txt.  The sha256 of each file goes into OUT/MANIFEST.sha256
+after a line naming the numpy version.  The tool lists each file whose
+digest differs between `golden.sha256` (A) and this capture (B) or that one
+side lacks, prints their count, and exits 1 if there are any;
+`tests/test_golden.py` runs the same check.
 
-`golden.sha256`, next to this file, is the manifest of the current tree,
-and `tests/test_golden.py` checks an in-process capture against it.  A
-change that alters an output on purpose refreshes it in the same commit:
+`golden.sha256` is the manifest of the current tree.  A change that alters
+an output on purpose lists the files it alters and refreshes the manifest
+in the same commit:
 
-    python3 tools/golden.py capture src OUT && cp OUT/MANIFEST.sha256 tools/golden.sha256
+    python3 tools/golden.py OUT; cp OUT/MANIFEST.sha256 tools/golden.sha256
 
-To compare two trees, capture the parent commit's `src/` and the changed
-`src/` into two fresh directories, then compare them.
+To see a parent commit's actual files, run that checkout's own tool (for
+example in a `git worktree`) into a second directory and `diff -r` the two.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import contextlib
 import hashlib
 import io
 import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -205,17 +203,8 @@ COMMANDS = (
 MANIFEST = "MANIFEST.sha256"
 #: the manifest of the current tree's capture
 COMMITTED = Path(__file__).with_name("golden.sha256")
-#: the environment of a run in its own process: one BLAS thread, fixed
-#: hashing, 80 columns; a run in this process sets only COLUMNS
-ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-       "PYTHONHASHSEED": "0", "COLUMNS": "80"}
-
-
-def _run_process(src: Path, cwd: Path, argv: list[str]) -> tuple[int, str, str]:
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()), **ENV)
-    proc = subprocess.run([sys.executable, "-m", "wcreg.cli", *argv],
-                          cwd=cwd, env=env, capture_output=True, text=True)
-    return proc.returncode, proc.stdout, proc.stderr
+#: the terminal width every run sees, for the argument parser's help text
+COLUMNS = "80"
 
 
 def _run_here(cwd: Path, argv: list[str]) -> tuple[int, str, str]:
@@ -226,7 +215,7 @@ def _run_here(cwd: Path, argv: list[str]) -> tuple[int, str, str]:
     stdout, stderr = io.StringIO(), io.StringIO()
     home, columns = os.getcwd(), os.environ.get("COLUMNS")
     os.chdir(cwd)
-    os.environ["COLUMNS"] = ENV["COLUMNS"]
+    os.environ["COLUMNS"] = COLUMNS
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(argv)
@@ -239,22 +228,18 @@ def _run_here(cwd: Path, argv: list[str]) -> tuple[int, str, str]:
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-def capture(out: Path, src: Path | None = None) -> None:
-    """Run every line of `COMMANDS` into `out`: one process per line with
-    PYTHONPATH=src, or, without `src`, in this process."""
+def capture(out: Path) -> None:
+    """Run every line of `COMMANDS` into `out` and write its manifest."""
     out.mkdir(parents=True, exist_ok=False)
     for name, args in COMMANDS:
         cwd = out / name
         cwd.mkdir()
         for file, text in FILES.items():
             (cwd / file).write_text(text)
-        argv = [*args.split(), "--out", "out"]
-        code, stdout, stderr = (_run_here(cwd, argv) if src is None
-                                else _run_process(src, cwd, argv))
+        code, stdout, stderr = _run_here(cwd, [*args.split(), "--out", "out"])
         made = "yes" if (cwd / "out").is_dir() else "no"
         (cwd / "status.txt").write_text(f"exit {code}\nout dir: {made}\n"
                                         f"stdout:\n{stdout}stderr:\n{stderr}")
-        print(f"{name}: exit {code}", flush=True)
     lines = [f"# numpy {np.__version__}"]
     lines += [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(out).as_posix()}"
               for p in sorted(out.rglob("*")) if p.is_file() and p.name not in FILES]
@@ -278,24 +263,31 @@ def differing(left: dict[str, str], right: dict[str, str]) -> list[str]:
             if left.get(name) != right.get(name)]
 
 
-def compare(a: Path, b: Path) -> int:
-    left, right = read_manifest(a / MANIFEST)[1], read_manifest(b / MANIFEST)[1]
-    differ = differing(left, right)
-    for line in differ:
-        print(line)
-    print(f"{len(left.keys() | right.keys())} files compared, {len(differ)} differ")
-    return 1 if differ else 0
+def check(out: Path) -> list[str]:
+    """Capture into `out` (B) and return one line for each file that differs
+    from `COMMITTED` (A) or that one side lacks.  When any does and A was
+    made with another numpy, a last line names both versions."""
+    capture(out)
+    made_with, want = read_manifest(COMMITTED)
+    differ = differing(want, read_manifest(out / MANIFEST)[1])
+    if differ and made_with != np.__version__:
+        differ.append(f"note: the manifest was made with numpy {made_with}, "
+                      f"this run uses {np.__version__}")
+    return differ
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 3 or argv[0] not in ("capture", "compare"):
+    if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    if argv[0] == "capture":
-        capture(Path(argv[2]), Path(argv[1]))
-        return 0
-    return compare(Path(argv[1]), Path(argv[2]))
+    differ = check(Path(argv[0]))
+    files = [line for line in differ if not line.startswith("note: ")]
+    for line in differ:
+        print(line)
+    print(f"{len(files)} files differ from {COMMITTED.name}")
+    return 1 if files else 0
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     sys.exit(main(sys.argv[1:]))
