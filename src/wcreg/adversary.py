@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import GridTooCoarseError, InfeasibleProblemError
-from .grid import GridFunction, NoisyData, _csv_rows, _read_grid_table, format_float
+from .grid import GridFunction, NoisyData, _read_grid_table, _write_table, format_float
 # holder_norm stays bound here because bench/selftest.py checks that the
 # tracer rebinds wcreg.adversary.holder_norm
 from .grid import holder_norm  # noqa: F401
@@ -438,8 +438,8 @@ def write_pair_csv(pair: AdversarialPair, path: str | Path) -> None:
     """Pair export: certificate as `# key=value` comments, then x,v1,v2 rows."""
     meta = {"separation": pair.separation, **pair.certificate._asdict()}
     head = "".join(f"# {key}={format_float(meta[key])}\n" for key in _PAIR_KEYS)
-    rows = _csv_rows(np.column_stack((pair.v1.x, pair.v1.values, pair.v2.values)))
-    Path(path).write_text(head + "x,v1,v2\n" + rows)
+    _write_table(path, "x,v1,v2", np.column_stack((pair.v1.x, pair.v1.values, pair.v2.values)),
+                 lead=head)
 
 
 def read_pair_csv(path: str | Path) -> AdversarialPair:

@@ -7,7 +7,7 @@ fl(k * fl(1/(n-1))) and the last node is exactly 1, which is not always the
 correctly rounded k/(n-1) (at n = 6, node 3 is 0.6000000000000001).  This
 module owns the shared material: the container type, sup and Holder norms
 of the samples, bounded noise injection, and the CSV serialization used by
-the command-line tools.
+the command-line tools, which writes a table `CSV_BLOCK` rows at a time.
 """
 
 from __future__ import annotations
@@ -263,6 +263,10 @@ def add_noise(g: GridFunction, delta: float, model: str = "uniform-iid",
     return NoisyData(GridFunction(noisy), delta)
 
 
+#: rows that a CSV export formats and writes at a time
+CSV_BLOCK = 1024
+
+
 def _csv_rows(rows) -> str:
     """CSV lines of a float64 table, each value as `format_float` writes it:
     one `%` on a repeated line template, and '' for zero rows."""
@@ -272,10 +276,18 @@ def _csv_rows(rows) -> str:
 
 
 def _write_table(path: str | Path, header: str, rows,
-                 meta: dict[str, float] | None = None) -> None:
-    """Write a header line, rows of full-precision floats, then `# key=value` lines."""
+                 meta: dict[str, float] | None = None, lead: str = "") -> None:
+    """Write the `lead` text, a header line, rows of full-precision floats,
+    then `# key=value` lines.  The rows become one float64 array before the
+    file is opened, so a bad table leaves no file, and are written
+    `CSV_BLOCK` at a time, so the text held is one block's."""
+    table = np.asarray(rows, dtype=np.float64)
     tail = "".join(f"# {key}={format_float(value)}\n" for key, value in (meta or {}).items())
-    Path(path).write_text(header + "\n" + _csv_rows(rows) + tail)
+    with open(path, "w") as fh:
+        fh.write(lead + header + "\n")
+        for start in range(0, len(table), CSV_BLOCK):
+            fh.write(_csv_rows(table[start:start + CSV_BLOCK]))
+        fh.write(tail)
 
 
 def write_grid_csv(f: GridFunction, path: str | Path) -> None:

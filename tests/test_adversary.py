@@ -10,6 +10,7 @@ from wcreg import (AdversarialPair, CompactumSpec, FeasibleClass, GridFunction,
                    sample_feasible, sine_pair, sup_error_estimate, sup_norm,
                    write_pair_csv)
 from wcreg.adversary import ROW_BLOCK
+from wcreg.grid import CSV_BLOCK, _csv_rows
 
 
 def truth_class(u, delta, bound, a=None, phi="holder-norm", noise="uniform-iid", seed=0):
@@ -500,6 +501,18 @@ class TestPairCsv:
         path = tmp_path / "pair.csv"
         write_pair_csv(pair, path)
         assert path.read_text() == "\n".join(lines) + "\n"
+
+    def test_bytes_match_one_shot_writer(self, tmp_path):
+        # a pair file over several write blocks, against the text formatted
+        # in one piece: certificate lines, header, then every row at once
+        pair = bump_pair(1.0, 1e-4, n=3 * CSV_BLOCK + 5)
+        meta = {"separation": pair.separation, **pair.certificate._asdict()}
+        keys = ("delta", "bound", "separation", "misfit1", "norm1", "misfit2", "norm2")
+        head = "".join(f"# {key}={format_float(meta[key])}\n" for key in keys)
+        rows = _csv_rows(np.column_stack((pair.v1.x, pair.v1.values, pair.v2.values)))
+        path = tmp_path / "pair.csv"
+        write_pair_csv(pair, path)
+        assert path.read_text() == head + "x,v1,v2\n" + rows
 
     def test_lenient_header_and_comments(self, tmp_path):
         pair = bump_pair(2.0, 0.01, n=401)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from wcreg import (CompactumSpec, GridFunction, NoisyData,
                    StudyRow, add_noise, format_float, holder_norm, integrate,
                    integration_matrix, read_grid_csv, sup_norm, write_grid_csv)
-from wcreg.grid import (_csv_rows, _holder_norms, _max_pair_quotient, _pair_bands,
+from wcreg.grid import (CSV_BLOCK, _csv_rows, _holder_norms, _max_pair_quotient, _pair_bands,
                         _write_table, read_csv_table)
 
 
@@ -534,11 +535,36 @@ class TestCsvRows:
         ("omega", [(0.5,), (1 / 3,), (-0.0,)], {"slope": -0.5}),
         ("delta,omega", [], {"slope": 0.5, "tiny": 5e-324}),
         ("delta,omega", [], {}),
-    ], ids=["one-column", "zero-rows-with-meta", "zero-rows"])
+        # row counts at the edges of the write blocks
+        *[("x,v1,v2", np.random.default_rng(count).normal(size=(count, 3)) * math.pi,
+           {"slope": 0.5}) for count in (1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1,
+                                         2 * CSV_BLOCK + 3)],
+    ], ids=["one-column", "zero-rows-with-meta", "zero-rows", "one-row", "block-minus-1",
+            "one-block", "block-plus-1", "two-blocks-plus-3"])
     def test_write_table_bytes(self, tmp_path, header, rows, meta):
         path = tmp_path / "t.csv"
         _write_table(path, header, rows, meta)
         assert path.read_text() == old_table_text(header, rows, meta)
+
+    def test_bad_table_leaves_no_file(self, tmp_path):
+        # the rows are converted before the file is opened
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            _write_table(path, "a", [("x",)])
+        assert not path.exists()
+
+    def test_grid_file_memory(self, tmp_path):
+        # a block-wise export holds the float64 table and one block of text;
+        # formatting the whole table at once peaked near 10x the table
+        f = GridFunction(np.random.default_rng(7).normal(size=100_001))
+        table_bytes = 2 * 8 * f.n
+        tracemalloc.start()
+        try:
+            write_grid_csv(f, tmp_path / "f.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * table_bytes
 
     def test_grid_file_bytes(self, tmp_path):
         f = GridFunction(np.random.default_rng(6).normal(size=101) * math.pi)

@@ -61,6 +61,8 @@ COMMANDS = (
     ("diff-default", "differentiate --delta 1e-3"),
     ("diff-sine-alt", "differentiate --truth sine(2) --noise alternating --grid 301 --delta 1e-4"),
     ("diff-abs-none", "differentiate --truth abs-shift --noise none --a 1.5 --m 2 --delta 1e-2"),
+    # a reconstruction.csv of 2,501 rows, written in three blocks
+    ("diff-grid-blocks", "differentiate --delta 1e-3 --grid 2501"),
     ("diff-input", "differentiate --input input.csv --delta 1e-3"),
     # with an input file the flags that make synthetic data are ignored
     ("diff-input-ignored", "differentiate --input input.csv --delta 1e-3 --noise pink --seed -1"),
