@@ -21,9 +21,13 @@ bound concrete:
   grid-snapped triangle bump of height ~ sqrt(delta*bound/2) is feasible,
   so the class diameter shrinks like sqrt(delta) rather than staying flat.
 
-`sample_feasible` populates ensembles of certified members around a known
-feasible element; `sup_error_estimate` turns an ensemble into a certified
-lower bound on the worst-case error of a given reconstruction.
+`sample_feasible` populates an ensemble of certified members around a known
+feasible element: one float64 array whose rows are the members, row 0 the
+start.  Each round draws up to ROW_BLOCK shapes, steps along each shape with
+misfit room by 0.9 * min(slack / gain) over the misfit and the norm, and
+certifies all candidates with one row-wise membership test.
+`sup_error_estimate` turns an ensemble into a certified lower bound on the
+worst-case error of a given reconstruction.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -267,76 +271,38 @@ def bump_pair(bound: float, delta: float, n: int | None = None) -> AdversarialPa
 ROW_BLOCK = 64
 
 
-def _draw_shape(rng: np.random.Generator, x: np.ndarray) -> tuple[np.ndarray, str | None]:
+def _draw_shape(rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
     """One perturbation profile on the nodes `x` from the fixed dictionary.
 
-    The draws (kind, parameters, sign, scale fraction) happen in a fixed
-    order on every attempt, so the ensemble is a pure function of the seed.
-    Parameter-free shapes return a cache key so their gains are measured
-    once per run.
+    The draws (kind, then its parameters) happen in a fixed order on every
+    attempt, so the ensemble is a pure function of the seed.
     """
     kind = int(rng.integers(0, 5))
     if kind == 0:
         k = int(rng.integers(1, 9))
-        return np.sin(2.0 * math.pi * k * x), f"sin{k}"
+        return np.sin(2.0 * math.pi * k * x)
     if kind == 1:
         k = int(rng.integers(1, 9))
-        return np.cos(2.0 * math.pi * k * x), f"cos{k}"
+        return np.cos(2.0 * math.pi * k * x)
     if kind == 2:
         c = rng.uniform(0.25, 0.75)
         w = rng.uniform(0.05, 0.25)
-        return np.maximum(0.0, 1.0 - np.abs(x - c) / w), None
+        return np.maximum(0.0, 1.0 - np.abs(x - c) / w)
     if kind == 3:
         # node-alternating profile: invisible to the trapezoid integral
-        return np.where(np.arange(x.size) % 2 == 0, 1.0, -1.0), "alternating"
-    return np.ones(x.size), "constant"
+        return np.where(np.arange(x.size) % 2 == 0, 1.0, -1.0)
+    return np.ones(x.size)
 
 
-def _gains(cls: FeasibleClass, shapes: np.ndarray, misfit_slack: float
-           ) -> list[tuple[float, float]]:
-    """(sup|A shape|, phi(shape)) of each row of `shapes`, measured together.
-
-    A row without misfit room gets no step whatever its norm, so its norm is
-    not scanned: an infinite norm gain stands for "not scanned" and gives a
-    step of 0.
-    """
-    image = np.max(np.abs(cls.prob.apply_rows(shapes)), axis=1).tolist()
-    room = [_ratio(misfit_slack, gain) > 0.0 for gain in image]
-    norm = np.full(len(image), math.inf)
-    if any(room):
-        norm[room] = cls.spec.phi_rows(shapes[room])
-    return list(zip(image, norm.tolist()))
-
-
-def _steps(cls: FeasibleClass, shapes: np.ndarray, keys: Sequence[str | None],
-           slack: tuple[float, float], fracs: Sequence[float],
-           gains: dict[str, tuple[float, float]]) -> list[float | None]:
-    """Step t along each row of `shapes` that the triangle inequality keeps
-    inside S.
-
-    t = 0.9 * min(misfit slack / sup|A shape|, norm slack / phi(shape)) * frac,
-    or None when that is not positive and finite.  The rows whose key is
-    None or not yet in `gains` are measured in one `_gains` call, each key
-    once; the gains of keyed rows are kept in `gains` for later calls.
-    """
-    todo = [i for i, key in enumerate(keys)
-            if key is None or (key not in gains and keys.index(key) == i)]
-    fresh = dict(zip(todo, _gains(cls, shapes[todo], slack[0])))
-    gains.update((keys[i], fresh[i]) for i in todo if keys[i] is not None)
-    steps = []
-    for i, (key, frac) in enumerate(zip(keys, fracs)):
-        image_gain, norm_gain = fresh[i] if key is None else gains[key]
-        t = 0.9 * min(_ratio(slack[0], image_gain), _ratio(slack[1], norm_gain))
-        steps.append(t * frac if t > 0.0 and math.isfinite(t) else None)
-    return steps
-
-
-def _ratio(slack: float, gain: float) -> float:
-    return math.inf if gain == 0.0 else slack / gain
+def _ratios(slack: float, gains: np.ndarray) -> np.ndarray:
+    """slack / gain for each gain, inf where the gain is 0; a quotient
+    beyond the float range is inf without a warning, as in Python."""
+    with np.errstate(over="ignore"):
+        return np.divide(slack, gains, out=np.full(gains.shape, math.inf), where=gains != 0.0)
 
 
 def _accepted_rows(cls: FeasibleClass, base: np.ndarray, shapes: np.ndarray,
-                   steps: np.ndarray) -> list[GridFunction]:
+                   steps: np.ndarray) -> np.ndarray:
     """The candidates base + steps[k] * shapes[k] that pass the membership
     test, in row order.  All pending rows are checked in one kernel call; a
     rejected row halves its step and is checked again, 40 checks at most."""
@@ -352,29 +318,33 @@ def _accepted_rows(cls: FeasibleClass, base: np.ndarray, shapes: np.ndarray,
         if todo.size == 0:
             break
         steps[todo] *= 0.5
-    return [GridFunction(row) for row in out[accepted]]
+    return out[accepted]
 
 
 def sample_feasible(cls: FeasibleClass, count: int, seed: int | np.random.SeedSequence,
-                    start: GridFunction) -> list[GridFunction]:
-    """Up to `count` certified members of S around a feasible start element.
+                    start: GridFunction) -> np.ndarray:
+    """Up to `count` certified members of S around a feasible start element,
+    as the rows of a (k, n) float64 array, k <= count.
 
-    The start element must itself pass the membership test, else
-    InfeasibleProblemError; the first returned member is the start element
-    itself.  Each attempt draws a shape, a sign and a scale fraction; the
-    step along the shape is capped through the triangle inequality by the
-    remaining misfit and norm slack.
+    The start element must pass the membership test, else
+    InfeasibleProblemError; row 0 is the start element, and count = 0 gives
+    shape (0, n).  Each attempt draws a shape, a sign and a scale fraction.
 
-    Attempts run in rounds.  A round draws the next count - len(members)
-    attempts, at most ROW_BLOCK and at most the attempts left of
-    30 * count + 100, measures together those of its shapes not measured
-    before (a parameter-free shape is measured once per call), and checks
-    all its candidates with one row-wise membership test
-    (`FeasibleClass.residuals`); a rejected candidate halves its step and is
+    Attempts run in rounds.  A round draws the next count - k attempts, at
+    most ROW_BLOCK and at most the attempts left of 30 * count + 100.  It
+    takes the image gains sup|A shape| from one `apply_rows` call, and the
+    norm gains phi(shape) from one `phi_rows` call over the shapes with
+    misfit room (misfit slack / image gain > 0, a gain of 0 giving inf): a
+    shape without room gets no step whatever its norm.  The triangle
+    inequality caps the step at t = 0.9 * min(misfit slack / image gain,
+    norm slack / norm gain); a shape is live when t is positive and finite,
+    and its candidate is start + sign * (t * frac) * shape.  All live
+    candidates are checked with one row-wise membership test
+    (`FeasibleClass.residuals`); a rejected one halves its step and is
     checked again, up to 40 times.  The accepted candidates join in attempt
-    order.  Every member thus passes the full membership test, no draw
-    depends on an outcome, and each row takes the floats it takes alone, so
-    a seed gives exactly the members of checking one attempt at a time.
+    order.  So every member passes the full membership test, no draw
+    depends on an outcome, and each row takes the floats it takes alone: a
+    seed gives exactly the members of checking one attempt at a time.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -384,46 +354,47 @@ def sample_feasible(cls: FeasibleClass, count: int, seed: int | np.random.SeedSe
             "no feasible point found: start element has "
             f"misfit {chk.misfit} (delta {cls.delta}) and norm {chk.class_norm} "
             f"(bound {cls.spec.c})")
+    members = np.empty((count, cls.n))
     if count == 0:
-        return []
-    members = [start]
+        return members
+    members[0] = start.values
     rng = np.random.default_rng(seed)
     x = np.linspace(0.0, 1.0, cls.n)
-    slack = (cls.delta - chk.misfit, cls.spec.c - chk.class_norm)
-    gains: dict[str, tuple[float, float]] = {}
-    attempts = 0
-    max_attempts = 30 * count + 100
-    while len(members) < count and attempts < max_attempts:
-        size = min(count - len(members), max_attempts - attempts, ROW_BLOCK)
+    misfit_slack, norm_slack = cls.delta - chk.misfit, cls.spec.c - chk.class_norm
+    got, attempts, max_attempts = 1, 0, 30 * count + 100
+    while got < count and attempts < max_attempts:
+        size = min(count - got, max_attempts - attempts, ROW_BLOCK)
         attempts += size
-        shapes, keys, signs, fracs = [], [], [], []
-        for _ in range(size):
-            shape, key = _draw_shape(rng, x)
-            shapes.append(shape)
-            keys.append(key)
-            signs.append(1.0 if rng.uniform() < 0.5 else -1.0)
-            fracs.append(rng.uniform(0.2, 1.0))
-        steps = _steps(cls, np.array(shapes), keys, slack, fracs, gains)
-        live = [i for i, t in enumerate(steps) if t is not None]
-        if live:
-            members += _accepted_rows(cls, start.values, np.array([shapes[i] for i in live]),
-                                      np.array([signs[i] * steps[i] for i in live]))
-    return members
+        shapes, signs, fracs = np.empty((size, cls.n)), np.empty(size), np.empty(size)
+        for i in range(size):
+            shapes[i] = _draw_shape(rng, x)
+            signs[i] = 1.0 if rng.uniform() < 0.5 else -1.0
+            fracs[i] = rng.uniform(0.2, 1.0)
+        image = _ratios(misfit_slack, np.max(np.abs(cls.prob.apply_rows(shapes)), axis=1))
+        room = image > 0.0
+        norm = np.full(size, math.inf)
+        norm[room] = _ratios(norm_slack, cls.spec.phi_rows(shapes[room]))
+        t = 0.9 * np.minimum(image, norm)
+        live = (t > 0.0) & np.isfinite(t)
+        if live.any():
+            accepted = _accepted_rows(cls, start.values, shapes[live],
+                                      signs[live] * (t[live] * fracs[live]))
+            members[got:got + len(accepted)] = accepted
+            got += len(accepted)
+    return members[:got]
 
 
-def sup_error_estimate(reconstruction: GridFunction,
-                       ensemble: Sequence[GridFunction]) -> float:
-    """max over the ensemble of sup|reconstruction - v|.
+def sup_error_estimate(reconstruction: GridFunction, ensemble: np.ndarray) -> float:
+    """max over the rows v of a (k, n) ensemble of sup|reconstruction - v|.
 
     A certified *lower* bound on the true worst-case error (the supremum
     runs over the whole infinite class); members are assumed certified.
     """
     if len(ensemble) == 0:
         raise ValueError("sup_error_estimate needs a nonempty ensemble")
-    if any(v.n != reconstruction.n for v in ensemble):
+    if ensemble.shape[1] != reconstruction.n:
         raise ValueError("grid mismatch between reconstruction and ensemble member")
-    diff = reconstruction.values - np.array([v.values for v in ensemble])
-    return float(np.abs(diff).max())
+    return float(np.abs(reconstruction.values - ensemble).max())
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .adversary import FeasibleClass, is_feasible, sample_feasible, sup_error_estimate
+from .adversary import FeasibleClass, sample_feasible, sup_error_estimate
 from .derivative import differentiate
 from .errors import InfeasibleProblemError
 from .grid import GridFunction, NoisyData, noise_pattern
@@ -33,7 +33,6 @@ from .operators import CompactumSpec, ProblemSpec
 __all__ = [
     "VariationalResult",
     "StudyRow",
-    "objective",
     "minimize",
     "convergence_study",
 ]
@@ -56,14 +55,6 @@ class StudyRow(NamedTuple):
     objective: float
     sup_err_truth: float
     sup_err_ensemble: float
-
-
-def objective(v: GridFunction, data: NoisyData, spec: CompactumSpec,
-              prob: ProblemSpec) -> float:
-    """F(v) = sup|Av - g_delta| + delta * phi(v), from the terms that
-    `is_feasible` forms."""
-    check = is_feasible(v, FeasibleClass(spec, data, prob))
-    return check.misfit + data.delta * check.class_norm
 
 
 def _poly_fits(x: np.ndarray, y: np.ndarray, degrees: Sequence[int]) -> list[np.ndarray]:
@@ -147,11 +138,11 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
     vals * (c / phi) * (1 - 1e-12); probes that fail both constraints are
     simply not selected.  The feasible set is one `FeasibleClass`: each
     probe's misfit and phi come from its `residuals`, formed once per probe,
-    and each membership verdict is its `admits`.  So the reported misfit,
-    phi and F are those `is_feasible` and `objective` give the output.  The
-    run is deterministic.  `budget` is accepted and ignored:
-    `bench/workloads.py` still passes it, and it goes when the benchmark
-    stops doing so.
+    and each membership verdict is its `admits`.  So the reported misfit
+    and phi are those `is_feasible` gives the output, and F is
+    misfit + delta * phi.  The run is deterministic.  `budget` is accepted
+    and ignored: `bench/workloads.py` still passes it, and it goes when the
+    benchmark stops doing so.
     """
     cls = FeasibleClass(spec, data, prob)
     raw = _anchor_candidates(data, prob)

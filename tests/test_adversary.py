@@ -72,7 +72,9 @@ class TestSampleFeasible:
     def test_count_zero(self):
         u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
         cls, _ = truth_class(u, 1e-3, 1.0, a=2.0)
-        assert sample_feasible(cls, 0, 1, start=u) == []
+        empty = sample_feasible(cls, 0, 1, start=u)
+        assert isinstance(empty, np.ndarray) and empty.dtype == np.float64
+        assert empty.shape == (0, 101)
 
     def test_hundred_members_all_feasible(self):
         u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
@@ -81,22 +83,36 @@ class TestSampleFeasible:
         members = sample_feasible(cls, 100, 11, start=u)
         assert len(members) == 100
         for v in members:
-            assert is_feasible(v, cls).feasible
+            assert is_feasible(GridFunction(v), cls).feasible
 
     def test_deterministic(self):
         u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
         cls, _ = truth_class(u, 1e-3, 1.0, a=2.0)
         a = sample_feasible(cls, 25, 3, start=u)
         b = sample_feasible(cls, 25, 3, start=u)
-        assert len(a) == len(b)
-        for va, vb in zip(a, b):
-            assert np.array_equal(va.values, vb.values)
+        assert np.array_equal(a, b)
 
     def test_infeasible_start_raises(self):
         u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
         cls, _ = truth_class(u, 1e-3, 1.0, a=2.0)
         with pytest.raises(InfeasibleProblemError):
             sample_feasible(cls, 5, 0, start=GridFunction(10 + u.values))
+
+    @pytest.mark.parametrize("matrix", [False, True], ids=["trapezoid", "rectangle"])
+    @pytest.mark.parametrize("count", [1, 2, 20, ROW_BLOCK + 1])
+    def test_one_array_of_certified_rows(self, count, matrix):
+        # (k, n) float64 rows, k <= count, row 0 the start, each admitted
+        n = 61
+        u = GridFunction(0.4 * np.linspace(0.0, 1.0, n))
+        prob = ProblemSpec(rectangle_matrix(n) if matrix else None)
+        data = add_noise(prob.apply(u), 1e-3, "uniform-iid", 2)
+        cls = FeasibleClass(CompactumSpec("holder-norm", 1.0, a=2.0), data, prob)
+        members = sample_feasible(cls, count, 7, start=u)
+        assert isinstance(members, np.ndarray) and members.dtype == np.float64
+        assert members.ndim == 2 and 1 <= members.shape[0] <= count
+        assert members.shape[1] == n
+        assert np.array_equal(members[0], u.values)
+        assert cls.admits(*cls.residuals(members)).all()
 
 
 def one_at_a_time(cls, count, seed, start):
@@ -158,9 +174,8 @@ def one_at_a_time(cls, count, seed, start):
 
 
 def assert_same_members(got, want):
-    assert len(got) == len(want)
-    for v, w in zip(got, want):
-        assert np.array_equal(v.values, w.values)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.array([w.values for w in want]))
 
 
 CLASSES = [("sup-norm", None), ("holder-norm", 0.5), ("holder-norm", 1.0),
@@ -296,7 +311,7 @@ class TestOneVerdict:
                             NoisyData(integrate(start), 1.0))
         members = sample_feasible(cls, 60, 1, start=start)
         assert len(members) == 60
-        assert self.stricter(cls, *cls.residuals(np.array([v.values for v in members]))).all()
+        assert self.stricter(cls, *cls.residuals(members)).all()
         # the lowest-F start probe, 0.039 (1 - 1e-12) * ones, has its norm
         # above 0.999 c: the stricter rule picks zero
         data = NoisyData(GridFunction(np.full(5, 0.04)), 0.05)
@@ -325,10 +340,9 @@ class TestSupErrorEstimate:
     def test_matches_former_loop(self, count, n):
         rng = np.random.default_rng(count * n)
         recon = GridFunction(rng.normal(size=n))
-        ensemble = [GridFunction(recon.values + rng.uniform(-1e-3, 1e-3, n))
-                    for _ in range(count)]
+        ensemble = recon.values + rng.uniform(-1e-3, 1e-3, (count, n))
         est = sup_error_estimate(recon, ensemble)
-        assert est == former_sup_error_estimate(recon, ensemble)
+        assert est == former_sup_error_estimate(recon, [GridFunction(v) for v in ensemble])
         assert est == sup_error_estimate(recon, ensemble[::-1])
 
     @pytest.mark.parametrize("where", [0, 5, 9])
@@ -336,25 +350,27 @@ class TestSupErrorEstimate:
         recon = GridFunction(np.zeros(41))
         ensemble = [GridFunction(np.full(41, 0.1 * k)) for k in range(10)]
         ensemble[where] = GridFunction(np.zeros(42))
-        for estimate in (sup_error_estimate, former_sup_error_estimate):
-            with pytest.raises(ValueError, match="grid mismatch between reconstruction"):
-                estimate(recon, ensemble)
+        with pytest.raises(ValueError, match="grid mismatch between reconstruction"):
+            former_sup_error_estimate(recon, ensemble)
+        # an array's rows share one width: the whole ensemble is on another grid
+        with pytest.raises(ValueError, match="grid mismatch between reconstruction"):
+            sup_error_estimate(recon, np.full((where + 1, 42), 0.1))
 
     def test_single_member(self):
         u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
         recon = GridFunction(u.values + 0.05)
-        assert sup_error_estimate(recon, [u]) == pytest.approx(0.05, rel=1e-12)
+        assert sup_error_estimate(recon, u.values[None]) == pytest.approx(0.05, rel=1e-12)
 
     def test_includes_reconstruction(self):
         u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
         recon = GridFunction(u.values + 0.05)
-        est = sup_error_estimate(recon, [recon, u])
+        est = sup_error_estimate(recon, np.array([recon.values, u.values]))
         assert est == pytest.approx(0.05, rel=1e-12)
 
     def test_empty_rejected(self):
         u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
         with pytest.raises(ValueError, match="needs a nonempty ensemble"):
-            sup_error_estimate(u, [])
+            sup_error_estimate(u, np.empty((0, u.n)))
 
 
 class TestSinePair:

@@ -76,6 +76,9 @@ COMMANDS = (
     ("sweep-grid3x", "sweep --deltas 1e-2,1e-3,1e-4 --count 20 --grid 1923"),
     # the default ensemble count (100): candidates checked in more than one round
     ("sweep-count-default", "sweep --deltas 1e-2,1e-3"),
+    # zero misfit slack at the start element (alternating noise) and the
+    # default count: several ROW_BLOCK rounds in which few shapes can move
+    ("sweep-alt-count100", "sweep --deltas 1e-2,1e-3 --noise alternating --count 100 --grid 201"),
     # one distinct delta: no log-log slope to fit
     ("sweep-repeated-delta", "sweep --deltas 1e-2,1e-2 --grid 21 --count 3"),
     # adversary: sup (sine pairs) and lip (bump pairs), default and fixed grids
