@@ -29,8 +29,7 @@ from .grid import (NOISE_MODELS, GridFunction, NoisyData, add_noise,
                    format_float, holder_norm, integrate, read_grid_csv,
                    sup_norm, write_grid_csv)
 from .modulus import LatticeCompactum, modulus_bruteforce
-from .operators import (CompactumSpec, ProblemSpec, integration_matrix,
-                        rectangle_matrix)
+from .operators import CompactumSpec, ProblemSpec
 from .variational import (StudyRow, VariationalResult, convergence_study,
                           minimize)
 

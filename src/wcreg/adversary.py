@@ -4,7 +4,7 @@ The feasible set pairs a data constraint with an a-priori class constraint:
 
     S = {v : sup|Av - g_delta| <= delta  and  phi(v) <= c}
 
-where A is the cumulative trapezoid integral (or an explicit matrix).  Any
+where A is the cumulative sum of `ProblemSpec` (trapezoid by default).  Any
 two certified members v1, v2 of S are indistinguishable from the data, so
 half their separation sup|v1 - v2| lower-bounds the worst-case error of
 *every* reconstruction rule, linear or not.  Two constructions make that
@@ -71,7 +71,7 @@ class FeasibleClass:
 
     The class {phi <= c} is the CompactumSpec `spec`, the data tube of
     radius delta around g_delta is `data`, and the forward map A is the
-    ProblemSpec `prob` (default: the trapezoid integral).  It states the
+    ProblemSpec `prob` (default: the trapezoid rule).  It states the
     set's rules once: every residual Av - g_delta comes from `residual`, and
     every membership verdict from `admits`.
     """
@@ -79,11 +79,6 @@ class FeasibleClass:
     spec: CompactumSpec
     data: NoisyData
     prob: ProblemSpec = ProblemSpec()
-
-    def __post_init__(self):
-        if self.prob.operator is not None and self.prob.operator.shape[0] != self.n:
-            raise ValueError(f"operator matrix must be {self.n}x{self.n}, "
-                             f"got {self.prob.operator.shape}")
 
     @classmethod
     def for_zero_data(cls, spec: CompactumSpec, delta: float, n: int) -> "FeasibleClass":
@@ -392,8 +387,9 @@ def sup_error_estimate(reconstruction: GridFunction, ensemble: np.ndarray) -> fl
     """
     if len(ensemble) == 0:
         raise ValueError("sup_error_estimate needs a nonempty ensemble")
-    if ensemble.shape[1] != reconstruction.n:
-        raise ValueError("grid mismatch between reconstruction and ensemble member")
+    if ensemble.ndim != 2 or ensemble.shape[1] != reconstruction.n:
+        raise ValueError("grid mismatch between reconstruction and ensemble member: need "
+                         f"a (k, {reconstruction.n}) array, got shape {ensemble.shape}")
     return float(np.abs(reconstruction.values - ensemble).max())
 
 

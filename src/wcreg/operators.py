@@ -1,13 +1,13 @@
 """Problem descriptions: the forward operator and the constraint functional.
 
 The built-in operator is the cumulative trapezoid integration map of the
-grid module.  Note that as an n-by-n matrix it is *not* injective: the
+grid module.  Note that on the grid it is *not* injective: the
 node-alternating vector (1, -1, 1, ...) integrates to exactly zero because
 every trapezoid increment averages two neighbouring samples.  The underlying
 continuum operator is injective; the alternating direction is a discrete
 artifact, and it matters for worst-case probes (see the adversary and
-modulus modules).  Callers that need an injective grid operator can supply
-an explicit matrix, e.g. `rectangle_matrix`.
+modulus modules).  Callers that need an injective grid operator choose the
+right-rectangle rule, `ProblemSpec("rectangle")`.
 """
 
 from __future__ import annotations
@@ -18,46 +18,11 @@ import numpy as np
 
 from .grid import GridFunction, _holder_norms, _integrate_rows, holder_norm, sup_norm
 
-__all__ = [
-    "CompactumSpec",
-    "ProblemSpec",
-    "integration_matrix",
-    "rectangle_matrix",
-]
+__all__ = ["CompactumSpec", "ProblemSpec"]
 
 PHI_KINDS = ("sup-norm", "holder-norm")
-
-
-def integration_matrix(n: int) -> np.ndarray:
-    """Dense matrix of the cumulative trapezoid integral on n nodes.
-
-    Row k carries weights dx * (1/2, 1, ..., 1, 1/2) over nodes 0..k; row 0
-    is zero.  Equals `grid.integrate` in exact arithmetic, not bit for bit.
-    Each call builds a fresh array, the exact reference of the forward map
-    `ProblemSpec.apply_rows`.
-    """
-    if n < 2:
-        raise ValueError("integration matrix needs at least 2 nodes")
-    dx = 1.0 / (n - 1)
-    a = np.tri(n)
-    a *= dx
-    idx = np.arange(n)
-    a[idx, idx] = 0.5 * dx
-    a[:, 0] = 0.5 * dx
-    a[0, :] = 0.0
-    return a
-
-
-def rectangle_matrix(n: int) -> np.ndarray:
-    """Right-rectangle cumulative sum: lower triangular with dx diagonal.
-
-    Unlike the trapezoid map this matrix is injective, which makes it the
-    operator of choice for modulus-decay tests.
-    """
-    if n < 2:
-        raise ValueError("rectangle matrix needs at least 2 nodes")
-    dx = 1.0 / (n - 1)
-    return np.tril(np.full((n, n), dx), 0)
+#: the cumulative rules of `ProblemSpec`
+RULES = ("trapezoid", "rectangle")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,43 +75,29 @@ class CompactumSpec:
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """Forward operator: an explicit square matrix, or None for the built-in
-    trapezoid integration map.
+    """Forward map A: the cumulative sum of a grid function by one of RULES.
 
-    The built-in integration matrix is not injective on the grid
-    (alternating kernel, see module docstring); `rectangle_matrix` is.
+    "trapezoid" (the default) is the recurrence of `grid.integrate`, not
+    injective on the grid (alternating kernel, see module docstring).
+    "rectangle" is the right-rectangle sum y_k = dx * sum_{j<=k} v_j, which
+    is.
     """
 
-    operator: np.ndarray | None = None
+    rule: str = "trapezoid"
 
     def __post_init__(self):
-        if self.operator is not None:
-            mat = np.asarray(self.operator, dtype=float)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
-                raise ValueError("explicit operator must be a square matrix, n >= 2")
-            object.__setattr__(self, "operator", mat)
-
-    def matrix(self, n: int) -> np.ndarray:
-        if self.operator is None:
-            return integration_matrix(n)
-        if self.operator.shape[0] != n:
-            raise ValueError(
-                f"operator matrix is {self.operator.shape[0]}x{self.operator.shape[0]}, "
-                f"but the grid has {n} nodes")
-        return self.operator
+        if not (isinstance(self.rule, str) and self.rule in RULES):
+            raise ValueError(f"forward rule must be one of {RULES}, got {self.rule!r}")
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """A applied to each row of a 2-D array, the one forward map.
 
-        The built-in map runs the trapezoid recurrence along the rows; an
-        explicit matrix takes one stacked product of the rows as column
-        vectors, which gives every row the bits of its single matrix-vector
-        product `mat @ row`.
+        Either rule runs its recurrence along the rows, so each row takes
+        the floats it takes on its own and no n-by-n array is formed.
         """
-        if self.operator is None:
+        if self.rule == "trapezoid":
             return _integrate_rows(rows)
-        mat = self.matrix(rows.shape[1])
-        return (mat @ rows[:, :, None])[:, :, 0]
+        return np.cumsum(rows * (1.0 / (rows.shape[1] - 1)), axis=1)
 
     def apply(self, f: GridFunction) -> GridFunction:
         """Af: the one-row case of `apply_rows`."""

@@ -90,8 +90,10 @@ def _poly_fits(x: np.ndarray, y: np.ndarray, degrees: Sequence[int]) -> list[np.
 
 def _anchor_candidates(data: NoisyData, prob: ProblemSpec) -> np.ndarray:
     """Deterministic data-fit probes, one per row: zero, the crude
-    derivative, smoothed derivatives or least squares, and polynomial fits
-    of the crude derivative of degrees 1, 2, 3 and 5 (those up to n - 2).
+    derivative, then the smoothed derivatives of the trapezoid rule or the
+    exact O(n) inverse of the rectangle rule's recurrence, and polynomial
+    fits of the crude derivative of degrees 1, 2, 3 and 5 (those up to
+    n - 2).
 
     The polynomial probes are formed in-module by `_poly_fits`, equal to
     `Polynomial.fit(x, grad, d)(x)` without importing `numpy.polynomial`.
@@ -106,7 +108,7 @@ def _anchor_candidates(data: NoisyData, prob: ProblemSpec) -> np.ndarray:
         grad[0] = grad[1]
         grad[-1] = grad[-2]
     out.append(grad)
-    if prob.operator is None:
+    if prob.rule == "trapezoid":
         m = 1
         ladder = []
         while 3 * m <= n - 1 and m <= (n - 1) // 4 + 1:
@@ -118,7 +120,7 @@ def _anchor_candidates(data: NoisyData, prob: ProblemSpec) -> np.ndarray:
         for m in ladder:
             out.append(differentiate(data, m / (n - 1)).values)
     else:
-        out.append(np.linalg.lstsq(prob.matrix(n), g.values, rcond=None)[0])
+        out.append(np.diff(g.values, prepend=0.0) / g.spacing)
     # smooth polynomial fits of the crude derivative: the only probes with a
     # small Holder seminorm, since the others carry node-scale kinks
     out += _poly_fits(g.x, grad, [deg for deg in (1, 2, 3, 5) if deg <= n - 2])

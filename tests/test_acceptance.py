@@ -17,6 +17,7 @@ from wcreg import (CompactumSpec, FeasibleClass, GridFunction, LatticeCompactum,
                    sample_feasible, sine_pair, step_size, sup_error_estimate)
 from wcreg.cli import main
 
+from dense import rule_matrix
 from test_derivative import stencil_worst_noise
 
 
@@ -121,7 +122,7 @@ def test_criterion_6_variational_certificate():
     spec = CompactumSpec("sup-norm", 2.0)
     prob = ProblemSpec()
 
-    a_mat = prob.matrix(3)
+    a_mat = rule_matrix(prob, 3)
     levels = np.arange(-20, 21) / 10.0
     members = np.array(list(itertools.product(levels, repeat=3)))
     misfit = np.max(np.abs(members @ a_mat.T - data.g_delta.values), axis=1)

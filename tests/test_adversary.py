@@ -6,9 +6,8 @@ import pytest
 from wcreg import (AdversarialPair, CompactumSpec, FeasibleClass, GridFunction,
                    GridTooCoarseError, InfeasibleProblemError, NoisyData, ProblemSpec,
                    add_noise, bump_pair, format_float, holder_norm, integrate,
-                   is_feasible, minimize, read_pair_csv, rectangle_matrix,
-                   sample_feasible, sine_pair, sup_error_estimate, sup_norm,
-                   write_pair_csv)
+                   is_feasible, minimize, read_pair_csv, sample_feasible, sine_pair,
+                   sup_error_estimate, sup_norm, write_pair_csv)
 from wcreg.adversary import ROW_BLOCK
 from wcreg.grid import CSV_BLOCK, _csv_rows
 
@@ -49,14 +48,6 @@ class TestIsFeasible:
         cls, _ = truth_class(u, 1e-3, 1.0, phi="sup-norm")
         with pytest.raises(ValueError):
             is_feasible(GridFunction(np.zeros(12)), cls)
-
-    def test_operator_size_must_match_grid(self):
-        data = NoisyData(GridFunction.zeros(11), 0.1)
-        spec = CompactumSpec("sup-norm", 1.0)
-        with pytest.raises(ValueError, match="11x11"):
-            FeasibleClass(spec, data, ProblemSpec(rectangle_matrix(12)))
-        cls = FeasibleClass(spec, data, ProblemSpec(rectangle_matrix(11)))
-        assert is_feasible(GridFunction.zeros(11), cls).feasible
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
     def test_holder_class_needs_three_nodes(self, a):
@@ -104,7 +95,7 @@ class TestSampleFeasible:
         # (k, n) float64 rows, k <= count, row 0 the start, each admitted
         n = 61
         u = GridFunction(0.4 * np.linspace(0.0, 1.0, n))
-        prob = ProblemSpec(rectangle_matrix(n) if matrix else None)
+        prob = ProblemSpec("rectangle" if matrix else "trapezoid")
         data = add_noise(prob.apply(u), 1e-3, "uniform-iid", 2)
         cls = FeasibleClass(CompactumSpec("holder-norm", 1.0, a=2.0), data, prob)
         members = sample_feasible(cls, count, 7, start=u)
@@ -188,7 +179,7 @@ class TestSamplerMatchesOneAtATime:
     def test_noisy_data(self, phi, a, matrix):
         n = 101
         u = GridFunction(0.4 * np.linspace(0.0, 1.0, n))
-        prob = ProblemSpec(rectangle_matrix(n) if matrix else None)
+        prob = ProblemSpec("rectangle" if matrix else "trapezoid")
         data = add_noise(prob.apply(u), 1e-3, "uniform-iid", 5)
         cls = FeasibleClass(CompactumSpec(phi, 1.0, a=a), data, prob)
         for count in (1, 20, 100):
@@ -211,7 +202,7 @@ class TestSamplerMatchesOneAtATime:
         # the start's misfit is exactly delta: only shapes the operator
         # cannot see (the alternating one under the trapezoid map) can move
         n = 61
-        prob = ProblemSpec(rectangle_matrix(n) if matrix else None)
+        prob = ProblemSpec("rectangle" if matrix else "trapezoid")
         data = NoisyData(GridFunction(np.full(n, 1e-3)), 1e-3)
         cls = FeasibleClass(CompactumSpec("holder-norm", 1.0, a=2.0), data, prob)
         start = GridFunction.zeros(n)
@@ -236,30 +227,19 @@ class TestMembershipKernel:
     @pytest.mark.parametrize("matrix", [False, True], ids=["trapezoid", "rectangle"])
     def test_forward_rows_match_apply(self, matrix):
         n = 57
-        prob = ProblemSpec(rectangle_matrix(n) if matrix else None)
+        prob = ProblemSpec("rectangle" if matrix else "trapezoid")
         rows = np.random.default_rng(3).normal(size=(9, n))
         image = prob.apply_rows(rows)
         for row, got in zip(rows, image):
             assert np.array_equal(got, prob.apply(GridFunction(row)).values)
+            # each rule's recurrence on the one row
+            want = np.empty(n)
             if matrix:
-                want = rectangle_matrix(n) @ row
+                np.cumsum(row * (1.0 / (n - 1)), out=want)
             else:
-                # the former one-row recurrence of `integrate`
-                want = np.empty(n)
                 want[0] = 0.0
                 np.cumsum((row[:-1] + row[1:]) * (0.5 * (1.0 / (n - 1))), out=want[1:])
             assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 101, 641])
-    def test_explicit_operator_rows_match_single_products(self, n):
-        # the stacked product gives each row the bits of its own `mat @ row`
-        rng = np.random.default_rng(n)
-        for mat in (rectangle_matrix(n), rng.normal(size=(n, n))):
-            rows = rng.normal(size=(9, n))
-            image = ProblemSpec(mat).apply_rows(rows)
-            assert image.shape == rows.shape
-            for row, got in zip(rows, image):
-                assert np.array_equal(got, mat @ row)
 
     @pytest.mark.parametrize("phi, a", CLASSES + [("holder-norm", 1.5)],
                              ids=["sup", "a0.5", "a1", "a2", "a1.5"])
@@ -277,7 +257,7 @@ class TestMembershipKernel:
     @pytest.mark.parametrize("phi, a", CLASSES, ids=["sup", "a0.5", "a1", "a2"])
     def test_residuals_match_is_feasible(self, phi, a, matrix):
         n = 41
-        prob = ProblemSpec(rectangle_matrix(n) if matrix else None)
+        prob = ProblemSpec("rectangle" if matrix else "trapezoid")
         rng = np.random.default_rng(5)
         data = NoisyData(GridFunction(rng.uniform(-0.1, 0.1, n)), 0.05)
         cls = FeasibleClass(CompactumSpec(phi, 1.0, a=a), data, prob)
@@ -313,9 +293,10 @@ class TestOneVerdict:
         assert len(members) == 60
         assert self.stricter(cls, *cls.residuals(members)).all()
         # the lowest-F start probe, 0.039 (1 - 1e-12) * ones, has its norm
-        # above 0.999 c: the stricter rule picks zero
-        data = NoisyData(GridFunction(np.full(5, 0.04)), 0.05)
-        cls = FeasibleClass(CompactumSpec("sup-norm", 0.039), data, ProblemSpec(np.eye(5)))
+        # above 0.999 c: the stricter rule picks zero, whose misfit is 0.05
+        prob = ProblemSpec("rectangle")
+        data = NoisyData(prob.apply(GridFunction(np.full(5, 0.04))), 0.1)
+        cls = FeasibleClass(CompactumSpec("sup-norm", 0.039), data, prob)
         res = minimize(data, cls.spec, cls.prob)
         assert not res.v_delta.values.any()
         assert self.stricter(cls, res.misfit, res.phi_value)
@@ -355,6 +336,11 @@ class TestSupErrorEstimate:
         # an array's rows share one width: the whole ensemble is on another grid
         with pytest.raises(ValueError, match="grid mismatch between reconstruction"):
             sup_error_estimate(recon, np.full((where + 1, 42), 0.1))
+
+    def test_one_dimensional_row_rejected(self):
+        # one member given as a bare row: the error names the (k, n) shape
+        with pytest.raises(ValueError, match=r"need a \(k, 5\) array, got shape \(5,\)"):
+            sup_error_estimate(GridFunction.zeros(5), np.ones(5))
 
     def test_single_member(self):
         u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))

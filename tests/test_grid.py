@@ -6,11 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wcreg import (CompactumSpec, GridFunction, NoisyData,
+from wcreg import (CompactumSpec, GridFunction, NoisyData, ProblemSpec,
                    StudyRow, add_noise, format_float, holder_norm, integrate,
-                   integration_matrix, read_grid_csv, sup_norm, write_grid_csv)
+                   read_grid_csv, sup_norm, write_grid_csv)
 from wcreg.grid import (CSV_BLOCK, _csv_rows, _holder_norms, _max_pair_quotient, _pair_bands,
                         _write_table, read_csv_table)
+
+from dense import assert_matches_matrix, integration_matrix, rule_matrix
 
 
 def grid_fn(func, n):
@@ -323,6 +325,22 @@ class TestCompactumSpec:
             CompactumSpec("holder-norm", 1.0, a=2.5)
         with pytest.raises(ValueError):
             CompactumSpec("holder-norm", 0.0, a=1.5)
+
+
+class TestProblemSpec:
+    @pytest.mark.parametrize("rule", ["bogus", "Trapezoid", None, np.eye(5)],
+                             ids=["bogus", "case", "none", "matrix"])
+    def test_unknown_rule_rejected(self, rule):
+        # a matrix is refused by name, not by numpy's ambiguous truth value
+        with pytest.raises(ValueError, match=r"one of \('trapezoid', 'rectangle'\)"):
+            ProblemSpec(rule)
+
+    @pytest.mark.parametrize("rule", ["trapezoid", "rectangle"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 101, 641])
+    def test_rules_match_dense_matrices(self, rule, n):
+        prob = ProblemSpec(rule)
+        rows = np.random.default_rng(n).normal(size=(9, n))
+        assert_matches_matrix(prob.apply_rows(rows), rule_matrix(prob, n), rows)
 
 
 class TestIntegrate:

@@ -5,8 +5,10 @@ import pytest
 
 from wcreg import (CompactumSpec, FeasibleClass, GridFunction, GridTooCoarseError,
                    LatticeCompactum, PairBudgetExceededError, ProblemSpec, bump_pair,
-                   holder_norm, is_feasible, modulus_bruteforce, rectangle_matrix, sine_pair)
+                   holder_norm, is_feasible, modulus_bruteforce, sine_pair)
 from wcreg import modulus
+
+from dense import MatrixMap, rule_matrix
 
 CONST_LEVELS = tuple(np.arange(-10, 11) / 10.0)  # 21 levels in [-1, 1]
 
@@ -97,7 +99,7 @@ class TestBruteforce:
     def test_decay_with_injective_operator(self):
         spec = CompactumSpec("sup-norm", 2.0)
         lat = LatticeCompactum(3, tuple(np.linspace(-2, 2, 9)), spec)
-        prob = ProblemSpec(rectangle_matrix(3))
+        prob = ProblemSpec("rectangle")
         small, large = modulus_bruteforce(lat, (0.1, 10.0), prob)  # 0.1: below min image gap
         assert small == 0.0
         assert large == pytest.approx(4.0)
@@ -126,8 +128,8 @@ class TestBruteforce:
         cases = [
             (LatticeCompactum(4, tuple(np.linspace(-1, 1, 8)), sup), ProblemSpec()),
             (LatticeCompactum(4, tuple(np.linspace(-1, 1, 8)), sup),
-             ProblemSpec(rectangle_matrix(4))),
-            (LatticeCompactum(3, tuple(np.linspace(-1, 1, 9)), sup), ProblemSpec(dominant)),
+             ProblemSpec("rectangle")),
+            (LatticeCompactum(3, tuple(np.linspace(-1, 1, 9)), sup), MatrixMap(dominant)),
             (LatticeCompactum(4, tuple(np.linspace(-1, 1, 9)),
                               CompactumSpec("holder-norm", 1.5, a=0.5)), ProblemSpec()),
             (LatticeCompactum(3, tuple(np.linspace(-1, 1, 9)),
@@ -135,7 +137,9 @@ class TestBruteforce:
             (constants_lattice(), ProblemSpec()),
         ]
         deltas = (1e-6, 1e-3, 1e-2, 0.1, 0.5, 10.0)
-        # images by the forward map that judges the data tube everywhere
+        # images by the forward map that judges the data tube everywhere; the
+        # dominant case is a general matrix whose widest key is not the last
+        # column, read through `apply_rows` as `modulus_bruteforce` reads it
         widest_keys = []
         for lat, prob in cases:
             images = prob.apply_rows(lat.members())
@@ -149,7 +153,7 @@ class TestBruteforce:
         # default, which holds many members' windows whole
         monkeypatch.setattr(modulus, "PAIR_BLOCK", block)
         levels = tuple(np.linspace(-1, 1, 5))
-        rect = ProblemSpec(rectangle_matrix(3))
+        rect = ProblemSpec("rectangle")
         cases = [
             (LatticeCompactum(3, levels, CompactumSpec("sup-norm", 1.0)), ProblemSpec()),
             (LatticeCompactum(3, levels, CompactumSpec("sup-norm", 1.0)), rect),
@@ -161,7 +165,7 @@ class TestBruteforce:
         ]
         deltas = (1e-3, 0.05, 0.2, 0.6, 10.0)
         for lat, prob in cases:
-            assert_matches_oracle(lat, prob, lat.members() @ prob.matrix(lat.nodes).T, deltas)
+            assert_matches_oracle(lat, prob, lat.members() @ rule_matrix(prob, lat.nodes).T, deltas)
 
     def test_delta_at_a_pair_image_distance(self):
         # delta equal to a pair's float image distance is the edge case of
@@ -176,7 +180,7 @@ class TestBruteforce:
         for _ in range(400):
             lat = LatticeCompactum(2, tuple(rng.uniform(-1, 1, 2)), spec)
             members = lat.members()
-            for prob in (ProblemSpec(rng.normal(size=(2, 2))), ProblemSpec()):
+            for prob in (MatrixMap(rng.normal(size=(2, 2))), ProblemSpec()):
                 images = prob.apply_rows(members)
                 deltas = {max(float(np.max(np.abs(images[i] - images[j]))), tiny)
                           for i, j in itertools.combinations(range(len(members)), 2)}
@@ -187,7 +191,7 @@ class TestBruteforce:
         # so the scan forms all 504,284 window pairs
         spec = CompactumSpec("sup-norm", 1.0)
         lat = LatticeCompactum(4, tuple(np.linspace(-1, 1, 8)), spec)
-        prob = ProblemSpec(rectangle_matrix(4))
+        prob = ProblemSpec("rectangle")
         assert modulus_bruteforce(lat, [0.01], prob) == [0.0]
         monkeypatch.setattr(modulus, "PAIR_GUARD", 100_000)
         with pytest.raises(PairBudgetExceededError, match="give 504284 window pairs"):
