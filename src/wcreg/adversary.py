@@ -72,8 +72,8 @@ class FeasibleClass:
     The class {phi <= c} is the CompactumSpec `spec`, the data tube of
     radius delta around g_delta is `data`, and the forward map A is the
     ProblemSpec `prob` (default: the trapezoid rule).  It states the
-    set's rules once: every residual Av - g_delta comes from `residual`, and
-    every membership verdict from `admits`.
+    set's rules once: every misfit sup|Av - g_delta| comes from `misfits`,
+    and every membership verdict from `admits`.
     """
 
     spec: CompactumSpec
@@ -92,20 +92,20 @@ class FeasibleClass:
     def n(self) -> int:
         return self.data.g_delta.n
 
-    def residual(self, rows: np.ndarray) -> np.ndarray:
-        """A row - g_delta for each row of a 2-D array: the one residual."""
-        return self.prob.apply_rows(rows) - self.data.g_delta.values
+    def misfits(self, rows: np.ndarray) -> np.ndarray:
+        """sup|A row - g_delta| of each row of a 2-D array: the one misfit."""
+        return np.max(np.abs(self.prob.apply_rows(rows) - self.data.g_delta.values), axis=1)
 
     def residuals(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(misfit, norm) of each row of a 2-D array: sup|A row - g_delta|
-        and phi(row).
+        """(misfit, norm) of each row of a 2-D array: `misfits` and
+        phi(row).
 
         The one membership kernel.  Each row takes the floats it takes on
         its own (see `ProblemSpec.apply_rows` and `CompactumSpec.phi_rows`),
         so a row's verdict does not depend on the rows checked with it.
         """
         self.spec.require_nodes(self.n)
-        return np.max(np.abs(self.residual(rows)), axis=1), self.spec.phi_rows(rows)
+        return self.misfits(rows), self.spec.phi_rows(rows)
 
     def admits(self, misfit, norm):
         """The one membership verdict, misfit <= delta and norm <= c, on

@@ -80,12 +80,18 @@ def differentiate(data: NoisyData, h: float) -> GridFunction:
         raise ValueError(f"step h={h} lies below the grid spacing {g.spacing}")
     if 3 * m > n - 1:
         raise ValueError(f"step h={h} exceeds a third of the interval")
-    vals = g.values
+    return GridFunction(_quotients(g.values, m, h))
+
+
+def _quotients(vals: np.ndarray, m: int, h: float) -> np.ndarray:
+    """The quotients of `differentiate` at step h = m grid spacings, as a new
+    row; unchecked: 1 <= 3m <= n - 1 is the caller's."""
+    n = vals.size
     out = np.empty(n)
     out[m:n - m] = (vals[2 * m:] - vals[:n - 2 * m]) / (2.0 * h)
     out[:m] = (vals[2 * m:3 * m] - vals[:m]) / (2.0 * h)
     out[n - m:] = (vals[n - m:] - vals[n - 3 * m:n - 2 * m]) / (2.0 * h)
-    return GridFunction(out)
+    return out
 
 
 def error_bound(delta: float, spec: CompactumSpec, h: float) -> float:

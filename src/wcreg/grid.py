@@ -109,11 +109,12 @@ def _pair_bands(values: np.ndarray, positions: np.ndarray, power: float,
     """The Holder-quotient kernel: |v_j - v_i| / (x_j - x_i)**power over the
     node pairs i < j, scanned by offset band d = j - i.
 
-    `values` is node-major: axis 0 runs over the n nodes at the nondecreasing
-    `positions`, any further axes over independent rows.  Yields the
-    quotients q of each band d = 1, 2, ..., with q[k] that of pair
-    (k, k + d).  The caller keeps `best`, shaped like q[0], at its running
-    row maxima.
+    `values` is node-major, a transposed view or a copy: axis 0 runs over
+    the n nodes at the nondecreasing `positions`, any further axes over
+    independent rows.  Its layout changes no bit, as every operation is
+    elementwise or a maximum.  Yields the quotients q of each band
+    d = 1, 2, ..., with q[k] that of pair (k, k + d).  The caller keeps
+    `best`, shaped like q[0], at its running row maxima.
 
     Pruning: before band d the scan stops once every row has span = 0 or
     span / min_k((x_{k+d} - x_k)**power) * (1 + 1e-12) < best, with span the
@@ -150,7 +151,8 @@ def _pair_bands(values: np.ndarray, positions: np.ndarray, power: float,
 
 
 def _max_pair_quotient(values: np.ndarray, positions: np.ndarray, power: float) -> np.ndarray:
-    """Largest pair quotient of each row of node-major `values` (see `_pair_bands`)."""
+    """Largest pair quotient of each row of node-major `values`, a view or a
+    copy (see `_pair_bands`)."""
     best = np.zeros(values.shape[1:])
     for quot in _pair_bands(values, positions, power, best):
         np.maximum(best, quot.max(axis=0), out=best)
@@ -168,8 +170,12 @@ def _nodes(n: int) -> np.ndarray:
 def _holder_norms(values: np.ndarray, a: float) -> np.ndarray:
     """Discrete Holder norm (see `holder_norm`) of each row of `values`, a
     1-D row or a 2-D array of rows."""
-    # node-major, so each reduction runs along the long axis of many rows
-    vals = values if values.ndim == 1 else np.ascontiguousarray(np.moveaxis(values, -1, 0))
+    # node-major: a view, whose reductions run along each row's nodes, or a
+    # copy when rows outnumber nodes, so that numpy's inner loop takes the
+    # longer axis
+    vals = values.T
+    if vals.ndim == 2 and vals.shape[1] > vals.shape[0]:
+        vals = np.ascontiguousarray(vals)
     x = _nodes(vals.shape[0])
     sup = np.max(np.abs(vals), axis=0)
     if a <= 1.0:

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .adversary import FeasibleClass, sample_feasible, sup_error_estimate
-from .derivative import differentiate
+from .derivative import _quotients
 from .errors import InfeasibleProblemError
 from .grid import GridFunction, NoisyData, noise_pattern
 from .operators import CompactumSpec, ProblemSpec
@@ -117,8 +117,7 @@ def _anchor_candidates(data: NoisyData, prob: ProblemSpec) -> np.ndarray:
         top = (n - 1) // 4
         if top >= 1 and top not in ladder:
             ladder.append(top)
-        for m in ladder:
-            out.append(differentiate(data, m / (n - 1)).values)
+        out += [_quotients(g.values, m, m / (n - 1)) for m in ladder]
     else:
         out.append(np.diff(g.values, prepend=0.0) / g.spacing)
     # smooth polynomial fits of the crude derivative: the only probes with a
@@ -139,20 +138,26 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
     with phi > c pulled radially just inside {phi <= c}, as
     vals * (c / phi) * (1 - 1e-12); probes that fail both constraints are
     simply not selected.  The feasible set is one `FeasibleClass`: each
-    probe's misfit and phi come from its `residuals`, formed once per probe,
-    and each membership verdict is its `admits`.  So the reported misfit
-    and phi are those `is_feasible` gives the output, and F is
-    misfit + delta * phi.  The run is deterministic.  `budget` is accepted
-    and ignored: `bench/workloads.py` still passes it, and it goes when the
-    benchmark stops doing so.
+    probe's misfit comes from its `misfits` and each membership verdict is
+    its `admits`.  Every raw probe gets its phi once, from `residuals`; a
+    pulled probe gets one only inside the data tube (misfit <= delta), as
+    no pulled probe outside it can be admitted, and phi = inf otherwise.
+    So the reported misfit and phi are those `is_feasible` gives the
+    output, and F is misfit + delta * phi.  The run is deterministic.
+    `budget` is accepted and ignored: `bench/workloads.py` still passes it,
+    and it goes when the benchmark stops doing so.
     """
     cls = FeasibleClass(spec, data, prob)
     raw = _anchor_candidates(data, prob)
     misfits, phis = cls.residuals(raw)
     over = phis > spec.c
     pulled = raw[over] * (spec.c / phis[over])[:, None] * (1.0 - 1e-12)
+    pulled_misfits = cls.misfits(pulled)
+    pulled_phis = np.full(len(pulled), math.inf)
+    tube = cls.admits(pulled_misfits, 0.0)  # the misfit half of the verdict
+    pulled_phis[tube] = spec.phi_rows(pulled[tube])
     cands = np.concatenate((raw, pulled))
-    misfits, phis = map(np.concatenate, zip((misfits, phis), cls.residuals(pulled)))
+    misfits, phis = np.concatenate(((misfits, phis), (pulled_misfits, pulled_phis)), axis=1)
     f_vals = np.where(cls.admits(misfits, phis), misfits + cls.delta * phis, math.inf)
     k = int(np.argmin(f_vals))  # the first best probe
     if f_vals[k] == math.inf:

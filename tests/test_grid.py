@@ -12,7 +12,7 @@ from wcreg import (CompactumSpec, GridFunction, NoisyData, ProblemSpec,
 from wcreg.grid import (CSV_BLOCK, _csv_rows, _holder_norms, _max_pair_quotient, _pair_bands,
                         _write_table, read_csv_table)
 
-from dense import assert_matches_matrix, integration_matrix, rule_matrix
+from dense import assert_matches_matrix, rule_matrix
 
 
 def grid_fn(func, n):
@@ -315,6 +315,31 @@ class TestPhiRows:
                 assert got == spec.phi_value(GridFunction(values)), name
                 assert got == spec.phi_rows(np.stack([values, -values]))[0], name
 
+    @pytest.mark.parametrize("phi, a", [("sup-norm", None), ("holder-norm", 0.5),
+                                        ("holder-norm", 1.0), ("holder-norm", 1.3),
+                                        ("holder-norm", 1.5), ("holder-norm", 2.0)],
+                             ids=["sup", "a0.5", "a1", "a1.3", "a1.5", "a2"])
+    def test_batch_layouts_match_phi_value(self, phi, a):
+        # the Holder kernel reads fewer rows than nodes through a view and
+        # more rows than nodes from a copy; both give each row its own bits
+        spec = CompactumSpec(phi, 1.0, a=a)
+        for n in (7, 101):
+            x = np.linspace(0.0, 1.0, n)
+            smooth = [np.sin(3.0 * x), np.cos(5.0 * x), np.sin(8.0 * np.pi * x)]
+            base = [*near_tie_cases(n).values(), np.full(n, -2.5), np.zeros(n), *smooth]
+            rows = np.array(base + [-v for v in base] + [0.5 * v for v in base])
+            assert (len(rows) > n) == (n == 7)
+            want = [spec.phi_value(GridFunction(v)) for v in rows]
+            assert spec.phi_rows(rows).tobytes() == np.array(want).tobytes(), n
+            if a == 1.3 and n == 101:
+                # smooth slopes: the span prune stops each scan mid-way
+                for v in smooth:
+                    best, bands = np.zeros(()), 0
+                    for quot in _pair_bands(np.diff(v) / (x[1] - x[0]), x[:-1], 0.3, best):
+                        bands += 1
+                        np.maximum(best, quot.max(axis=0), out=best)
+                    assert 1 < bands < n - 2
+
 
 class TestCompactumSpec:
     def test_holder_validation(self):
@@ -336,11 +361,26 @@ class TestProblemSpec:
             ProblemSpec(rule)
 
     @pytest.mark.parametrize("rule", ["trapezoid", "rectangle"])
-    @pytest.mark.parametrize("n", [2, 3, 5, 101, 641])
+    @pytest.mark.parametrize("n", [2, 3, 5, 33, 101, 401, 641])
     def test_rules_match_dense_matrices(self, rule, n):
+        # the rows and their one-row images (`integrate` for the trapezoid
+        # rule) against the dense oracle, whose steps from row k to k + 1
+        # are the rule's increments dx/2 (v_k + v_k+1) or dx v_k+1
         prob = ProblemSpec(rule)
         rows = np.random.default_rng(n).normal(size=(9, n))
-        assert_matches_matrix(prob.apply_rows(rows), rule_matrix(prob, n), rows)
+        mat = rule_matrix(prob, n)
+        image = prob.apply_rows(rows)
+        assert_matches_matrix(image, mat, rows)
+        one = integrate if rule == "trapezoid" else prob.apply
+        assert np.array_equal([one(GridFunction(row)).values for row in rows], image)
+        dx, k = 1.0 / (n - 1), np.arange(n - 1)
+        steps, first = np.zeros((n - 1, n)), np.zeros(n)
+        if rule == "trapezoid":
+            steps[k, k] = steps[k, k + 1] = 0.5 * dx
+        else:
+            steps[k, k + 1] = first[0] = dx
+        assert np.array_equal(np.diff(mat, axis=0), steps)
+        assert np.array_equal(mat[0], first)
 
 
 class TestIntegrate:
@@ -386,23 +426,6 @@ class TestIntegrate:
         for _ in range(10):
             f = GridFunction(rng.normal(size=23))
             assert sup_norm(integrate(f)) <= sup_norm(f) * (1 + 1e-12)
-
-    def test_matrix_matches(self):
-        rng = np.random.default_rng(1)
-        v = rng.normal(size=101)
-        a = integration_matrix(101)
-        assert np.max(np.abs(a @ v - integrate(GridFunction(v)).values)) <= 1e-13
-
-    @pytest.mark.parametrize("n", [2, 3, 5, 401])
-    def test_matrix_build(self, n):
-        # the former build: the lower triangle of a full matrix of dx
-        dx = 1.0 / (n - 1)
-        want = np.tril(np.full((n, n), dx), 0)
-        idx = np.arange(n)
-        want[idx, idx] = 0.5 * dx
-        want[:, 0] = 0.5 * dx
-        want[0, :] = 0.0
-        assert np.array_equal(integration_matrix(n), want)
 
 
 class TestAddNoise:

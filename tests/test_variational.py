@@ -18,7 +18,7 @@ from wcreg import variational
 from wcreg.modulus import LatticeCompactum
 from wcreg.variational import _poly_fits
 
-from dense import integration_matrix, rule_matrix
+from dense import rule_matrix
 
 
 def three_node_instance(delta=0.1, c=2.0):
@@ -164,6 +164,65 @@ class TestReportedTerms:
                 assert res.misfit == check.misfit
                 assert res.phi_value == check.class_norm
                 assert res.objective_value == objective(res.v_delta, data, spec, prob)
+
+
+def full_residual_solve(data, spec, prob):
+    """The solve of minimize's probes by the former rule, which formed both
+    residuals of every pulled probe: each raw probe, then each with
+    phi > c pulled just inside, one `is_feasible` call per probe.  Returns
+    the first best probe, its (F, misfit, phi), whether it is a pulled
+    probe, and whether any pulled probe lies outside the tube; no best
+    probe when none is admitted."""
+    cls = FeasibleClass(spec, data, prob)
+    raw = list(variational._anchor_candidates(data, prob))
+    pulled = []
+    for vals in raw:
+        phi = spec.phi_value(GridFunction(vals))
+        if phi > spec.c:
+            pulled.append(vals * (spec.c / phi) * (1.0 - 1e-12))
+    checks = [is_feasible(GridFunction(v), cls) for v in raw + pulled]
+    f_vals = [c.misfit + data.delta * c.class_norm if c.feasible else math.inf
+              for c in checks]
+    outside = any(c.misfit > data.delta for c in checks[len(raw):])
+    k = f_vals.index(min(f_vals))
+    if f_vals[k] == math.inf:
+        return None, outside
+    return ((raw + pulled)[k], (f_vals[k], checks[k].misfit, checks[k].class_norm),
+            k >= len(raw)), outside
+
+
+class TestTubeRule:
+    """A pulled probe outside the data tube gets no phi: `minimize` equals
+    the solve that formed both residuals of every probe, bit for bit."""
+
+    @pytest.mark.parametrize("rule", ["trapezoid", "rectangle"])
+    def test_matches_full_residuals_of_every_probe(self, rule):
+        prob = ProblemSpec(rule)
+        wins = outside = 0
+        for (phi, a), n, delta, c, margin in itertools.product(
+                [("sup-norm", None), ("holder-norm", 0.5), ("holder-norm", 1.0),
+                 ("holder-norm", 2.0)], [7, 41, 401], [1e-1, 1e-2], [1.0, 2.0, 3.0],
+                [0.25, 0.5, 0.9]):
+            spec = CompactumSpec(phi, c, a=a)
+            u = GridFunction(0.5 + 0.4 * np.linspace(0.0, 1.0, n))
+            xi = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+            data = NoisyData(GridFunction(prob.apply(u).values + margin * delta * xi), delta)
+            best, out = full_residual_solve(data, spec, prob)
+            outside += out
+            case = (phi, a, n, delta, c, margin)
+            if best is None:
+                with pytest.raises(InfeasibleProblemError):
+                    minimize(data, spec, prob)
+                continue
+            vals, terms, pulled = best
+            wins += pulled
+            res = minimize(data, spec, prob)
+            assert res.v_delta.values.tobytes() == vals.tobytes(), case
+            assert (res.objective_value, res.misfit, res.phi_value) == terms, case
+        # the grid reaches both sides of the rule: a pulled probe wins, and
+        # pulled probes outside the tube are skipped
+        assert wins > 0
+        assert outside > 0
 
 
 def former_anchor_candidates(data, spec, prob):
@@ -356,12 +415,6 @@ class TestModulusBridge:
 
 
 class TestIntegrationMatrixConsistency:
-    def test_builtin_matrix_equals_integrate(self):
-        rng = np.random.default_rng(12)
-        v = rng.normal(size=33)
-        a = integration_matrix(33)
-        assert np.max(np.abs(a @ v - integrate(GridFunction(v)).values)) <= 1e-13
-
     @pytest.mark.parametrize("rule", ["trapezoid", "rectangle"])
     def test_memory_is_linear_in_n(self, rule):
         # a solve and an ensemble at n = 20,001 stay within 400 n floats;
