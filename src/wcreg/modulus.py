@@ -8,8 +8,8 @@ enumeration on small lattice compacta judged as `adversary` judges
 membership: all members at once, phi by `CompactumSpec.phi_rows` and images
 by the one forward map `ProblemSpec.apply_rows`.
 
-One call serves all deltas of a command: one sort, then one scan of nested
-key windows ring by ring, each pair formed once, under one pair guard.
+One call serves all deltas: one sort, then one scan of nested key windows,
+ring by ring and offset by offset over contiguous slices, under one guard.
 """
 
 from __future__ import annotations
@@ -25,16 +25,15 @@ __all__ = ["LatticeCompactum", "modulus_bruteforce"]
 
 PAIR_GUARD = 10_000_000
 MEMBER_GUARD = 2_000_000
-#: window pairs per block of the brute-force scan
+#: most pairs one step of the brute-force scan forms
 PAIR_BLOCK = 4096
 
 
-def _node_max_abs_diff(table: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """max over the rows of a node-major table of |table[:, j] - table[:, i]|."""
-    out = np.abs(table[0, j] - table[0, i])
-    for row in table[1:]:
-        np.maximum(out, np.abs(row[j] - row[i]), out=out)
-    return out
+def _band_max_abs_diff(table: np.ndarray, a: int, n: int, d: int, g: int) -> np.ndarray:
+    """Node maxima of |table[:, i + d + u] - table[:, i]|, u < g, a <= i < a + n, (u, i)-major."""
+    s0, s1 = table.strides  # a strided view; numpy checks it against the table's buffer
+    later = np.ndarray((len(table), g, n), table.dtype, table, (a + d) * s1, (s0, s1, s1))
+    return np.abs(later - table[:, None, a:a + n]).max(axis=0).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,18 +85,19 @@ def modulus_bruteforce(compactum: LatticeCompactum, deltas, prob: ProblemSpec) -
     and member i meets only later members with key <= fl(key_i + 2 delta).
     That window holds every pair the test max|image_i - image_j| <= delta
     accepts: fl(|key_j - key_i|) <= delta gives an exact difference of at
-    most delta (1 + 2**-53) <= 2 delta, and rounding is monotone.  A window
-    of key_i + delta is not one: it misses pairs at distance delta itself.
-    The windows of ascending deltas nest, so ring r, window r less window
-    r - 1, holds pairs that pass only at delta_r and above.  Rings are scanned in
-    blocks of PAIR_BLOCK pairs: image test, then the separation of the pairs
-    within the largest delta, which raises omega at each delta they meet.
-    Each pair gives the same floats as in an all-pairs scan, so each omega
-    is bit for bit the all-pairs maximum.  A ring stops once its omega
-    reaches the widest node range, as every larger delta has then.  PAIR_GUARD
-    bounds the pairs of the whole call, so it can stop several deltas where
-    one call per delta would pass: when inner rings hold many pairs short of
-    the widest range.
+    most delta (1 + 2**-53) <= 2 delta, and rounding is monotone (key_i +
+    delta would miss pairs at distance delta).  Ring r, window r less window
+    r - 1, holds pairs that pass only at delta_r and above.  Its band d, the
+    pairs (i, i + d) from the first to the last row whose window reaches d,
+    is read by slices of the inf-padded tables, PAIR_BLOCK pairs a step at
+    most; its pairs outside ring r are real pairs too, so each omega is bit
+    for bit the all-pairs maximum.  A ring stops once its omega reaches the
+    widest node range, as every larger delta has then.  A delta at or above
+    the widest image range passes every pair, as fl(|x - y|) <= fl(max - min),
+    and takes no ring.  As each band starts, PAIR_GUARD is checked against the
+    window pairs of the rings and bands before it, so it can refuse deltas
+    that each pass alone.  Band d follows every window pair of offset below
+    d, d (d - 1) / 2 or more: no ring passes band sqrt(2 PAIR_GUARD) + 1.
     """
     for delta in deltas:
         if not delta > 0.0:
@@ -114,38 +114,37 @@ def modulus_bruteforce(compactum: LatticeCompactum, deltas, prob: ProblemSpec) -
     k = np.argmax(spread)
     order = np.argsort(images[:, k], kind="stable")
     test = spread > 0.0  # a column of zero spread rejects no pair
-    test[k] = True
-    # node-major copies: one contiguous row per node
-    members_t, images_t = members[order].T.copy(), images[order][:, test].T.copy()
-    key = images_t[np.count_nonzero(test[:k])]
-    widest = float(np.max(np.ptp(members_t, axis=1)))
-    omega = [0.0] * len(ds)
-    lo, scanned, window = np.arange(1, m + 1), 0, 0  # ring 0 starts after the member
-    for r, delta in enumerate(ds):
-        hi = np.searchsorted(key, key + 2.0 * delta, side="right")
-        counts = hi - lo
-        firsts = np.cumsum(counts) - counts  # index of each member's first ring pair
-        total = int(firsts[-1] + counts[-1])
-        window += total  # pairs of window r
-        for start in range(0, total, PAIR_BLOCK):
-            if omega[r] >= widest:
-                break
-            if scanned >= PAIR_GUARD:
+    table = np.full((compactum.nodes + np.count_nonzero(test), m + min(PAIR_BLOCK, m)), np.inf)
+    for row, column in zip(table, [*members.T, *images.T[test]]):
+        row[:m] = column[order]
+    members_t, images_t, key = table[:compactum.nodes], table[compactum.nodes:], images[order, k]
+    widest = float(np.max(np.ptp(members_t[:, :m], axis=1)))
+    scan = sum(delta < spread[k] for delta in ds)  # deltas below the widest image range
+    omega = [0.0] * scan + [widest] * (len(ds) - scan)
+    rows, start = np.arange(m), np.ones(m, dtype=int)
+    for r in range(scan):
+        reach = np.searchsorted(key, key + 2.0 * ds[r], side="right") - rows
+        head, tail = np.maximum.accumulate(reach), np.maximum.accumulate(reach[::-1])
+        d, a, stop = int(np.min(start, where=reach > start, initial=m)), 0, int(head[-1])
+        # before[d]: the window pairs before band d, fewer than m * stop in all
+        before = None if m * stop <= PAIR_GUARD else np.sum(start) - m + np.cumsum(np.cumsum(
+            np.bincount(start + 1, minlength=stop + 2) - np.bincount(reach + 1)))
+        while d < stop and omega[r] < widest:
+            if a == 0 and before is not None and before[d] >= PAIR_GUARD:
                 raise PairBudgetExceededError(
-                    f"{m} feasible members give {window} window pairs; {scanned} scanned "
-                    f"without reaching the widest range, at the {PAIR_GUARD} guard")
-            stop = min(start + PAIR_BLOCK, total)
-            rows = np.arange(np.searchsorted(firsts, start, side="right") - 1,
-                             np.searchsorted(firsts, stop, side="left"))
-            take = np.minimum(firsts[rows] + counts[rows], stop) - np.maximum(firsts[rows], start)
-            i = np.repeat(rows, take)
-            j = lo[i] + np.arange(start, stop) - firsts[i]
-            dist = _node_max_abs_diff(images_t, i, j)
-            ok = dist <= ds[-1]
-            if ok.any():
-                dist, sep = dist[ok], _node_max_abs_diff(members_t, i[ok], j[ok])
-                for q in range(r, len(ds)):
+                    f"{m} feasible members give {reach.sum() - m} window pairs; {before[d]}"
+                    f" scanned without reaching the widest range, at the {PAIR_GUARD} guard")
+            first, end = int(head.searchsorted(d, "right")), m - int(tail.searchsorted(d, "right"))
+            g, a = min(max(1, PAIR_BLOCK // (end - first)), stop - d), max(a, first)
+            n = min(end - a, PAIR_BLOCK)
+            dist = _band_max_abs_diff(images_t, a, n, d, g)
+            if dist.min() <= ds[scan - 1]:
+                # only pairs within the largest delta and above omega[r] raise an omega
+                sep = _band_max_abs_diff(members_t, a, n, d, g)
+                hot = np.flatnonzero((sep > omega[r]) & (dist <= ds[scan - 1]))
+                sep, dist = sep[hot], dist[hot]
+                for q in range(r, scan):
                     omega[q] = max(omega[q], float(np.max(sep, where=dist <= ds[q], initial=0.0)))
-            scanned += stop - start
-        lo = hi
+            d, a = (d + g, 0) if a + n == end else (d, a + n)
+        start = reach
     return [omega[ds.index(d)] for d in deltas]

@@ -155,7 +155,8 @@ def minimize(data: NoisyData, spec: CompactumSpec, prob: ProblemSpec,
     pulled_misfits = cls.misfits(pulled)
     pulled_phis = np.full(len(pulled), math.inf)
     tube = cls.admits(pulled_misfits, 0.0)  # the misfit half of the verdict
-    pulled_phis[tube] = spec.phi_rows(pulled[tube])
+    if tube.any():  # often none is; the kernel has a fixed cost even on no rows
+        pulled_phis[tube] = spec.phi_rows(pulled[tube])
     cands = np.concatenate((raw, pulled))
     misfits, phis = np.concatenate(((misfits, phis), (pulled_misfits, pulled_phis)), axis=1)
     f_vals = np.where(cls.admits(misfits, phis), misfits + cls.delta * phis, math.inf)

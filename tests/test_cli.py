@@ -326,7 +326,7 @@ class TestModulusCommand:
 
     def test_default_lattice(self, tmp_path):
         # 9,261 members give 42,878,430 member pairs, above the pair guard,
-        # but the scan reaches the widest range within its first block
+        # but the scan reaches the widest range within its first step
         out = tmp_path / "out"
         assert run_cli("modulus", "--deltas", "0.5", "--out", str(out)) == 0
         _, rows, _ = read_csv_table(out / "modulus.csv")

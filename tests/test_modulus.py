@@ -8,7 +8,7 @@ from wcreg import (CompactumSpec, FeasibleClass, GridFunction, GridTooCoarseErro
                    holder_norm, is_feasible, modulus_bruteforce, sine_pair)
 from wcreg import modulus
 
-from dense import MatrixMap, rule_matrix
+from dense import MatrixMap, assert_matches_matrix, rule_matrix
 
 CONST_LEVELS = tuple(np.arange(-10, 11) / 10.0)  # 21 levels in [-1, 1]
 
@@ -48,6 +48,29 @@ def assert_matches_oracle(lat, prob, images, deltas):
     shuffled = np.random.default_rng(len(asc)).permutation(asc).tolist()
     for order in (asc, asc[::-1], shuffled, shuffled + shuffled[:1]):
         assert modulus_bruteforce(lat, order, prob) == [oracle[d] for d in order]
+
+
+def window(lat, prob, delta):
+    """The window pairs of the members sorted by key, one boolean per pair
+    (i, j), i < j: key_j <= fl(key_i + 2 delta)."""
+    images = prob.apply_rows(lat.members())
+    key = np.sort(images[:, np.argmax(np.ptp(images, axis=0))], kind="stable")
+    return np.triu(key[None, :] <= key[:, None] + 2.0 * delta, 1)
+
+
+def assert_stops_at_a_band(exc, inner, outer, guard):
+    """The guard stopped ring `outer` less `inner` as one of its bands
+    started: it counted every pair of `inner`, then the ring's pairs at the
+    offsets below that band, and first reached `guard` there.  On a lattice
+    of at most PAIR_BLOCK members a step holds at most PAIR_BLOCK pairs, so
+    the count lies less than that past the guard.  The message counts the
+    pairs of `outer`, the window of the ring it stopped in."""
+    i, j = np.nonzero(outer & ~inner)
+    starts = int(np.sum(inner)) + np.cumsum(np.bincount(j - i))
+    head = f"give {np.sum(outer)} window pairs; "
+    assert head in str(exc)
+    scanned = int(str(exc).split(head)[1].split()[0])
+    assert scanned in starts and guard <= scanned < guard + modulus.PAIR_BLOCK
 
 
 class TestLatticeCompactum:
@@ -149,23 +172,65 @@ class TestBruteforce:
 
     @pytest.mark.parametrize("block", [1, 3, 4096])
     def test_block_scan_matches_all_pairs_oracle(self, monkeypatch, block):
-        # blocks of 1 and 3 pairs end inside members' windows; 4096 is the
-        # default, which holds many members' windows whole
+        # steps of 1 and 3 pairs end inside bands and inside members'
+        # windows; at 4096, the default, narrow spans take several bands a
+        # step and the strided view reads the inf padding past the last member
         monkeypatch.setattr(modulus, "PAIR_BLOCK", block)
-        levels = tuple(np.linspace(-1, 1, 5))
-        rect = ProblemSpec("rectangle")
+        levels, sup = tuple(np.linspace(-1, 1, 5)), CompactumSpec("sup-norm", 1.0)
+        rect, trap = ProblemSpec("rectangle"), ProblemSpec()
         cases = [
-            (LatticeCompactum(3, levels, CompactumSpec("sup-norm", 1.0)), ProblemSpec()),
-            (LatticeCompactum(3, levels, CompactumSpec("sup-norm", 1.0)), rect),
-            (LatticeCompactum(3, levels, CompactumSpec("holder-norm", 1.5, a=0.5)), rect),
+            (LatticeCompactum(3, levels, sup), trap, ()),
+            (LatticeCompactum(3, levels, CompactumSpec("holder-norm", 1.5, a=0.5)), rect, ()),
             (LatticeCompactum(3, tuple(np.linspace(-1, 1, 7)),
-                              CompactumSpec("holder-norm", 1.5, a=2.0)), ProblemSpec()),
+                              CompactumSpec("holder-norm", 1.5, a=2.0)), trap, ()),
             (LatticeCompactum(3, tuple(np.linspace(-1, 1, 7)),
-                              CompactumSpec("holder-norm", 1.5, a=2.0)), rect),
+                              CompactumSpec("holder-norm", 1.5, a=2.0)), rect, ()),
+            # nearly equal deltas: most members' second ring is empty
+            (LatticeCompactum(3, levels, sup), rect, (0.05 + 1e-9, 0.2 + 1e-9)),
+            # m = 2
+            (LatticeCompactum(3, (-1.0, 1.0), sup, constants_only=True), trap, ()),
+            # duplicate keys: the trapezoid map gives mirrored 2-node members
+            # one image; constants share every key column but the last
+            (LatticeCompactum(2, tuple(np.linspace(-1, 1, 7)), sup), trap, ()),
+            (constants_lattice(), trap, ()),
         ]
-        deltas = (1e-3, 0.05, 0.2, 0.6, 10.0)
+        for lat, prob, extra in cases:
+            # the images the scan reads, the dense rule's to rounding; on the
+            # constants lattice 0.05 and 0.2 are pair distances, where the
+            # matrix product's bits differ, so the oracle takes these
+            images = prob.apply_rows(lat.members())
+            assert_matches_matrix(images, rule_matrix(prob, lat.nodes), lat.members())
+            top = float(np.max(np.ptp(images, axis=0)))
+            # 0.3 and 0.6 of the image range: windows from the middle reach
+            # the last member; 10 takes no ring
+            deltas = (1e-3, 0.05, 0.2, 0.3 * top, 0.6 * top, 10.0) + extra
+            assert_matches_oracle(lat, prob, images, deltas)
+
+    def test_delta_at_the_image_range(self, monkeypatch):
+        # a delta at or above the widest image range passes every pair, as
+        # fl(|x - y|) <= fl(max - min), so it takes no ring; one ulp below
+        # it, it takes one
+        sup = CompactumSpec("sup-norm", 1.0)
+        cases = [
+            (LatticeCompactum(3, tuple(np.linspace(-1, 1, 5)), sup), ProblemSpec("rectangle")),
+            (LatticeCompactum(4, tuple(np.linspace(-1, 1, 9)),
+                              CompactumSpec("holder-norm", 1.5, a=0.5)), ProblemSpec()),
+            (LatticeCompactum(3, tuple(np.random.default_rng(5).uniform(-1, 1, 6)), sup),
+             MatrixMap(np.random.default_rng(6).normal(size=(3, 3)))),
+        ]
         for lat, prob in cases:
-            assert_matches_oracle(lat, prob, lat.members() @ rule_matrix(prob, lat.nodes).T, deltas)
+            members = lat.members()
+            images = prob.apply_rows(members)
+            top = float(np.max(np.ptp(images, axis=0)))
+            below = float(np.nextafter(top, 0.0))
+            assert_matches_oracle(lat, prob, images, (below, top))
+            widest = float(np.max(np.ptp(members, axis=0)))
+            with monkeypatch.context() as patch:
+                # no pair may be formed, yet the range and above read widest
+                patch.setattr(modulus, "PAIR_GUARD", 0)
+                assert modulus_bruteforce(lat, [2.0 * top, top], prob) == [widest, widest]
+                with pytest.raises(PairBudgetExceededError, match="; 0 scanned"):
+                    modulus_bruteforce(lat, [top, below], prob)
 
     def test_delta_at_a_pair_image_distance(self):
         # delta equal to a pair's float image distance is the edge case of
@@ -188,33 +253,82 @@ class TestBruteforce:
 
     def test_pair_guard(self, monkeypatch):
         # the rectangle map is injective: omega stays below the widest range,
-        # so the scan forms all 504,284 window pairs
+        # so the scan tests all 504,284 window pairs; the guard counts each
+        # once, though a band's span also forms pairs outside the window
         spec = CompactumSpec("sup-norm", 1.0)
         lat = LatticeCompactum(4, tuple(np.linspace(-1, 1, 8)), spec)
         prob = ProblemSpec("rectangle")
+        narrow, wide = window(lat, prob, 1e-3), window(lat, prob, 0.01)
+        assert np.sum(wide) == 504_284
         assert modulus_bruteforce(lat, [0.01], prob) == [0.0]
+        # a guard of exactly the window pairs passes: it is checked before
+        # the last band, short of them, although the spans form about 1.9
+        # times as many pairs (so at the full guard the 4 x 12 lattice, with
+        # 8,605,674 window pairs at 0.01, passes too)
+        monkeypatch.setattr(modulus, "PAIR_GUARD", 504_284)
+        assert modulus_bruteforce(lat, [0.01], prob) == [0.0]
+        assert modulus_bruteforce(lat, [1e-3, 0.01], prob) == [0.0, 0.0]
         monkeypatch.setattr(modulus, "PAIR_GUARD", 100_000)
-        with pytest.raises(PairBudgetExceededError, match="give 504284 window pairs"):
+        with pytest.raises(PairBudgetExceededError) as info:
             modulus_bruteforce(lat, [0.01], prob)
+        assert_stops_at_a_band(info.value, np.zeros_like(wide), wide, 100_000)
         # the guard bounds the pairs of the whole call; the message counts
-        # the window of the delta whose ring it stopped in
-        with pytest.raises(PairBudgetExceededError, match="give 504284 window pairs; 10"):
+        # the window of the delta whose ring it stopped in.  Key groups lie
+        # more than 0.02 apart, so the window of 1e-3 is that of 0.01 and
+        # the call stops in the ring of 1e-3
+        assert np.array_equal(narrow, wide)
+        with pytest.raises(PairBudgetExceededError, match="give 504284 window pairs; 10") as info:
             modulus_bruteforce(lat, [0.01, 1e-3, 0.01], prob)
+        assert_stops_at_a_band(info.value, np.zeros_like(wide), narrow, 100_000)
         # under the trapezoid map the lattice has 8,107,398 window pairs at
-        # delta 0.5, but the scan reaches the widest range in its first block
+        # delta 0.5, but the scan reaches the widest range in its first step
+        assert np.sum(window(lat, ProblemSpec(), 0.5)) == 8_107_398
+        monkeypatch.setattr(modulus, "PAIR_GUARD", 1)
         assert modulus_bruteforce(lat, [0.5], ProblemSpec()) == [2.0]
-        # rings are scanned from the smallest delta up: the 0.3 window,
-        # scanned whole (42,239 pairs), leaves too little of this guard for
-        # the 8,192 pairs the ring of 2 needs, though each delta alone passes
+        # rings are scanned from the smallest delta up: the 0.3 ring, below
+        # the widest range and so scanned whole (49,749 pairs), leaves too
+        # little of this guard for the ring of 1.5, though each delta alone
+        # passes
         lat = LatticeCompactum(4, tuple(np.linspace(-1, 1, 9)),
                                CompactumSpec("holder-norm", 1.5, a=0.5))
-        monkeypatch.setattr(modulus, "PAIR_GUARD", 45_000)
-        assert modulus_bruteforce(lat, [0.3], prob) == [1.0]
-        assert modulus_bruteforce(lat, [2.0], prob) == [2.0]
-        with pytest.raises(PairBudgetExceededError, match="; 46335 scanned"):
-            modulus_bruteforce(lat, [2.0, 0.3], prob)
+        trap = ProblemSpec()
+        inner, outer = window(lat, trap, 0.3), window(lat, trap, 1.5)
+        assert np.sum(inner) == 49_749
+        monkeypatch.setattr(modulus, "PAIR_GUARD", 66_000)
+        assert modulus_bruteforce(lat, [0.3], trap) == [1.25]
+        assert modulus_bruteforce(lat, [1.5], trap) == [2.0]
+        with pytest.raises(PairBudgetExceededError) as info:
+            modulus_bruteforce(lat, [1.5, 0.3], trap)
+        assert_stops_at_a_band(info.value, inner, outer, 66_000)
         monkeypatch.undo()
-        assert modulus_bruteforce(lat, [2.0, 0.3], prob) == [2.0, 1.0]
+        assert modulus_bruteforce(lat, [1.5, 0.3], trap) == [2.0, 1.25]
+
+    def test_bands_reach_a_pair_the_rows_reach_late(self, monkeypatch):
+        # taken row by row in key order, as a row-by-row scan takes them,
+        # the window pairs of this 3 x 12 lattice hold 77,430 pairs before
+        # the first at the widest range, far above this 20,000 guard; by
+        # offset, the bands meet one early, and the call passes the guard
+        lat = LatticeCompactum(3, tuple(np.linspace(-1, 1, 12)), CompactumSpec("sup-norm", 1.0))
+        prob, delta = ProblemSpec(), 0.05
+        members = lat.members()
+        images = prob.apply_rows(members)
+        k = int(np.argmax(np.ptp(images, axis=0)))
+        order = np.argsort(images[:, k], kind="stable")
+        members, images = members[order], images[order]
+        widest = np.max(np.ptp(members, axis=0))
+        before = 0
+        for i in range(len(members)):
+            later = np.arange(i + 1, np.searchsorted(images[:, k], images[i, k] + 2.0 * delta,
+                                                     side="right"))
+            hit = np.flatnonzero((np.max(np.abs(images[later] - images[i]), axis=1) <= delta)
+                                 & (np.max(np.abs(members[later] - members[i]), axis=1) == widest))
+            if hit.size:
+                before += int(hit[0])
+                break
+            before += len(later)
+        assert before == 77_430
+        monkeypatch.setattr(modulus, "PAIR_GUARD", 20_000)
+        assert_matches_oracle(lat, prob, prob.apply_rows(lat.members()), (delta,))
 
     def test_empty_and_nonpositive_deltas(self, monkeypatch):
         def refuse(self):
