@@ -123,6 +123,6 @@ def regularize(data: NoisyData, spec: CompactumSpec) -> RegularizerOutput:
     m = max(1, int(round(h_ideal / dx)))
     m = min(m, (n - 1) // 3)
     h = m / (n - 1)
-    u = differentiate(data, h)
+    u = GridFunction(_quotients(g.values, m, h))
     return RegularizerOutput(u, h, error_bound(data.delta, spec, h))
 

@@ -301,18 +301,27 @@ def write_grid_csv(f: GridFunction, path: str | Path) -> None:
     _write_table(path, "x,value", np.column_stack((f.x, f.values)))
 
 
-def _scan_table(path: str | Path) -> tuple[list[str], list[tuple[int, str]], dict[str, float]]:
-    """Header cells, numbered data lines and `# key=value` metadata of a CSV file.
+def _read_table(path: str | Path, columns: str | None = None
+                ) -> tuple[list[str], np.ndarray, dict[str, float]]:
+    """Header cells, float64 rows and `# key=value` metadata of a CSV file,
+    read in one pass.
 
     The rules of every CSV reader: blank lines are skipped.  A line starting
     with `#` is a comment; when it reads `key=value` with a float value it
     is a metadata entry, otherwise it is ignored.  The first other line is
-    the header, its cells stripped of spaces and lower-cased; every later
-    line is a data line.
+    the header, its cells stripped of spaces and lower-cased, and must read
+    `columns` when that is given.  Every later line is a data line: the
+    first must have as many cells as the header, every later one as many as
+    the first, and every cell must be a float.  The error for the first data
+    line that breaks a rule names the file and the line.  Each data line's
+    floats go straight into one float64 buffer, so a read holds the text,
+    one string per line and the table.
     """
+    from array import array  # loaded by a read only, not by `import wcreg`
+
     header: list[str] = []
-    lines: list[tuple[int, str]] = []
     meta: dict[str, float] = {}
+    cells, first = array("d"), 0  # the table so far; line number of its first row
     for number, ln in enumerate(Path(path).read_text().splitlines(), start=1):
         ln = ln.strip()
         if not ln:
@@ -325,52 +334,37 @@ def _scan_table(path: str | Path) -> tuple[list[str], list[tuple[int, str]], dic
                 pass  # a plain comment: no `=`, or no number after it
         elif not header:
             header = [c.strip().lower() for c in ln.split(",")]
+            if columns is not None and header != columns.split(","):
+                break
         else:
-            lines.append((number, ln))
-    return header, lines, meta
-
-
-def _parse_rows(path: str | Path, lines: list[tuple[int, str]],
-                header: list[str]) -> list[list[float]]:
-    """Float cells of the numbered data lines of `_scan_table`.  The first
-    line must have as many cells as the `header`, every later line as many
-    as the first, and every cell must be a float; the error for the first
-    line that breaks a rule names the file and the line."""
-    rows: list[list[float]] = []
-    for number, ln in lines:
-        cells = ln.split(",")
-        if rows and len(cells) != len(rows[0]):
-            raise ValueError(f"{path}: line {number} has {len(cells)} cells, "
-                             f"line {lines[0][0]} has {len(rows[0])}")
-        if not rows and len(cells) != len(header):
-            raise ValueError(f"{path}: line {number} has {len(cells)} cells, "
-                             f"the header has {len(header)}")
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {number}: {exc}") from None
-    return rows
+            row = ln.split(",")
+            if len(row) != len(header):
+                against = f"line {first}" if first else "the header"
+                raise ValueError(f"{path}: line {number} has {len(row)} cells, "
+                                 f"{against} has {len(header)}")
+            try:
+                cells.extend(map(float, row))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {number}: {exc}") from None
+            first = first or number
+    if columns is not None and header != columns.split(","):
+        raise ValueError(f"{path}: expected header '{columns}'")
+    return header, np.frombuffer(cells).reshape(-1, len(header) or 1), meta
 
 
 def read_csv_table(path: str | Path) -> tuple[list[str], list[list[float]], dict[str, float]]:
-    """Header, float rows and metadata of any emitted table (see `_scan_table`
-    and `_parse_rows`); the rows must have as many cells as the header."""
-    header, lines, meta = _scan_table(path)
-    return header, _parse_rows(path, lines, header), meta
+    """Header, float rows and metadata of any emitted table (see `_read_table`)."""
+    header, rows, meta = _read_table(path)
+    return header, rows.tolist(), meta
 
 
 def _read_grid_table(path: str | Path, columns: str) -> tuple[np.ndarray, dict[str, float]]:
     """Rows and metadata of a grid file with header `columns`, at least two
-    rows as wide as the header (see `_parse_rows`) and the uniform grid on
-    [0, 1] as its x column."""
-    header, lines, meta = _scan_table(path)
-    if header != columns.split(","):
-        raise ValueError(f"{path}: expected header '{columns}'")
-    rows = _parse_rows(path, lines, header)
-    if len(rows) < 2:
+    rows (see `_read_table`) and the uniform grid on [0, 1] as its x column."""
+    header, data, meta = _read_table(path, columns)
+    if len(data) < 2:
         count = {2: "two", 3: "three"}[len(header)]
         raise ValueError(f"{path}: expected {count} columns and at least two rows")
-    data = np.array(rows)
     if np.max(np.abs(data[:, 0] - np.linspace(0.0, 1.0, data.shape[0]))) > 1e-12:
         raise ValueError(f"{path}: x column is not the uniform grid on [0, 1]")
     return data, meta

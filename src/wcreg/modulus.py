@@ -109,15 +109,15 @@ def modulus_bruteforce(compactum: LatticeCompactum, deltas, prob: ProblemSpec) -
     m = members.shape[0]
     if m < 2:
         return [0.0] * len(deltas)
-    images = prob.apply_rows(members)
-    spread = np.ptp(images, axis=0)
+    images = prob.apply_rows(members).T.copy()  # node-major: row j is image node j
+    spread = np.ptp(images, axis=1)
     k = np.argmax(spread)
-    order = np.argsort(images[:, k], kind="stable")
+    order = np.argsort(images[k], kind="stable")
     test = spread > 0.0  # a column of zero spread rejects no pair
     table = np.full((compactum.nodes + np.count_nonzero(test), m + min(PAIR_BLOCK, m)), np.inf)
-    for row, column in zip(table, [*members.T, *images.T[test]]):
+    for row, column in zip(table, [*members.T, *images[test]]):
         row[:m] = column[order]
-    members_t, images_t, key = table[:compactum.nodes], table[compactum.nodes:], images[order, k]
+    members_t, images_t, key = table[:compactum.nodes], table[compactum.nodes:], images[k, order]
     widest = float(np.max(np.ptp(members_t[:, :m], axis=1)))
     scan = sum(delta < spread[k] for delta in ds)  # deltas below the widest image range
     omega = [0.0] * scan + [widest] * (len(ds) - scan)
@@ -126,11 +126,11 @@ def modulus_bruteforce(compactum: LatticeCompactum, deltas, prob: ProblemSpec) -
         reach = np.searchsorted(key, key + 2.0 * ds[r], side="right") - rows
         head, tail = np.maximum.accumulate(reach), np.maximum.accumulate(reach[::-1])
         d, a, stop = int(np.min(start, where=reach > start, initial=m)), 0, int(head[-1])
-        # before[d]: the window pairs before band d, fewer than m * stop in all
-        before = None if m * stop <= PAIR_GUARD else np.sum(start) - m + np.cumsum(np.cumsum(
+        # before[d]: the window pairs before band d
+        before = np.sum(start) - m + np.cumsum(np.cumsum(
             np.bincount(start + 1, minlength=stop + 2) - np.bincount(reach + 1)))
         while d < stop and omega[r] < widest:
-            if a == 0 and before is not None and before[d] >= PAIR_GUARD:
+            if a == 0 and before[d] >= PAIR_GUARD:
                 raise PairBudgetExceededError(
                     f"{m} feasible members give {reach.sum() - m} window pairs; {before[d]}"
                     f" scanned without reaching the widest range, at the {PAIR_GUARD} guard")

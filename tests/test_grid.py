@@ -526,6 +526,21 @@ class TestCsv:
         assert rows == [[1.0, 2.0], [3.0, 4.0]]
         assert meta == {"slope": -0.5}
 
+    @pytest.mark.parametrize("text, table, message", [
+        ("", ([], [], {}), "expected header 'x,value'"),
+        ("# a=1\n# note\n\n", ([], [], {"a": 1.0}), "expected header 'x,value'"),
+        ("# a=1\n X , Value \n# b=2\n", (["x", "value"], [], {"a": 1.0, "b": 2.0}),
+         "expected two columns and at least two rows"),
+    ], ids=["empty", "comments-only", "header-only"])
+    def test_files_without_rows(self, tmp_path, text, table, message):
+        # the table reader returns no rows; the grid reader names what is missing
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        assert read_csv_table(path) == table
+        with pytest.raises(ValueError) as info:
+            read_grid_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
     @pytest.mark.parametrize("text, message", [
         ("a,b\n1,2\n3\n4,5,6\n", "line 3 has 1 cells, line 2 has 2"),
         ("a,b\n1,2\n\n3,4,5\n", "line 4 has 3 cells, line 2 has 2"),
@@ -606,6 +621,19 @@ class TestCsvRows:
         finally:
             tracemalloc.stop()
         assert peak < 3 * table_bytes
+
+    def test_grid_file_read_memory(self, tmp_path):
+        # a read holds the text, one string per line and the float64 table;
+        # a Python float per cell, in a list per row, peaked near 9x the file
+        path = tmp_path / "f.csv"
+        write_grid_csv(GridFunction(np.random.default_rng(7).normal(size=100_001)), path)
+        tracemalloc.start()
+        try:
+            read_grid_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * path.stat().st_size
 
     def test_grid_file_bytes(self, tmp_path):
         f = GridFunction(np.random.default_rng(6).normal(size=101) * math.pi)
