@@ -23,9 +23,9 @@ bound concrete:
 
 `sample_feasible` populates an ensemble of certified members around a known
 feasible element: one float64 array whose rows are the members, row 0 the
-start.  Each round draws up to ROW_BLOCK shapes, steps along each shape with
-misfit room by 0.9 * min(slack / gain) over the misfit and the norm, and
-certifies all candidates with one row-wise membership test.
+start.  Each round draws up to ROW_BLOCK shapes, steps along each shape by
+0.9 * min(slack / gain) over the misfit and the norm, and certifies all
+candidates with one row-wise membership test.
 `sup_error_estimate` turns an ensemble into a certified lower bound on the
 worst-case error of a given reconstruction.
 """
@@ -148,7 +148,9 @@ def is_feasible(v: GridFunction, cls: FeasibleClass) -> FeasibilityCheck:
     return FeasibilityCheck(cls.admits(mis, norm), mis, norm)
 
 
-def _assemble_pair(v1: GridFunction, v2: GridFunction, cls: FeasibleClass) -> AdversarialPair:
+def _assemble_pair(v2: GridFunction, cls: FeasibleClass) -> AdversarialPair:
+    """The pair (g_delta, v2) of a class on zero data, both members certified."""
+    v1 = cls.data.g_delta
     c1 = is_feasible(v1, cls)
     c2 = is_feasible(v2, cls)
     if not (c1.feasible and c2.feasible):
@@ -202,7 +204,7 @@ def sine_pair(bound: float, delta: float, n: int | None = None) -> AdversarialPa
     x = np.linspace(0.0, 1.0, n)
     v2 = GridFunction(bound * np.sin(2.0 * math.pi * k * x))
     try:
-        return _assemble_pair(GridFunction.zeros(n), v2, cls)
+        return _assemble_pair(v2, cls)
     except InfeasibleProblemError as exc:
         raise GridTooCoarseError(
             f"grid with {n} nodes leaves the sinusoid image above delta: {exc}") from exc
@@ -252,7 +254,7 @@ def bump_pair(bound: float, delta: float, n: int | None = None) -> AdversarialPa
     for shave in _SHAVE_LADDER:
         v2 = GridFunction(height * (1.0 - shave) * profile)
         try:  # the first rung whose bump certifies makes the pair
-            return _assemble_pair(GridFunction.zeros(n), v2, cls)
+            return _assemble_pair(v2, cls)
         except InfeasibleProblemError:
             pass
     raise InfeasibleProblemError(
@@ -329,14 +331,14 @@ def sample_feasible(cls: FeasibleClass, count: int, seed: int | np.random.SeedSe
 
     Attempts run in rounds.  A round draws the next count - k attempts, at
     most ROW_BLOCK and at most the attempts left of 30 * count + 100.  It
-    takes the image gains sup|A shape| from one `apply_rows` call, and the
-    norm gains phi(shape) from one `phi_rows` call over the shapes with
-    misfit room (misfit slack / image gain > 0, a gain of 0 giving inf): a
-    shape without room gets no step whatever its norm.  The triangle
-    inequality caps the step at t = 0.9 * min(misfit slack / image gain,
-    norm slack / norm gain); a shape is live when t is positive and finite,
-    and its candidate is start + sign * (t * frac) * shape.  All live
-    candidates are checked with one row-wise membership test
+    takes the image gains sup|A shape| from one `apply_rows` call and the
+    norm gains phi(shape) from one `phi_rows` call, both over every shape
+    drawn.  The triangle inequality caps the step at t = 0.9 *
+    min(misfit slack / image gain, norm slack / norm gain), a gain of 0
+    giving inf.  A shape is live when t is positive and finite (a shape
+    without misfit room has t = 0), and a live shape's candidate is
+    start + sign * (t * frac) * shape.  The live candidates, none or all,
+    are checked with one row-wise membership test
     (`FeasibleClass.residuals`); a rejected one halves its step and is
     checked again, up to 40 times.  The accepted candidates join in attempt
     order.  So every member passes the full membership test, no draw
@@ -368,16 +370,13 @@ def sample_feasible(cls: FeasibleClass, count: int, seed: int | np.random.SeedSe
             signs[i] = 1.0 if rng.uniform() < 0.5 else -1.0
             fracs[i] = rng.uniform(0.2, 1.0)
         image = _ratios(misfit_slack, np.max(np.abs(cls.prob.apply_rows(shapes)), axis=1))
-        room = image > 0.0
-        norm = np.full(size, math.inf)
-        norm[room] = _ratios(norm_slack, cls.spec.phi_rows(shapes[room]))
+        norm = _ratios(norm_slack, cls.spec.phi_rows(shapes))
         t = 0.9 * np.minimum(image, norm)
         live = (t > 0.0) & np.isfinite(t)
-        if live.any():
-            accepted = _accepted_rows(cls, start.values, shapes[live],
-                                      signs[live] * (t[live] * fracs[live]))
-            members[got:got + len(accepted)] = accepted
-            got += len(accepted)
+        accepted = _accepted_rows(cls, start.values, shapes[live],
+                                  signs[live] * (t[live] * fracs[live]))
+        members[got:got + len(accepted)] = accepted
+        got += len(accepted)
     return members[:got]
 
 

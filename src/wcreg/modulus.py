@@ -9,7 +9,8 @@ membership: all members at once, phi by `CompactumSpec.phi_rows` and images
 by the one forward map `ProblemSpec.apply_rows`.
 
 One call serves all deltas: one sort, then one scan of nested key windows,
-ring by ring and offset by offset over contiguous slices, under one guard.
+ring by ring and one offset band a step over contiguous slices, with one
+guard checked before every band.
 """
 
 from __future__ import annotations
@@ -27,13 +28,6 @@ PAIR_GUARD = 10_000_000
 MEMBER_GUARD = 2_000_000
 #: most pairs one step of the brute-force scan forms
 PAIR_BLOCK = 4096
-
-
-def _band_max_abs_diff(table: np.ndarray, a: int, n: int, d: int, g: int) -> np.ndarray:
-    """Node maxima of |table[:, i + d + u] - table[:, i]|, u < g, a <= i < a + n, (u, i)-major."""
-    s0, s1 = table.strides  # a strided view; numpy checks it against the table's buffer
-    later = np.ndarray((len(table), g, n), table.dtype, table, (a + d) * s1, (s0, s1, s1))
-    return np.abs(later - table[:, None, a:a + n]).max(axis=0).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,15 +83,16 @@ def modulus_bruteforce(compactum: LatticeCompactum, deltas, prob: ProblemSpec) -
     delta would miss pairs at distance delta).  Ring r, window r less window
     r - 1, holds pairs that pass only at delta_r and above.  Its band d, the
     pairs (i, i + d) from the first to the last row whose window reaches d,
-    is read by slices of the inf-padded tables, PAIR_BLOCK pairs a step at
-    most; its pairs outside ring r are real pairs too, so each omega is bit
-    for bit the all-pairs maximum.  A ring stops once its omega reaches the
-    widest node range, as every larger delta has then.  A delta at or above
-    the widest image range passes every pair, as fl(|x - y|) <= fl(max - min),
-    and takes no ring.  As each band starts, PAIR_GUARD is checked against the
-    window pairs of the rings and bands before it, so it can refuse deltas
-    that each pass alone.  Band d follows every window pair of offset below
-    d, d (d - 1) / 2 or more: no ring passes band sqrt(2 PAIR_GUARD) + 1.
+    is read by contiguous slices of the sorted node-major tables, one band
+    and at most PAIR_BLOCK pairs a step; its pairs outside ring r are real
+    pairs too, so each omega is bit for bit the all-pairs maximum.  A ring
+    stops once its omega reaches the widest node range, as every larger
+    delta has then.  A delta at or above the widest image range passes every
+    pair, as fl(|x - y|) <= fl(max - min), and takes no ring.  Before every
+    band, PAIR_GUARD is checked against the window pairs of the rings and
+    bands before it, so it can refuse deltas that each pass alone.  Band d
+    follows every window pair of offset below d, d (d - 1) / 2 or more: no
+    ring passes band sqrt(2 PAIR_GUARD) + 1.
     """
     for delta in deltas:
         if not delta > 0.0:
@@ -114,37 +109,37 @@ def modulus_bruteforce(compactum: LatticeCompactum, deltas, prob: ProblemSpec) -
     k = np.argmax(spread)
     order = np.argsort(images[k], kind="stable")
     test = spread > 0.0  # a column of zero spread rejects no pair
-    table = np.full((compactum.nodes + np.count_nonzero(test), m + min(PAIR_BLOCK, m)), np.inf)
-    for row, column in zip(table, [*members.T, *images[test]]):
-        row[:m] = column[order]
-    members_t, images_t, key = table[:compactum.nodes], table[compactum.nodes:], images[k, order]
-    widest = float(np.max(np.ptp(members_t[:, :m], axis=1)))
+    members_t = np.take(members.T, order, axis=1)  # C-contiguous; a bare [:, order] is F-ordered
+    images_t, key = np.take(images[test], order, axis=1), images[k, order]
+    widest = float(np.max(np.ptp(members_t, axis=1)))
     scan = sum(delta < spread[k] for delta in ds)  # deltas below the widest image range
     omega = [0.0] * scan + [widest] * (len(ds) - scan)
     rows, start = np.arange(m), np.ones(m, dtype=int)
     for r in range(scan):
         reach = np.searchsorted(key, key + 2.0 * ds[r], side="right") - rows
         head, tail = np.maximum.accumulate(reach), np.maximum.accumulate(reach[::-1])
-        d, a, stop = int(np.min(start, where=reach > start, initial=m)), 0, int(head[-1])
+        stop = int(head[-1])
         # before[d]: the window pairs before band d
         before = np.sum(start) - m + np.cumsum(np.cumsum(
             np.bincount(start + 1, minlength=stop + 2) - np.bincount(reach + 1)))
-        while d < stop and omega[r] < widest:
-            if a == 0 and before[d] >= PAIR_GUARD:
+        for d in range(int(np.min(start, where=reach > start, initial=m)), stop):
+            if omega[r] >= widest:
+                break
+            if before[d] >= PAIR_GUARD:
                 raise PairBudgetExceededError(
                     f"{m} feasible members give {reach.sum() - m} window pairs; {before[d]}"
                     f" scanned without reaching the widest range, at the {PAIR_GUARD} guard")
             first, end = int(head.searchsorted(d, "right")), m - int(tail.searchsorted(d, "right"))
-            g, a = min(max(1, PAIR_BLOCK // (end - first)), stop - d), max(a, first)
-            n = min(end - a, PAIR_BLOCK)
-            dist = _band_max_abs_diff(images_t, a, n, d, g)
-            if dist.min() <= ds[scan - 1]:
-                # only pairs within the largest delta and above omega[r] raise an omega
-                sep = _band_max_abs_diff(members_t, a, n, d, g)
-                hot = np.flatnonzero((sep > omega[r]) & (dist <= ds[scan - 1]))
-                sep, dist = sep[hot], dist[hot]
-                for q in range(r, scan):
-                    omega[q] = max(omega[q], float(np.max(sep, where=dist <= ds[q], initial=0.0)))
-            d, a = (d + g, 0) if a + n == end else (d, a + n)
+            for a in range(first, end, PAIR_BLOCK):
+                b = min(a + PAIR_BLOCK, end)
+                dist = np.abs(images_t[:, a + d:b + d] - images_t[:, a:b]).max(axis=0)
+                if dist.min() <= ds[scan - 1]:
+                    # only pairs within the largest delta and above omega[r] raise an omega
+                    sep = np.abs(members_t[:, a + d:b + d] - members_t[:, a:b]).max(axis=0)
+                    hot = np.flatnonzero((sep > omega[r]) & (dist <= ds[scan - 1]))
+                    sep, dist = sep[hot], dist[hot]
+                    for q in range(r, scan):
+                        omega[q] = max(omega[q],
+                                       float(np.max(sep, where=dist <= ds[q], initial=0.0)))
         start = reach
     return [omega[ds.index(d)] for d in deltas]

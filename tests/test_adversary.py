@@ -8,6 +8,7 @@ from wcreg import (AdversarialPair, CompactumSpec, FeasibleClass, GridFunction,
                    add_noise, bump_pair, format_float, holder_norm, integrate,
                    is_feasible, minimize, read_pair_csv, sample_feasible, sine_pair,
                    sup_error_estimate, sup_norm, write_pair_csv)
+from wcreg import adversary
 from wcreg.adversary import ROW_BLOCK
 from wcreg.grid import CSV_BLOCK, _csv_rows
 
@@ -82,6 +83,12 @@ class TestSampleFeasible:
         a = sample_feasible(cls, 25, 3, start=u)
         b = sample_feasible(cls, 25, 3, start=u)
         assert np.array_equal(a, b)
+
+    def test_negative_count_rejected(self):
+        u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
+        cls, _ = truth_class(u, 1e-3, 1.0, a=2.0)
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            sample_feasible(cls, -1, 0, start=u)
 
     def test_infeasible_start_raises(self):
         u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
@@ -359,6 +366,13 @@ class TestSupErrorEstimate:
             sup_error_estimate(u, np.empty((0, u.n)))
 
 
+@pytest.mark.parametrize("construct", [sine_pair, bump_pair], ids=["sine", "bump"])
+@pytest.mark.parametrize("bound, delta", [(0.0, 0.1), (-1.0, 0.1), (1.0, 0.0), (1.0, -1e-3)])
+def test_pair_needs_positive_bound_and_delta(construct, bound, delta):
+    with pytest.raises(ValueError, match="bound and delta must be positive"):
+        construct(bound, delta, n=641)
+
+
 class TestSinePair:
     def test_delta_001(self):
         pair = sine_pair(1.0, 0.01)
@@ -442,6 +456,16 @@ class TestBumpPair:
         with pytest.raises(GridTooCoarseError,
                            match="bound=1e-300 and delta=1e-300 underflow the bump height"):
             bump_pair(1e-300, 1e-300)
+
+    def test_shave_ladder_exhausted(self, monkeypatch):
+        # this bump certifies only at the third rung, 1e-12; a ladder of its
+        # first rung alone, or of its first two, leaves it uncertified
+        assert bump_pair(0.3, 1.0, 21).separation == 0.15 * (1.0 - 1e-12)
+        for ladder in ((0.0,), (0.0, 1e-15)):
+            monkeypatch.setattr(adversary, "_SHAVE_LADDER", ladder)
+            with pytest.raises(InfeasibleProblemError, match="bump construction failed to "
+                               r"certify for bound=0.3, delta=1.0, n=21"):
+                bump_pair(0.3, 1.0, 21)
 
     def test_sqrt_delta_scaling(self):
         deltas = np.array([1e-2, 1e-3, 1e-4, 1e-5])

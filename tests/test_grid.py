@@ -320,8 +320,8 @@ class TestPhiRows:
                                         ("holder-norm", 1.5), ("holder-norm", 2.0)],
                              ids=["sup", "a0.5", "a1", "a1.3", "a1.5", "a2"])
     def test_batch_layouts_match_phi_value(self, phi, a):
-        # the Holder kernel reads fewer rows than nodes through a view and
-        # more rows than nodes from a copy; both give each row its own bits
+        # the Holder kernel reads a batch through a transposed view, with
+        # fewer rows than nodes or more; each row keeps the bits it takes alone
         spec = CompactumSpec(phi, 1.0, a=a)
         for n in (7, 101):
             x = np.linspace(0.0, 1.0, n)
@@ -350,6 +350,11 @@ class TestCompactumSpec:
             CompactumSpec("holder-norm", 1.0, a=2.5)
         with pytest.raises(ValueError):
             CompactumSpec("holder-norm", 0.0, a=1.5)
+
+    def test_unknown_phi_rejected(self):
+        with pytest.raises(ValueError, match=r"phi must be one of \('sup-norm', "
+                           r"'holder-norm'\), got 'l2'"):
+            CompactumSpec("l2", 1.0)
 
 
 class TestProblemSpec:

@@ -62,8 +62,8 @@ def assert_stops_at_a_band(exc, inner, outer, guard):
     """The guard stopped ring `outer` less `inner` as one of its bands
     started: it counted every pair of `inner`, then the ring's pairs at the
     offsets below that band, and first reached `guard` there.  On a lattice
-    of at most PAIR_BLOCK members a step holds at most PAIR_BLOCK pairs, so
-    the count lies less than that past the guard.  The message counts the
+    of at most PAIR_BLOCK members a band holds fewer than PAIR_BLOCK pairs,
+    so the count lies less than that past the guard.  The message counts the
     pairs of `outer`, the window of the ring it stopped in."""
     i, j = np.nonzero(outer & ~inner)
     starts = int(np.sum(inner)) + np.cumsum(np.bincount(j - i))
@@ -90,6 +90,13 @@ class TestLatticeCompactum:
             keep = [holder_norm(GridFunction(row), a) <= spec.c for row in grid]
             assert 9 < sum(keep) < len(grid)
             assert np.array_equal(lat.members(), grid[keep])
+
+    def test_too_few_nodes_or_levels(self):
+        spec = CompactumSpec("sup-norm", 1.0)
+        with pytest.raises(ValueError, match="lattice needs at least 2 nodes"):
+            LatticeCompactum(1, (0.0, 1.0), spec)
+        with pytest.raises(ValueError, match="lattice needs at least one level"):
+            LatticeCompactum(3, (), spec)
 
     def test_enumeration_guard(self):
         lat = LatticeCompactum(7, tuple(np.linspace(-1, 1, 15)), CompactumSpec("sup-norm", 1.0))
@@ -173,8 +180,7 @@ class TestBruteforce:
     @pytest.mark.parametrize("block", [1, 3, 4096])
     def test_block_scan_matches_all_pairs_oracle(self, monkeypatch, block):
         # steps of 1 and 3 pairs end inside bands and inside members'
-        # windows; at 4096, the default, narrow spans take several bands a
-        # step and the strided view reads the inf padding past the last member
+        # windows; at 4096, the default, each band is one step
         monkeypatch.setattr(modulus, "PAIR_BLOCK", block)
         levels, sup = tuple(np.linspace(-1, 1, 5)), CompactumSpec("sup-norm", 1.0)
         rect, trap = ProblemSpec("rectangle"), ProblemSpec()
@@ -285,23 +291,40 @@ class TestBruteforce:
         assert np.sum(window(lat, ProblemSpec(), 0.5)) == 8_107_398
         monkeypatch.setattr(modulus, "PAIR_GUARD", 1)
         assert modulus_bruteforce(lat, [0.5], ProblemSpec()) == [2.0]
-        # rings are scanned from the smallest delta up: the 0.3 ring, below
-        # the widest range and so scanned whole (49,749 pairs), leaves too
-        # little of this guard for the ring of 1.5, though each delta alone
-        # passes
+        # the guard is checked before every band: on the 4 x 9 Holder
+        # lattice the ring of 0.3, below the widest range and so scanned
+        # whole, passes a guard of its 49,749 window pairs, and the ring of
+        # 1.5, alone or after that of 0.3, first passes a guard of 68,006
         lat = LatticeCompactum(4, tuple(np.linspace(-1, 1, 9)),
                                CompactumSpec("holder-norm", 1.5, a=0.5))
         trap = ProblemSpec()
-        inner, outer = window(lat, trap, 0.3), window(lat, trap, 1.5)
-        assert np.sum(inner) == 49_749
-        monkeypatch.setattr(modulus, "PAIR_GUARD", 66_000)
+        assert np.sum(window(lat, trap, 0.3)) == 49_749
+        monkeypatch.setattr(modulus, "PAIR_GUARD", 49_749)
         assert modulus_bruteforce(lat, [0.3], trap) == [1.25]
+        monkeypatch.setattr(modulus, "PAIR_GUARD", 68_005)
+        for deltas in ([1.5], [1.5, 0.3]):
+            with pytest.raises(PairBudgetExceededError, match="; 68005 scanned"):
+                modulus_bruteforce(lat, deltas, trap)
+        monkeypatch.setattr(modulus, "PAIR_GUARD", 68_006)
         assert modulus_bruteforce(lat, [1.5], trap) == [2.0]
-        with pytest.raises(PairBudgetExceededError) as info:
-            modulus_bruteforce(lat, [1.5, 0.3], trap)
-        assert_stops_at_a_band(info.value, inner, outer, 66_000)
-        monkeypatch.undo()
         assert modulus_bruteforce(lat, [1.5, 0.3], trap) == [2.0, 1.25]
+        # rings are scanned from the smallest delta up, and each counts every
+        # pair of the rings before it.  On this 3 x 7 Holder lattice the
+        # 5,493 window pairs of 0.05 leave too little of a 7,600 guard for
+        # the ring of 0.2, though each delta alone passes
+        lat = LatticeCompactum(3, tuple(np.linspace(-1, 1, 7)),
+                               CompactumSpec("holder-norm", 3.0, a=0.5))
+        inner, outer = window(lat, trap, 0.05), window(lat, trap, 0.2)
+        assert np.sum(inner) == 5_493
+        four_thirds = lat.levels[6] - lat.levels[2]  # the widest pair within 0.05
+        monkeypatch.setattr(modulus, "PAIR_GUARD", 7_600)
+        assert modulus_bruteforce(lat, [0.05], trap) == [four_thirds]
+        assert modulus_bruteforce(lat, [0.2], trap) == [2.0]
+        with pytest.raises(PairBudgetExceededError) as info:
+            modulus_bruteforce(lat, [0.2, 0.05], trap)
+        assert_stops_at_a_band(info.value, inner, outer, 7_600)
+        monkeypatch.undo()
+        assert modulus_bruteforce(lat, [0.2, 0.05], trap) == [2.0, four_thirds]
 
     def test_bands_reach_a_pair_the_rows_reach_late(self, monkeypatch):
         # taken row by row in key order, as a row-by-row scan takes them,

@@ -53,6 +53,8 @@ FILES = {
     "wide.csv": "x,value\n0,0,1\n0.5,0.125,1\n1,0.5,1\n",
     "cell.csv": "x,value\n0,0\n0.5,abc\n1,0.5\n",
     "config.txt": "seed = 4\ndeltas = 1e-2,1e-3\na = 1.5\nm = 2\ncount = 12\ngrid = 201\n",
+    # its second line has no `=`
+    "no-equals.txt": "seed = 4\ncount 12\n",
 }
 
 #: (name, arguments after `wcreg`); every line writes into ./out
@@ -139,6 +141,8 @@ COMMANDS = (
     # next to a narrow one on the default lattice
     ("mod-unsorted-dup", "modulus --lattice-nodes 4 --levels 8 --deltas 1e-3,0.5,1e-2,0.5"),
     ("mod-wide-narrow", "modulus --deltas 0.5,1e-3"),
+    # one level: the lattice has a single member, and omega is 0 at every delta
+    ("mod-one-member", "modulus --levels 1 --deltas 0.5,0.1"),
     # rejected command lines: exit 2 (configuration) and 3 (runtime)
     ("bad-no-delta", "differentiate"),
     ("bad-diff-a", "differentiate --delta 1e-3 --a 1"),
@@ -184,6 +188,8 @@ COMMANDS = (
     ("bad-mod-guard", "modulus --levels 41 --lattice-nodes 4 --deltas 0.5"),
     ("bad-delta", "modulus --deltas 0.5,-1"),
     ("bad-flag-type", "sweep --deltas 1e-2,1e-3 --grid many"),
+    ("bad-config-missing", "sweep --deltas 1e-2,1e-3 --config missing.txt"),
+    ("bad-config-line", "sweep --deltas 1e-2,1e-3 --config no-equals.txt"),
     # infinite bounds pass the sign rules and are rejected after them
     ("bad-diff-delta-inf", "differentiate --delta inf"),
     ("bad-diff-m-inf", "differentiate --delta 1e-3 --m inf"),
