@@ -8,8 +8,8 @@ just the one true solution.  The package provides:
   trapezoid integration operator, bounded noise injection;
 * `derivative` - stable numerical differentiation of noisy data with the
   step rule h ~ delta**(1/a) and the certified bound delta/h + m*h**(a-1);
-* `adversary` - feasible-set membership, certified ensembles, and the pair
-  constructions showing which classes admit no uniform reconstruction;
+* `adversary` - feasible-set membership and the pair constructions showing
+  which classes admit no uniform reconstruction;
 * `variational` - constrained minimization of sup|Av-g| + delta*phi(v) over
   a compactum, with the near-minimizer certificate 2*(1+phi(u))*delta;
 * `modulus` - modulus of continuity of the inverse operator, exact by
@@ -19,8 +19,7 @@ just the one true solution.  The package provides:
 
 from .adversary import (AdversarialPair, FeasibleClass, FeasibilityCheck,
                         PairCertificate, bump_pair, is_feasible, read_pair_csv,
-                        sample_feasible, sine_pair, sup_error_estimate,
-                        write_pair_csv)
+                        sine_pair, write_pair_csv)
 from .derivative import (RegularizerOutput, differentiate, error_bound,
                          regularize, step_size)
 from .errors import (ConfigError, GridTooCoarseError, InfeasibleProblemError,

@@ -1,4 +1,4 @@
-"""Feasible-set probes and worst-case error estimation.
+"""Feasible-set membership and lower bounds on the worst-case error.
 
 The feasible set pairs a data constraint with an a-priori class constraint:
 
@@ -21,13 +21,8 @@ bound concrete:
   grid-snapped triangle bump of height ~ sqrt(delta*bound/2) is feasible,
   so the class diameter shrinks like sqrt(delta) rather than staying flat.
 
-`sample_feasible` populates an ensemble of certified members around a known
-feasible element: one float64 array whose rows are the members, row 0 the
-start.  Each round draws up to ROW_BLOCK shapes, steps along each shape by
-0.9 * min(slack / gain) over the misfit and the norm, and certifies all
-candidates with one row-wise membership test.
-`sup_error_estimate` turns an ensemble into a certified lower bound on the
-worst-case error of a given reconstruction.
+A single member helps too: when the truth u lies in S, sup|R(g_delta) - u|
+is a lower bound on the worst-case error of the reconstruction R over S.
 """
 
 from __future__ import annotations
@@ -52,8 +47,6 @@ __all__ = [
     "PairCertificate",
     "AdversarialPair",
     "is_feasible",
-    "sample_feasible",
-    "sup_error_estimate",
     "sine_pair",
     "bump_pair",
     "write_pair_csv",
@@ -259,139 +252,6 @@ def bump_pair(bound: float, delta: float, n: int | None = None) -> AdversarialPa
             pass
     raise InfeasibleProblemError(
         f"bump construction failed to certify for bound={bound}, delta={delta}, n={n}")
-
-
-# ---------------------------------------------------------------------------
-# ensembles
-
-
-#: most candidate rows that one round of `sample_feasible` checks together;
-#: it keeps a round's transient arrays at O(ROW_BLOCK * n) whatever the count
-ROW_BLOCK = 64
-
-
-def _draw_shape(rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
-    """One perturbation profile on the nodes `x` from the fixed dictionary.
-
-    The draws (kind, then its parameters) happen in a fixed order on every
-    attempt, so the ensemble is a pure function of the seed.
-    """
-    kind = int(rng.integers(0, 5))
-    if kind == 0:
-        k = int(rng.integers(1, 9))
-        return np.sin(2.0 * math.pi * k * x)
-    if kind == 1:
-        k = int(rng.integers(1, 9))
-        return np.cos(2.0 * math.pi * k * x)
-    if kind == 2:
-        c = rng.uniform(0.25, 0.75)
-        w = rng.uniform(0.05, 0.25)
-        return np.maximum(0.0, 1.0 - np.abs(x - c) / w)
-    if kind == 3:
-        # node-alternating profile: invisible to the trapezoid integral
-        return np.where(np.arange(x.size) % 2 == 0, 1.0, -1.0)
-    return np.ones(x.size)
-
-
-def _ratios(slack: float, gains: np.ndarray) -> np.ndarray:
-    """slack / gain for each gain, inf where the gain is 0; a quotient
-    beyond the float range is inf without a warning, as in Python."""
-    with np.errstate(over="ignore"):
-        return np.divide(slack, gains, out=np.full(gains.shape, math.inf), where=gains != 0.0)
-
-
-def _accepted_rows(cls: FeasibleClass, base: np.ndarray, shapes: np.ndarray,
-                   steps: np.ndarray) -> np.ndarray:
-    """The candidates base + steps[k] * shapes[k] that pass the membership
-    test, in row order.  All pending rows are checked in one kernel call; a
-    rejected row halves its step and is checked again, 40 checks at most."""
-    accepted = np.zeros(len(shapes), dtype=bool)
-    out = np.empty(shapes.shape)
-    todo = np.arange(len(shapes))
-    for _ in range(40):
-        rows = base + steps[todo, None] * shapes[todo]
-        ok = cls.admits(*cls.residuals(rows))
-        out[todo[ok]] = rows[ok]
-        accepted[todo[ok]] = True
-        todo = todo[~ok]
-        if todo.size == 0:
-            break
-        steps[todo] *= 0.5
-    return out[accepted]
-
-
-def sample_feasible(cls: FeasibleClass, count: int, seed: int | np.random.SeedSequence,
-                    start: GridFunction) -> np.ndarray:
-    """Up to `count` certified members of S around a feasible start element,
-    as the rows of a (k, n) float64 array, k <= count.
-
-    The start element must pass the membership test, else
-    InfeasibleProblemError; row 0 is the start element, and count = 0 gives
-    shape (0, n).  Each attempt draws a shape, a sign and a scale fraction.
-
-    Attempts run in rounds.  A round draws the next count - k attempts, at
-    most ROW_BLOCK and at most the attempts left of 30 * count + 100.  It
-    takes the image gains sup|A shape| from one `apply_rows` call and the
-    norm gains phi(shape) from one `phi_rows` call, both over every shape
-    drawn.  The triangle inequality caps the step at t = 0.9 *
-    min(misfit slack / image gain, norm slack / norm gain), a gain of 0
-    giving inf.  A shape is live when t is positive and finite (a shape
-    without misfit room has t = 0), and a live shape's candidate is
-    start + sign * (t * frac) * shape.  The live candidates, none or all,
-    are checked with one row-wise membership test
-    (`FeasibleClass.residuals`); a rejected one halves its step and is
-    checked again, up to 40 times.  The accepted candidates join in attempt
-    order.  So every member passes the full membership test, no draw
-    depends on an outcome, and each row takes the floats it takes alone: a
-    seed gives exactly the members of checking one attempt at a time.
-    """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    chk = is_feasible(start, cls)
-    if not chk.feasible:
-        raise InfeasibleProblemError(
-            "no feasible point found: start element has "
-            f"misfit {chk.misfit} (delta {cls.delta}) and norm {chk.class_norm} "
-            f"(bound {cls.spec.c})")
-    members = np.empty((count, cls.n))
-    if count == 0:
-        return members
-    members[0] = start.values
-    rng = np.random.default_rng(seed)
-    x = np.linspace(0.0, 1.0, cls.n)
-    misfit_slack, norm_slack = cls.delta - chk.misfit, cls.spec.c - chk.class_norm
-    got, attempts, max_attempts = 1, 0, 30 * count + 100
-    while got < count and attempts < max_attempts:
-        size = min(count - got, max_attempts - attempts, ROW_BLOCK)
-        attempts += size
-        shapes, signs, fracs = np.empty((size, cls.n)), np.empty(size), np.empty(size)
-        for i in range(size):
-            shapes[i] = _draw_shape(rng, x)
-            signs[i] = 1.0 if rng.uniform() < 0.5 else -1.0
-            fracs[i] = rng.uniform(0.2, 1.0)
-        image = _ratios(misfit_slack, np.max(np.abs(cls.prob.apply_rows(shapes)), axis=1))
-        norm = _ratios(norm_slack, cls.spec.phi_rows(shapes))
-        t = 0.9 * np.minimum(image, norm)
-        live = (t > 0.0) & np.isfinite(t)
-        accepted = _accepted_rows(cls, start.values, shapes[live],
-                                  signs[live] * (t[live] * fracs[live]))
-        members[got:got + len(accepted)] = accepted
-        got += len(accepted)
-    return members[:got]
-
-
-def sup_error_estimate(reconstruction: GridFunction, ensemble: np.ndarray) -> float:
-    """max over the rows v of a (k, n) ensemble of sup|reconstruction - v|.
-
-    A certified *lower* bound on the true worst-case error (the supremum
-    runs over the whole infinite class); members are assumed certified.
-    """
-    if len(ensemble) == 0:
-        raise ValueError("sup_error_estimate needs a nonempty ensemble")
-    if ensemble.ndim != 2 or ensemble.shape[1] != reconstruction.n:
-        raise ValueError("grid mismatch between reconstruction and ensemble member: need "
-                         f"a (k, {reconstruction.n}) array, got shape {ensemble.shape}")
-    return float(np.abs(reconstruction.values - ensemble).max())
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@ class ExperimentConfig(NamedTuple):
     phi: str = "sup-norm"
     noise: str = "uniform-iid"
     class_kind: str = "sup"
+    # read by no command: bench/workloads.py still passes `sweep --count`
     count: int = 100
     mode: str = "bruteforce"
     levels: int = 21

@@ -12,8 +12,8 @@ whenever the true coefficient u is known (any point below that threshold is
 an acceptable near-minimizer: the infimum itself is at most
 (1 + phi(u)) * delta because u is feasible).  The probes do not always
 reach it; the `variational` command warns for each row that misses it.
-`convergence_study` sweeps the noise level and records how the
-reconstruction error and an ensemble worst-case estimate shrink together.
+`convergence_study` sweeps the noise level and records how the objective
+and the reconstruction error against the truth shrink together.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .adversary import FeasibleClass, sample_feasible, sup_error_estimate
+from .adversary import FeasibleClass
 from .derivative import _quotients
 from .errors import InfeasibleProblemError
 from .grid import GridFunction, NoisyData, noise_pattern
@@ -54,7 +54,6 @@ class StudyRow(NamedTuple):
     phi: float
     objective: float
     sup_err_truth: float
-    sup_err_ensemble: float
 
 
 def _poly_fits(x: np.ndarray, y: np.ndarray, degrees: Sequence[int]) -> list[np.ndarray]:
@@ -175,8 +174,7 @@ NOISE_MARGIN = 0.5
 
 def convergence_study(u_true: GridFunction, deltas: Sequence[float],
                       spec: CompactumSpec, prob: ProblemSpec,
-                      noise: str = "uniform-iid", seed: int = 0,
-                      ensemble_count: int = 32) -> list[StudyRow]:
+                      noise: str = "uniform-iid", seed: int = 0) -> list[StudyRow]:
     """One reconstruction row per noise level, largest delta first.
 
     Data are generated as g + (NOISE_MARGIN * delta) * xi with a single unit
@@ -184,26 +182,18 @@ def convergence_study(u_true: GridFunction, deltas: Sequence[float],
     coefficient sits strictly inside the data tube and rows are comparable.
     `noise` is a model of `grid.noise_pattern`.
     Each row records the solve (`minimize`, with no early stop: its output
-    does not depend on the truth), the sup error against the known truth,
-    and an ensemble worst-case estimate.
+    does not depend on the truth) and the sup error against the known truth.
     """
     phi_u = spec.phi_value(u_true)
     if phi_u > spec.c:
         raise ValueError(f"phi(u_true) = {phi_u} exceeds the compactum bound {spec.c}")
-    noise_ss, ensemble_ss = np.random.SeedSequence(seed).spawn(2)
-    xi = noise_pattern(noise, u_true.n, noise_ss)
-    if len(deltas) == 0:
-        return []
+    # spawn(1)[0] equals spawn(2)[0]: the pattern a seed has always given
+    xi = noise_pattern(noise, u_true.n, np.random.SeedSequence(seed).spawn(1)[0])
     g = prob.apply(u_true)
-    children = ensemble_ss.spawn(len(deltas))
     rows = []
-    for child, delta in zip(children, sorted(deltas, reverse=True)):
+    for delta in sorted(deltas, reverse=True):
         data = NoisyData(GridFunction(g.values + (NOISE_MARGIN * delta) * xi), delta)
         res = minimize(data, spec, prob)
         err = float(np.max(np.abs(res.v_delta.values - u_true.values)))
-        cls = FeasibleClass(spec, data, prob)
-        ensemble = sample_feasible(cls, ensemble_count, child, start=u_true)
-        sup_est = sup_error_estimate(res.v_delta, ensemble)
-        rows.append(StudyRow(delta, res.misfit, res.phi_value, res.objective_value,
-                             err, sup_est))
+        rows.append(StudyRow(delta, res.misfit, res.phi_value, res.objective_value, err))
     return rows

@@ -6,10 +6,9 @@ import pytest
 from wcreg import (AdversarialPair, CompactumSpec, FeasibleClass, GridFunction,
                    GridTooCoarseError, InfeasibleProblemError, NoisyData, ProblemSpec,
                    add_noise, bump_pair, format_float, holder_norm, integrate,
-                   is_feasible, minimize, read_pair_csv, sample_feasible, sine_pair,
-                   sup_error_estimate, sup_norm, write_pair_csv)
+                   is_feasible, minimize, read_pair_csv, sine_pair, sup_norm,
+                   write_pair_csv)
 from wcreg import adversary
-from wcreg.adversary import ROW_BLOCK
 from wcreg.grid import CSV_BLOCK, _csv_rows
 
 
@@ -60,174 +59,8 @@ class TestIsFeasible:
         assert is_feasible(GridFunction.zeros(2), cls).feasible
 
 
-class TestSampleFeasible:
-    def test_count_zero(self):
-        u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
-        cls, _ = truth_class(u, 1e-3, 1.0, a=2.0)
-        empty = sample_feasible(cls, 0, 1, start=u)
-        assert isinstance(empty, np.ndarray) and empty.dtype == np.float64
-        assert empty.shape == (0, 101)
-
-    def test_hundred_members_all_feasible(self):
-        u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
-        data = NoisyData(integrate(u), 1e-3)  # exact data: full slack
-        cls = FeasibleClass(CompactumSpec("holder-norm", 1.0, a=2.0), data)
-        members = sample_feasible(cls, 100, 11, start=u)
-        assert len(members) == 100
-        for v in members:
-            assert is_feasible(GridFunction(v), cls).feasible
-
-    def test_deterministic(self):
-        u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
-        cls, _ = truth_class(u, 1e-3, 1.0, a=2.0)
-        a = sample_feasible(cls, 25, 3, start=u)
-        b = sample_feasible(cls, 25, 3, start=u)
-        assert np.array_equal(a, b)
-
-    def test_negative_count_rejected(self):
-        u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
-        cls, _ = truth_class(u, 1e-3, 1.0, a=2.0)
-        with pytest.raises(ValueError, match="count must be nonnegative"):
-            sample_feasible(cls, -1, 0, start=u)
-
-    def test_infeasible_start_raises(self):
-        u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
-        cls, _ = truth_class(u, 1e-3, 1.0, a=2.0)
-        with pytest.raises(InfeasibleProblemError):
-            sample_feasible(cls, 5, 0, start=GridFunction(10 + u.values))
-
-    @pytest.mark.parametrize("matrix", [False, True], ids=["trapezoid", "rectangle"])
-    @pytest.mark.parametrize("count", [1, 2, 20, ROW_BLOCK + 1])
-    def test_one_array_of_certified_rows(self, count, matrix):
-        # (k, n) float64 rows, k <= count, row 0 the start, each admitted
-        n = 61
-        u = GridFunction(0.4 * np.linspace(0.0, 1.0, n))
-        prob = ProblemSpec("rectangle" if matrix else "trapezoid")
-        data = add_noise(prob.apply(u), 1e-3, "uniform-iid", 2)
-        cls = FeasibleClass(CompactumSpec("holder-norm", 1.0, a=2.0), data, prob)
-        members = sample_feasible(cls, count, 7, start=u)
-        assert isinstance(members, np.ndarray) and members.dtype == np.float64
-        assert members.ndim == 2 and 1 <= members.shape[0] <= count
-        assert members.shape[1] == n
-        assert np.array_equal(members[0], u.values)
-        assert cls.admits(*cls.residuals(members)).all()
-
-
-def one_at_a_time(cls, count, seed, start):
-    """The former sampler, one attempt and one `is_feasible` call at a time:
-    the reference for `sample_feasible`.  Returns the members and the number
-    of rejected membership checks."""
-    def ratio(slack, gain):
-        return math.inf if gain == 0.0 else slack / gain
-
-    def draw_shape(rng, n):
-        x = np.linspace(0.0, 1.0, n)
-        kind = int(rng.integers(0, 5))
-        if kind == 0:
-            k = int(rng.integers(1, 9))
-            return np.sin(2.0 * math.pi * k * x), f"sin{k}"
-        if kind == 1:
-            k = int(rng.integers(1, 9))
-            return np.cos(2.0 * math.pi * k * x), f"cos{k}"
-        if kind == 2:
-            c = rng.uniform(0.25, 0.75)
-            w = rng.uniform(0.05, 0.25)
-            return np.maximum(0.0, 1.0 - np.abs(x - c) / w), None
-        if kind == 3:
-            return np.where(np.arange(n) % 2 == 0, 1.0, -1.0), "alternating"
-        return np.ones(n), "constant"
-
-    chk = is_feasible(start, cls)
-    members, rejected = [start], 0
-    rng = np.random.default_rng(seed)
-    slack = (cls.delta - chk.misfit, cls.spec.c - chk.class_norm)
-    gains = {}
-    attempts = 0
-    while len(members) < count and attempts < 30 * count + 100:
-        attempts += 1
-        shape, key = draw_shape(rng, cls.n)
-        sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        frac = rng.uniform(0.2, 1.0)
-        if key in gains:
-            image_gain, norm_gain = gains[key]
-        else:
-            image_gain = float(np.max(np.abs(cls.prob.apply(GridFunction(shape)).values)))
-            norm_gain = math.inf
-            if ratio(slack[0], image_gain) > 0.0:
-                norm_gain = cls.spec.phi_value(GridFunction(shape))
-            if key is not None:
-                gains[key] = (image_gain, norm_gain)
-        t = 0.9 * min(ratio(slack[0], image_gain), ratio(slack[1], norm_gain))
-        if not (t > 0.0 and math.isfinite(t)):
-            continue
-        t *= frac
-        for _ in range(40):
-            candidate = GridFunction(start.values + (sign * t) * shape)
-            if is_feasible(candidate, cls).feasible:
-                members.append(candidate)
-                break
-            rejected += 1
-            t *= 0.5
-    return members, rejected
-
-
-def assert_same_members(got, want):
-    assert got.dtype == np.float64
-    assert np.array_equal(got, np.array([w.values for w in want]))
-
-
 CLASSES = [("sup-norm", None), ("holder-norm", 0.5), ("holder-norm", 1.0),
            ("holder-norm", 2.0)]
-
-
-class TestSamplerMatchesOneAtATime:
-    @pytest.mark.parametrize("matrix", [False, True], ids=["trapezoid", "rectangle"])
-    @pytest.mark.parametrize("phi, a", CLASSES, ids=["sup", "a0.5", "a1", "a2"])
-    def test_noisy_data(self, phi, a, matrix):
-        n = 101
-        u = GridFunction(0.4 * np.linspace(0.0, 1.0, n))
-        prob = ProblemSpec("rectangle" if matrix else "trapezoid")
-        data = add_noise(prob.apply(u), 1e-3, "uniform-iid", 5)
-        cls = FeasibleClass(CompactumSpec(phi, 1.0, a=a), data, prob)
-        for count in (1, 20, 100):
-            got = sample_feasible(cls, count, 40 + count, start=u)
-            assert_same_members(got, one_at_a_time(cls, count, 40 + count, u)[0])
-
-    @pytest.mark.parametrize("seed", [0, 1, 3])
-    def test_rounding_limited(self, seed):
-        # steep data and a tube of 1e-14: rounding in the image rejects some
-        # candidates, so their steps are halved and checked again
-        n = 41
-        u = GridFunction(400.0 * np.linspace(0.0, 1.0, n))
-        cls = FeasibleClass(CompactumSpec("sup-norm", 800.0), NoisyData(integrate(u), 1e-14))
-        want, rejected = one_at_a_time(cls, 20, seed, u)
-        assert rejected >= 1
-        assert_same_members(sample_feasible(cls, 20, seed, start=u), want)
-
-    @pytest.mark.parametrize("matrix", [False, True], ids=["trapezoid", "rectangle"])
-    def test_zero_misfit_slack(self, matrix):
-        # the start's misfit is exactly delta: only shapes the operator
-        # cannot see (the alternating one under the trapezoid map) can move
-        n = 61
-        prob = ProblemSpec("rectangle" if matrix else "trapezoid")
-        data = NoisyData(GridFunction(np.full(n, 1e-3)), 1e-3)
-        cls = FeasibleClass(CompactumSpec("holder-norm", 1.0, a=2.0), data, prob)
-        start = GridFunction.zeros(n)
-        assert is_feasible(start, cls).misfit == cls.delta
-        want = one_at_a_time(cls, 30, 2, start)[0]
-        assert_same_members(sample_feasible(cls, 30, 2, start=start), want)
-        if matrix:
-            # every attempt is spent: max_attempts ends the loop
-            assert len(want) == 1
-
-    def test_count_above_row_block(self):
-        n = 81
-        u = GridFunction(0.4 * np.linspace(0.0, 1.0, n))
-        cls, _ = truth_class(u, 1e-3, 1.0, a=2.0)
-        count = 2 * ROW_BLOCK + 7
-        got = sample_feasible(cls, count, 8, start=u)
-        assert len(got) == count
-        assert_same_members(got, one_at_a_time(cls, count, 8, u)[0])
 
 
 class TestMembershipKernel:
@@ -277,7 +110,7 @@ class TestMembershipKernel:
 
 class TestOneVerdict:
     """Every membership verdict is `FeasibleClass.admits`: made stricter
-    there, the rule binds `is_feasible`, the ensembles and the solver."""
+    there, the rule binds `is_feasible` and the solver."""
 
     @staticmethod
     def stricter(cls, misfit, norm):
@@ -290,15 +123,6 @@ class TestOneVerdict:
         boundary = FeasibleClass(CompactumSpec("sup-norm", 2.0),
                                  add_noise(integrate(u), 0.05, "alternating-worst-case", 0))
         assert not is_feasible(u, boundary).feasible
-        # norm steps along constant and sine shapes add up exactly, so a step
-        # sized by the plain slack c - phi(start) leaves the stricter bound
-        n = 41
-        start = GridFunction(np.ones(n))
-        cls = FeasibleClass(CompactumSpec("sup-norm", 1.002),
-                            NoisyData(integrate(start), 1.0))
-        members = sample_feasible(cls, 60, 1, start=start)
-        assert len(members) == 60
-        assert self.stricter(cls, *cls.residuals(members)).all()
         # the lowest-F start probe, 0.039 (1 - 1e-12) * ones, has its norm
         # above 0.999 c: the stricter rule picks zero, whose misfit is 0.05
         prob = ProblemSpec("rectangle")
@@ -308,62 +132,6 @@ class TestOneVerdict:
         assert not res.v_delta.values.any()
         assert self.stricter(cls, res.misfit, res.phi_value)
         assert self.stricter(cls, *cls.residuals(res.v_delta.values[None]))[0]
-
-
-def former_sup_error_estimate(reconstruction, ensemble):
-    """The member-by-member loop `sup_error_estimate` replaced: the reference."""
-    if len(ensemble) == 0:
-        raise ValueError("sup_error_estimate needs a nonempty ensemble")
-    worst = 0.0
-    for v in ensemble:
-        if v.n != reconstruction.n:
-            raise ValueError("grid mismatch between reconstruction and ensemble member")
-        worst = max(worst, float(np.max(np.abs(reconstruction.values - v.values))))
-    return worst
-
-
-class TestSupErrorEstimate:
-    @pytest.mark.parametrize("count", [1, 2, 20, 100])
-    @pytest.mark.parametrize("n", [2, 641])
-    def test_matches_former_loop(self, count, n):
-        rng = np.random.default_rng(count * n)
-        recon = GridFunction(rng.normal(size=n))
-        ensemble = recon.values + rng.uniform(-1e-3, 1e-3, (count, n))
-        est = sup_error_estimate(recon, ensemble)
-        assert est == former_sup_error_estimate(recon, [GridFunction(v) for v in ensemble])
-        assert est == sup_error_estimate(recon, ensemble[::-1])
-
-    @pytest.mark.parametrize("where", [0, 5, 9])
-    def test_mismatched_member(self, where):
-        recon = GridFunction(np.zeros(41))
-        ensemble = [GridFunction(np.full(41, 0.1 * k)) for k in range(10)]
-        ensemble[where] = GridFunction(np.zeros(42))
-        with pytest.raises(ValueError, match="grid mismatch between reconstruction"):
-            former_sup_error_estimate(recon, ensemble)
-        # an array's rows share one width: the whole ensemble is on another grid
-        with pytest.raises(ValueError, match="grid mismatch between reconstruction"):
-            sup_error_estimate(recon, np.full((where + 1, 42), 0.1))
-
-    def test_one_dimensional_row_rejected(self):
-        # one member given as a bare row: the error names the (k, n) shape
-        with pytest.raises(ValueError, match=r"need a \(k, 5\) array, got shape \(5,\)"):
-            sup_error_estimate(GridFunction.zeros(5), np.ones(5))
-
-    def test_single_member(self):
-        u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
-        recon = GridFunction(u.values + 0.05)
-        assert sup_error_estimate(recon, u.values[None]) == pytest.approx(0.05, rel=1e-12)
-
-    def test_includes_reconstruction(self):
-        u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
-        recon = GridFunction(u.values + 0.05)
-        est = sup_error_estimate(recon, np.array([recon.values, u.values]))
-        assert est == pytest.approx(0.05, rel=1e-12)
-
-    def test_empty_rejected(self):
-        u = GridFunction(0.4 * np.linspace(0.0, 1.0, 101))
-        with pytest.raises(ValueError, match="needs a nonempty ensemble"):
-            sup_error_estimate(u, np.empty((0, u.n)))
 
 
 @pytest.mark.parametrize("construct", [sine_pair, bump_pair], ids=["sine", "bump"])

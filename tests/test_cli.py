@@ -8,11 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
-from wcreg.cli import COMMANDS, builtin_truth, main, read_csv_table
+from wcreg.cli import COMMANDS, _scaled_truth, builtin_truth, main, read_csv_table
 from wcreg.config import ExperimentConfig, _key
 from wcreg.grid import read_grid_csv, write_grid_csv
-from wcreg import (GridFunction, LatticeCompactum, holder_norm, integrate, modulus_bruteforce,
-                   read_pair_csv)
+from wcreg import (CompactumSpec, GridFunction, LatticeCompactum, add_noise, holder_norm,
+                   integrate, modulus_bruteforce, read_pair_csv, regularize)
 from wcreg.errors import ConfigError
 
 
@@ -137,8 +137,7 @@ class TestSweepCommand:
     def test_eta_slope_exact(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli("sweep", "--deltas", "1e-2,1e-3,1e-4,1e-5", "--a", "2",
-                       "--m", "1", "--noise", "alternating-worst-case",
-                       "--count", "10", "--out", str(out))
+                       "--m", "1", "--noise", "alternating-worst-case", "--out", str(out))
         assert code == 0
         header, rows, meta = read_csv_table(out / "sweep.csv")
         assert header == ["delta", "h", "eta", "sup_err_est"]
@@ -147,13 +146,43 @@ class TestSweepCommand:
             assert eta == pytest.approx(2 * np.sqrt(delta), rel=1e-12)
             assert est <= eta
 
+    @pytest.mark.parametrize("flags", [
+        ("--deltas", "1e-2,1e-3,1e-4", "--seed", "3"),
+        ("--deltas", "1e-2,1e-3", "--a", "1.5", "--noise", "alternating",
+         "--truth", "abs-shift", "--grid", "161"),
+        ("--deltas", "1e-1,1e-3", "--a", "1.3", "--m", "2", "--truth", "sine(1)",
+         "--grid", "201", "--seed", "7"),
+    ], ids=["a2", "a1.5-alt-abs", "a1.3-sine"])
+    def test_err_is_the_truths_error(self, tmp_path, flags):
+        # sup_err_est is sup|R(g) - u|, R(g) recomputed on the noise child of
+        # each delta, and it lies within that result's eta
+        out = tmp_path / "out"
+        assert run_cli("sweep", *flags, "--out", str(out)) == 0
+        _, rows, _ = read_csv_table(out / "sweep.csv")
+        cfg = ExperimentConfig().updated({k[2:]: v for k, v in zip(flags[::2], flags[1::2])})
+        spec = CompactumSpec("holder-norm", cfg.m, a=cfg.a)
+        u = _scaled_truth(cfg, cfg.grid or 641, spec)
+        children = np.random.SeedSequence(cfg.seed).spawn(2 * len(rows))
+        for i, (delta, _, _, err) in enumerate(rows):
+            result = regularize(add_noise(integrate(u), delta, cfg.noise, children[2 * i]), spec)
+            assert err == np.max(np.abs(result.u_delta.values - u.values))
+            assert err <= result.eta
+
+    def test_count_is_ignored(self, tmp_path, capsys):
+        # the benchmark's --count 20 exits 0, warns, and changes no byte
+        flags = ["--deltas", "1e-2,1e-3", "--grid", "101", "--seed", "2"]
+        assert run_cli("sweep", *flags, "--out", str(tmp_path / "plain")) == 0
+        assert capsys.readouterr().err == ""
+        assert run_cli("sweep", *flags, "--count", "20", "--out", str(tmp_path / "count")) == 0
+        assert capsys.readouterr().err == "wcreg: warning: sweep ignores --count\n"
+        assert read_bytes_tree(tmp_path / "count") == read_bytes_tree(tmp_path / "plain")
+
     def test_repeated_delta_slopes_nan(self, tmp_path, capsys):
         # one distinct delta fits no line, as one delta does not
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = run_cli("sweep", "--deltas", "1e-2,1e-2", "--grid", "21", "--count", "3",
-                           "--out", str(out))
+            code = run_cli("sweep", "--deltas", "1e-2,1e-2", "--grid", "21", "--out", str(out))
         assert code == 0
         assert capsys.readouterr().err == ""
         _, rows, meta = read_csv_table(out / "sweep.csv")
@@ -251,20 +280,17 @@ class TestVariationalCommand:
     def test_header_columns(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("variational", "--truth", "constant", "--deltas", "1e-1",
-                       "--phi", "sup-norm", "--c", "2", "--grid", "21", "--count", "4",
-                       "--out", str(out)) == 0
+                       "--phi", "sup-norm", "--c", "2", "--grid", "21", "--out", str(out)) == 0
         header, rows, _ = read_csv_table(out / "convergence.csv")
-        assert header == ["delta", "misfit", "phi", "objective", "sup_err_truth",
-                          "sup_err_ensemble"]
-        assert len(rows) == 1 and len(rows[0]) == 6
+        assert header == ["delta", "misfit", "phi", "objective", "sup_err_truth"]
+        assert len(rows) == 1 and len(rows[0]) == 5
 
     def test_warns_for_each_row_above_its_certificate(self, tmp_path, capsys):
         # phi(u) = 1.5: the rows at 1e-3 and 1e-4 end above 2(1+phi(u))delta
         out = tmp_path / "out"
         assert run_cli("variational", "--truth", "abs-shift", "--phi", "holder-norm",
                        "--a", "1", "--c", "10", "--grid", "201",
-                       "--deltas", "1e-1,1e-2,1e-3,1e-4", "--count", "4",
-                       "--out", str(out)) == 0
+                       "--deltas", "1e-1,1e-2,1e-3,1e-4", "--out", str(out)) == 0
         rows = read_csv_table(out / "convergence.csv")[1]
         phi_u = holder_norm(builtin_truth("abs-shift", 201), 1.0)
         assert phi_u == pytest.approx(1.5, rel=1e-14)
@@ -391,8 +417,7 @@ class TestHolderExponentRange:
         assert capsys.readouterr().err == "wcreg: config error: the step rule requires a > 1\n"
 
     @pytest.mark.parametrize("args", [
-        ["variational", "--phi", "sup-norm", "--c", "2", "--deltas", "1e-1", "--count", "4",
-         "--grid", "41"],
+        ["variational", "--phi", "sup-norm", "--c", "2", "--deltas", "1e-1", "--grid", "41"],
         ["modulus", "--phi", "sup-norm", "--levels", "3", "--deltas", "0.5"],
     ], ids=["variational", "modulus"])
     def test_sup_norm_ignores_a(self, tmp_path, capsys, args):
@@ -575,10 +600,10 @@ class TestParser:
 @pytest.mark.parametrize("args", [
     ("differentiate", "--truth", "quadratic", "--delta", "1e-4", "--a", "2", "--m", "1"),
     ("sweep", "--deltas", "1e-2,1e-3", "--a", "2", "--m", "1",
-     "--noise", "alternating-worst-case", "--count", "8"),
+     "--noise", "alternating-worst-case"),
     ("adversary", "--class", "lip", "--m", "2", "--deltas", "1e-2,1e-3"),
     ("variational", "--truth", "constant", "--deltas", "1e-1,1e-2",
-     "--phi", "sup-norm", "--c", "2", "--count", "8"),
+     "--phi", "sup-norm", "--c", "2"),
     ("modulus", "--phi", "sup-norm", "--c", "1", "--levels", "21",
      "--lattice-nodes", "5", "--constants-only", "true", "--deltas", "0.15,0.35"),
 ])
@@ -593,7 +618,6 @@ def test_rerun_is_byte_identical(tmp_path, args):
 def test_emitted_csvs_reparse(tmp_path):
     out = tmp_path / "out"
     assert run_cli("sweep", "--deltas", "1e-2,1e-3", "--a", "2", "--m", "1",
-                   "--noise", "alternating-worst-case", "--count", "8",
-                   "--seed", "1", "--out", str(out)) == 0
+                   "--noise", "alternating-worst-case", "--seed", "1", "--out", str(out)) == 0
     header, rows, meta = read_csv_table(out / "sweep.csv")
     assert len(rows) == 2 and len(header) == 4 and "eta_loglog_slope" in meta

@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from wcreg import (CompactumSpec, FeasibleClass, GridFunction, GridTooCoarseError,
+from wcreg import (CompactumSpec, GridFunction, GridTooCoarseError,
                    NoisyData, add_noise, differentiate, error_bound,
-                   integrate, regularize, sample_feasible, step_size,
-                   sup_error_estimate, sup_norm)
+                   integrate, regularize, step_size, sup_norm)
 
 
 def holder(a, m):
@@ -292,20 +291,6 @@ class TestRegularize:
     def test_grid_too_coarse(self):
         with pytest.raises(GridTooCoarseError):
             regularize(exact_data(lambda x: x, 4, delta=1e-3), holder(2, 1))
-
-    def test_certified_bound_over_ensemble(self):
-        # every certified class member stays within eta of the reconstruction
-        n = 641
-        x = np.linspace(0, 1, n)
-        u = GridFunction(0.4 * x)
-        g = integrate(u)
-        delta = 1e-3
-        data = add_noise(g, delta, "alternating-worst-case", 0)
-        res = regularize(data, holder(2, 1))
-        cls = FeasibleClass(holder(2, 1), data)
-        ensemble = sample_feasible(cls, 60, 17, start=u)
-        assert len(ensemble) == 60
-        assert sup_error_estimate(res.u_delta, ensemble) <= res.eta
 
     def test_boundary_zones_within_eta(self):
         # uniform noise: neither the truth nor the worst class member in the

@@ -12,8 +12,7 @@ import pytest
 
 from wcreg import (CompactumSpec, FeasibleClass, GridFunction, InfeasibleProblemError,
                    NoisyData, ProblemSpec, add_noise, convergence_study, differentiate,
-                   integrate, is_feasible, minimize, modulus_bruteforce, sample_feasible,
-                   sup_norm)
+                   integrate, is_feasible, minimize, modulus_bruteforce, sup_norm)
 from wcreg import variational
 from wcreg.modulus import LatticeCompactum
 from wcreg.variational import _poly_fits
@@ -143,14 +142,12 @@ class TestMinimize:
 
 class TestReportedTerms:
     """`minimize` reports the misfit, phi and objective of its output that
-    `is_feasible` gives it: one forward map, no second rounding.  `budget`
-    is still accepted, and they hold with either value."""
+    `is_feasible` gives it: one forward map, no second rounding."""
 
-    @pytest.mark.parametrize("budget", [0, 30])
     @pytest.mark.parametrize("phi,a", [("sup-norm", None), ("holder-norm", 0.5),
                                        ("holder-norm", 1.0), ("holder-norm", 2.0)])
     @pytest.mark.parametrize("rectangle", [False, True])
-    def test_terms_equal_is_feasible(self, rectangle, phi, a, budget):
+    def test_terms_equal_is_feasible(self, rectangle, phi, a):
         spec = CompactumSpec(phi, 3.0, a=a)
         for n in (21, 41, 101):
             prob = ProblemSpec("rectangle" if rectangle else "trapezoid")
@@ -158,7 +155,7 @@ class TestReportedTerms:
             xi = np.random.default_rng(n).uniform(-1.0, 1.0, n)
             for delta in (1e-1, 1e-2):
                 data = NoisyData(GridFunction(prob.apply(u).values + 0.25 * delta * xi), delta)
-                res = minimize(data, spec, prob, budget=budget)
+                res = minimize(data, spec, prob)
                 check = is_feasible(res.v_delta, FeasibleClass(spec, data, prob))
                 assert check.feasible
                 assert res.misfit == check.misfit
@@ -319,7 +316,7 @@ class TestPolynomialProbes:
             data = NoisyData(add_noise(integrate(u), 2.5e-3, "uniform-iid", 5).g_delta, 1e-2)
             minimize(data, CompactumSpec("holder-norm", 2.0, a=2.0), ProblemSpec())
             code = cli.main(["variational", "--phi", "holder-norm", "--a", "2", "--c", "3",
-                             "--deltas", "1e-1,1e-2", "--count", "4",
+                             "--deltas", "1e-1,1e-2",
                              "--out", {str(tmp_path / "out")!r}])
             assert code == 0, code
             assert "numpy.polynomial" not in sys.modules
@@ -417,7 +414,7 @@ class TestModulusBridge:
 class TestIntegrationMatrixConsistency:
     @pytest.mark.parametrize("rule", ["trapezoid", "rectangle"])
     def test_memory_is_linear_in_n(self, rule):
-        # a solve and an ensemble at n = 20,001 stay within 400 n floats;
+        # a solve and a membership check at n = 20,001 stay within 400 n floats;
         # one dense n-by-n matrix alone would be 20,001 n
         n = 20_001
         prob = ProblemSpec(rule)
@@ -429,10 +426,9 @@ class TestIntegrationMatrixConsistency:
         tracemalloc.start()
         try:
             res = minimize(data, spec, prob)
-            members = sample_feasible(cls, 8, 3, start=u)
+            check = is_feasible(res.v_delta, cls)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 400 * n * 8
-        assert is_feasible(res.v_delta, cls).feasible
-        assert len(members) == 8
+        assert check.feasible

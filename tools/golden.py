@@ -69,20 +69,24 @@ COMMANDS = (
     # with an input file the flags that make synthetic data are ignored
     ("diff-input-ignored", "differentiate --input input.csv --delta 1e-3 --noise pink --seed -1"),
     # sweep: Holder class rescaled truth, all noise spellings, config file
-    ("sweep-default", "sweep --deltas 1e-2,1e-3,1e-4 --count 20"),
+    ("sweep-default", "sweep --deltas 1e-2,1e-3,1e-4"),
+    # the benchmark's line: sweep reads no --count, and warns that it ignores it
     ("sweep-seed3", "sweep --deltas 1e-2,1e-3,1e-4,1e-5 --a 2 --m 1 --count 20 --seed 3"),
     ("sweep-a13-alt", "sweep --deltas 1e-2,1e-3 --a 1.3 --noise alternating-worst-case "
-                      "--truth sine(1) --grid 201 --count 10"),
-    ("sweep-none", "sweep --deltas 1e-1,1e-2 --noise none --truth constant --grid 101 --count 10"),
+                      "--truth sine(1) --grid 201"),
+    ("sweep-none", "sweep --deltas 1e-1,1e-2 --noise none --truth constant --grid 101"),
+    # the config file's `count = 12` is ignored without a warning
     ("sweep-config", "sweep --config config.txt --noise uniform"),
-    ("sweep-grid3x", "sweep --deltas 1e-2,1e-3,1e-4 --count 20 --grid 1923"),
-    # the default ensemble count (100): candidates checked in more than one round
+    ("sweep-grid3x", "sweep --deltas 1e-2,1e-3,1e-4 --grid 1923"),
+    # no --count: the same file as with any count
     ("sweep-count-default", "sweep --deltas 1e-2,1e-3"),
-    # zero misfit slack at the start element (alternating noise) and the
-    # default count: several ROW_BLOCK rounds in which few shapes can move
+    # alternating noise puts the truth's misfit at exactly delta, on the edge
+    # of the feasible set; the ignored --count 100 changes no byte
     ("sweep-alt-count100", "sweep --deltas 1e-2,1e-3 --noise alternating --count 100 --grid 201"),
+    # a count that was once refused is ignored like any other
+    ("sweep-count-ignored", "sweep --deltas 1e-2,1e-3 --count 0"),
     # one distinct delta: no log-log slope to fit
-    ("sweep-repeated-delta", "sweep --deltas 1e-2,1e-2 --grid 21 --count 3"),
+    ("sweep-repeated-delta", "sweep --deltas 1e-2,1e-2 --grid 21"),
     # adversary: sup (sine pairs) and lip (bump pairs), default and fixed grids
     ("adv-sup", "adversary --class sup --m 1 --deltas 1e-1,2e-2"),
     ("adv-sup-grid", "adversary --class sup --m 2 --deltas 1e-1 --grid 801"),
@@ -94,32 +98,32 @@ COMMANDS = (
     # a command checks no rule of a field it does not read: only warnings here
     ("adv-ignores-var-flags", "adversary --class lip --m 1 --deltas 1e-2 --phi l2 --c 0"),
     # variational: sup and Holder phi over the trapezoid operator
-    ("var-sup", "variational --phi sup-norm --c 2 --deltas 1e-1,1e-2 --count 12"),
+    ("var-sup", "variational --phi sup-norm --c 2 --deltas 1e-1,1e-2"),
     ("var-holder-a2", "variational --phi holder-norm --a 2 --c 3 --deltas 1e-1,1e-2 "
-                      "--count 12 --grid 61"),
+                      "--grid 61"),
     ("var-holder-a1", "variational --phi holder-norm --a 1 --c 2 --deltas 1e-1 "
-                      "--count 8 --grid 41 --noise alternating"),
+                      "--grid 41 --noise alternating"),
     ("var-holder-a05", "variational --phi holder-norm --a 0.5 --c 3 --deltas 1e-1 "
-                       "--count 8 --grid 41 --seed 2"),
+                       "--grid 41 --seed 2"),
     # the slope path at quotient power 0.5, on the default grid
-    ("var-holder-a15", "variational --phi holder-norm --a 1.5 --c 3 --deltas 1e-1,1e-2 "
-                       "--count 8"),
+    ("var-holder-a15", "variational --phi holder-norm --a 1.5 --c 3 --deltas 1e-1,1e-2"),
     # the benchmark's solve size: 401 nodes, Holder a = 2
     ("var-holder-a2-401", "variational --phi holder-norm --a 2 --c 3 --deltas 1e-2 "
-                          "--count 8 --grid 401"),
+                          "--grid 401"),
     # the polynomial start probes on small grids: degrees 1-3 at 5 nodes,
     # all four (1, 2, 3, 5) at 7
     ("var-holder-a2-grid5", "variational --phi holder-norm --a 2 --c 3 --deltas 1e-1,5e-2 "
-                            "--count 4 --grid 5"),
+                            "--grid 5"),
     # the best start probe stays above 2(1+phi(u))delta at the two smallest
     # deltas, with a warning for each
     ("var-holder-a1-descent", "variational --truth abs-shift --phi holder-norm --a 1 --c 10 "
-                              "--grid 201 --deltas 1e-1,1e-2,1e-3,1e-4 --count 4"),
+                              "--grid 201 --deltas 1e-1,1e-2,1e-3,1e-4"),
     ("var-holder-a2-grid7", "variational --phi holder-norm --a 2 --c 3 --deltas 1e-1,5e-2 "
-                            "--count 4 --grid 7"),
+                            "--grid 7"),
     # a sup-norm class ignores --a, even one out of range
-    ("var-sup-a-ignored", "variational --phi sup-norm --a 3 --c 2 --deltas 1e-1 "
-                          "--count 4 --grid 41"),
+    ("var-sup-a-ignored", "variational --phi sup-norm --a 3 --c 2 --deltas 1e-1 --grid 41"),
+    # variational reads no --count either: a warning, and the file of no flag
+    ("var-count-ignored", "variational --count 0 --c 2 --deltas 1e-2"),
     # modulus: brute force over sup and Holder lattices
     ("mod-sup", "modulus --phi sup-norm --c 1 --levels 7 --deltas 0.5,0.1"),
     ("mod-sup-const", "modulus --phi sup-norm --c 1 --levels 21 --lattice-nodes 5 "
@@ -159,7 +163,6 @@ COMMANDS = (
     ("bad-sweep-one-delta", "sweep --deltas 1e-2"),
     ("bad-sweep-a", "sweep --deltas 1e-2,1e-3 --a 0.5"),
     ("bad-sweep-m", "sweep --deltas 1e-2,1e-3 --m -1"),
-    ("bad-sweep-count", "sweep --deltas 1e-2,1e-3 --count 0"),
     ("bad-sweep-seed", "sweep --deltas 1e-2,1e-3 --seed -1"),
     ("bad-noise", "sweep --deltas 1e-2,1e-3 --noise pink"),
     ("bad-grid", "sweep --deltas 1e-2,1e-3 --grid 3"),
@@ -173,7 +176,6 @@ COMMANDS = (
     ("bad-var-phi", "variational --phi l2 --deltas 1e-2"),
     ("bad-var-c", "variational --c 0 --deltas 1e-2"),
     ("bad-var-budget", "variational --budget -1 --deltas 1e-2"),
-    ("bad-var-count", "variational --count 0 --deltas 1e-2"),
     ("bad-var-class", "variational --c 0.5 --deltas 1e-2"),
     ("bad-var-a-range", "variational --phi holder-norm --a 3 --deltas 1e-2"),
     ("bad-mod-phi", "modulus --phi l2 --deltas 0.5"),
@@ -206,8 +208,8 @@ COMMANDS = (
     # several broken rules: the first one each command checks is reported
     ("bad-diff-many", "differentiate --delta 1e-3 --a 1 --m 0 --input missing.csv"),
     ("bad-adv-many", "adversary --class holder --m 0 --deltas -1"),
-    ("bad-sweep-many", "sweep --deltas 1e-2,1e-3 --a 1 --m 0 --count 0"),
-    ("bad-var-many", "variational --c 0 --count 0 --deltas 1e-2"),
+    ("bad-sweep-many", "sweep --deltas 1e-2,1e-3 --a 1 --m 0"),
+    ("bad-var-many", "variational --c 0 --seed -1 --deltas 1e-2"),
     ("bad-mod-many", "modulus --c 0 --mode exact --levels 0 --deltas 0.5"),
 )
 
