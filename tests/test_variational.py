@@ -142,12 +142,14 @@ class TestMinimize:
 
 class TestReportedTerms:
     """`minimize` reports the misfit, phi and objective of its output that
-    `is_feasible` gives it: one forward map, no second rounding."""
+    `is_feasible` gives it: one forward map, no second rounding.  `budget`
+    is still accepted, and they hold with either value."""
 
+    @pytest.mark.parametrize("budget", [0, 30])
     @pytest.mark.parametrize("phi,a", [("sup-norm", None), ("holder-norm", 0.5),
                                        ("holder-norm", 1.0), ("holder-norm", 2.0)])
     @pytest.mark.parametrize("rectangle", [False, True])
-    def test_terms_equal_is_feasible(self, rectangle, phi, a):
+    def test_terms_equal_is_feasible(self, rectangle, phi, a, budget):
         spec = CompactumSpec(phi, 3.0, a=a)
         for n in (21, 41, 101):
             prob = ProblemSpec("rectangle" if rectangle else "trapezoid")
@@ -155,7 +157,7 @@ class TestReportedTerms:
             xi = np.random.default_rng(n).uniform(-1.0, 1.0, n)
             for delta in (1e-1, 1e-2):
                 data = NoisyData(GridFunction(prob.apply(u).values + 0.25 * delta * xi), delta)
-                res = minimize(data, spec, prob)
+                res = minimize(data, spec, prob, budget=budget)
                 check = is_feasible(res.v_delta, FeasibleClass(spec, data, prob))
                 assert check.feasible
                 assert res.misfit == check.misfit
